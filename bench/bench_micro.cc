@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): throughput of the
 // individual stages that the end-to-end numbers aggregate — lexing,
 // parsing, binding+normalizing, memo construction, parallel optimization,
-// SQL generation, DMS row packing, and executor operators.
+// SQL generation, DMS wire packing, and executor operators.
 
 #include <benchmark/benchmark.h>
 
@@ -92,18 +92,32 @@ void BM_DsqlGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_DsqlGeneration);
 
+// One wire batch through the DMS codec: PackRowsColumnar on the reader
+// side, UnpackBatchToRows on the writer side.
 void BM_DmsPackUnpack(benchmark::State& state) {
-  Row row = {Datum::Int(42), Datum::Double(3.5),
-             Datum::Varchar("some payload text"), Datum::Date(9131)};
+  RowVector rows;
+  for (int i = 0; i < kDmsWireBatchRows; ++i) {
+    rows.push_back({Datum::Int(i), Datum::Double(i * 0.5),
+                    Datum::Varchar("payload-" + std::to_string(i % 97)),
+                    Datum::Date(9000 + i % 1000)});
+  }
+  const std::vector<TypeId> types = {TypeId::kInt, TypeId::kDouble,
+                                     TypeId::kVarchar, TypeId::kDate};
+  size_t wire_bytes = 0;
   for (auto _ : state) {
     std::vector<uint8_t> buf;
-    auto packed = PackRow(row, &buf);
+    auto packed = PackRowsColumnar(rows, 0, rows.size(), types, &buf);
     benchmark::DoNotOptimize(packed);
     size_t offset = 0;
-    auto out = UnpackRow(buf, &offset);
-    benchmark::DoNotOptimize(out);
+    RowVector out;
+    auto unpacked = UnpackBatchToRows(buf, &offset, &out);
+    benchmark::DoNotOptimize(unpacked);
+    wire_bytes = buf.size();
   }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 40);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(wire_bytes));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows.size()));
 }
 BENCHMARK(BM_DmsPackUnpack);
 

@@ -8,6 +8,13 @@ cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+# Benchmark self-test: perfbench builds ../src in its own Release tree, so
+# a src/ API change that breaks that build, or a result that stops matching
+# the single-node reference inside it, fails here rather than in a
+# benchmark run. It also checks that the deterministic counts (DMS bytes
+# per query, DSQL steps, memo size, q-error) repeat exactly.
+python3 perfbench/run.py --self-test
+
 # The parallel execution engine, plan cache, and the pipelined DMS
 # (bounded queues + push-with-help backpressure + concurrent sessions
 # moving data through the same pool) are the racy surfaces; run their
@@ -38,19 +45,18 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test
 cmake --build build-tsan -j --target optimizer_parallel_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/optimizer_parallel_test
 
-# The vectorized batch engine owns raw selection-vector / hash-table
-# indexing; run the whole suite through it under AddressSanitizer.
+# The vectorized batch engine (the default) owns raw selection-vector /
+# hash-table indexing; run the whole suite through it under
+# AddressSanitizer.
 cmake -B build-asan -S . -DPDW_SANITIZE=address
 cmake --build build-asan -j
-(cd build-asan && PDW_ENGINE=batch ASAN_OPTIONS="halt_on_error=1" \
-  ctest --output-on-failure -j)
+(cd build-asan && ASAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -j)
 
 # Pre-aggregation leg: the pushdown differential sweep (preagg on/off x
-# row/batch engine x row/columnar DMS codec, all byte-compared against
-# the single-node row oracle) under ASan. Partial-aggregate kernels
-# index raw selection vectors and group tables, so both plan shapes of
-# every sweep query run instrumented; the env-knob test inside also
-# covers the PDW_OPT_PREAGG=0 kill switch.
+# row/batch engine, all byte-compared against the single-node row oracle)
+# under ASan. Partial-aggregate kernels index raw selection vectors and
+# group tables, so both plan shapes of every sweep query run instrumented;
+# the env-knob test inside also covers the PDW_OPT_PREAGG=0 kill switch.
 cmake --build build-asan -j --target preagg_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/preagg_test
 

@@ -95,6 +95,35 @@ void FillComponents(const DmsRunMetrics& m, obs::StepProfile* sp) {
   sp->rows_moved = static_cast<double>(m.rows_moved);
 }
 
+/// What each source node's run of one DSQL step measured. Nodes run
+/// concurrently; the run of nodes[i] writes only index i.
+struct NodeRuns {
+  NodeRuns(std::vector<int> source_nodes, bool profile_operators)
+      : nodes(std::move(source_nodes)),
+        profiles(profile_operators ? nodes.size() : 0),
+        seconds(nodes.size(), 0),
+        names(nodes.size()) {}
+
+  /// Adds every node's wall time and operator actuals to `sp`, and fills
+  /// an empty `column_names` with the first node's non-empty names. Node
+  /// order, so the aggregate does not depend on which node finished first.
+  void FoldInto(obs::StepProfile* sp,
+                std::vector<std::string>* column_names) const {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      sp->node_seconds.emplace_back(nodes[i], seconds[i]);
+      if (!profiles.empty()) {
+        MergeOperators(profiles[i].operators, &sp->operators);
+      }
+      if (column_names->empty() && !names[i].empty()) *column_names = names[i];
+    }
+  }
+
+  std::vector<int> nodes;
+  std::vector<ExecProfile> profiles;  ///< Empty unless actuals are collected.
+  std::vector<double> seconds;
+  std::vector<std::vector<std::string>> names;
+};
+
 std::string ReplaceAll(std::string s, const std::string& from,
                        const std::string& to) {
   std::string out;
@@ -382,7 +411,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
                                                bool profile_operators,
                                                int max_parallel_nodes,
                                                const ExecOptions& exec,
-                                               DmsCodec dms_codec,
                                                const RetryPolicy& retry,
                                                bool share_steps,
                                                const std::atomic<bool>* cancel) {
@@ -406,7 +434,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   if (share_steps) {
     StepFingerprintOptions fpo;
     fpo.engine_label = EngineLabel(exec);
-    fpo.codec_label = dms_codec == DmsCodec::kColumnar ? "columnar" : "row";
     fingerprints =
         ComputeStepFingerprints(plan, query_id, *table_versions_, fpo);
   }
@@ -469,62 +496,26 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     return s;
   };
 
-  // Runs one step's SQL on every node of `nodes` simultaneously (capped at
-  // max_parallel_nodes; 1 = the serial node-by-node loop). Each node lands
-  // its rows in source_rows[node]; per-node wall times go to the step
-  // profile, per-operator actuals are merged in node order afterwards so
-  // the aggregate stays deterministic.
-  auto run_on_nodes =
-      [&](const DsqlStep& step, const std::vector<int>& nodes,
-          std::vector<RowVector>* source_rows,
-          obs::StepProfile* sp) -> Status {
-    size_t count = nodes.size();
-    std::vector<ExecProfile> node_profiles(profile_operators ? count : 0);
-    std::vector<Status> node_status(count);
-    std::vector<SqlResult> node_results(count);
-    std::vector<double> node_seconds(count, 0);
-    pool.ParallelFor(
-        static_cast<int>(count),
-        [&](int i) {
-          int node = nodes[static_cast<size_t>(i)];
-          // Control→compute RPC of shipping the SQL and collecting status.
-          Status fs = fault::Check("appliance.step.dispatch");
-          if (!fs.ok()) {
-            node_status[static_cast<size_t>(i)] =
-                WrapNodeStatus(node, fs, step.sql);
-            return;
-          }
-          if (latency > 0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(latency));
-          }
-          double t0 = NowSeconds();
-          auto rows = engine_of(node).ExecuteSql(
-              step.sql,
-              profile_operators ? &node_profiles[static_cast<size_t>(i)]
-                                : nullptr,
-              exec);
-          node_seconds[static_cast<size_t>(i)] = NowSeconds() - t0;
-          if (!rows.ok()) {
-            node_status[static_cast<size_t>(i)] =
-                WrapNodeStatus(node, rows.status(), step.sql);
-            return;
-          }
-          node_results[static_cast<size_t>(i)] = std::move(*rows);
-        },
-        parallel ? max_parallel_nodes : 1);
-    for (size_t i = 0; i < count; ++i) {
-      if (!node_status[i].ok()) return node_status[i];
-      sp->node_seconds.emplace_back(nodes[i], node_seconds[i]);
-      if (profile_operators) {
-        MergeOperators(node_profiles[i].operators, &sp->operators);
-      }
-      if (result.column_names.empty()) {
-        result.column_names = node_results[i].column_names;
-      }
-      (*source_rows)[static_cast<size_t>(nodes[i])] =
-          std::move(node_results[i].rows);
+  // The per-node body of every step: the control→compute RPC of shipping
+  // the step's SQL to runs->nodes[i] (fault point + modeled latency), then
+  // the timed node-local execution. The DMS producers and the Return step
+  // both run it; NodeRuns::FoldInto then adds what it measured to the step
+  // profile.
+  auto run_node = [&](const DsqlStep& step, NodeRuns* runs,
+                      size_t i) -> Result<RowVector> {
+    int node = runs->nodes[i];
+    Status fs = fault::Check("appliance.step.dispatch");
+    if (!fs.ok()) return WrapNodeStatus(node, fs, step.sql);
+    if (latency > 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(latency));
     }
-    return Status::OK();
+    double t0 = NowSeconds();
+    auto rows = engine_of(node).ExecuteSql(
+        step.sql, runs->profiles.empty() ? nullptr : &runs->profiles[i], exec);
+    runs->seconds[i] = NowSeconds() - t0;
+    if (!rows.ok()) return WrapNodeStatus(node, rows.status(), step.sql);
+    runs->names[i] = std::move(rows->column_names);
+    return std::move(rows->rows);
   };
 
   // Runs one DMS step end-to-end: source SQL on every source node, rows
@@ -537,103 +528,46 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", sp->move_kind);
     step_span.AddAttr("dest", step.dest_table);
-    int slots = dms_.num_compute_nodes() + 1;
-    DmsRunMetrics metrics;
-    Result<std::vector<RowVector>> routed =
-        Status::Internal("DMS step not executed");
-    if (dms_codec == DmsCodec::kColumnar) {
-      // Streaming path: each source node's SQL runs inside its DMS
-      // producer, so row production on one node overlaps pack/route/
-      // unpack of nodes that finished earlier — no materialization
-      // barrier between step execution and movement.
-      const std::vector<int> sources = SourceNodes(step);
-      std::vector<ExecProfile> node_profiles(
-          profile_operators ? sources.size() : 0);
-      std::vector<double> node_seconds(sources.size(), 0);
-      std::vector<std::vector<std::string>> node_names(sources.size());
-      std::vector<DmsProducer> producers(static_cast<size_t>(slots));
-      for (size_t i = 0; i < sources.size(); ++i) {
-        int node = sources[i];
-        producers[static_cast<size_t>(node)] =
-            [&, node, i]() -> Result<RowVector> {
-          // Control→compute RPC of shipping the SQL.
-          Status fs = fault::Check("appliance.step.dispatch");
-          if (!fs.ok()) return WrapNodeStatus(node, fs, step.sql);
-          if (latency > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(latency));
-          }
-          double t0 = NowSeconds();
-          auto rows = engine_of(node).ExecuteSql(
-              step.sql, profile_operators ? &node_profiles[i] : nullptr,
-              exec);
-          node_seconds[i] = NowSeconds() - t0;
-          if (!rows.ok()) {
-            return WrapNodeStatus(node, rows.status(), step.sql);
-          }
-          node_names[i] = std::move(rows->column_names);
-          return std::move(rows->rows);
-        };
-      }
-      DmsExecOptions dms_options;
-      dms_options.codec = DmsCodec::kColumnar;
-      dms_options.cancel = cancel;
-      dms_options.max_workers = max_parallel_nodes;
-      dms_options.progress = [this, query_id, idx = sp->index,
-                              &active_share_key](double rows_delta,
-                                                 double bytes_delta) {
-        requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
-        // Leading a shared step: attribute the same movement to every
-        // follower blocked on it, so their DMV rows advance live too.
-        if (active_share_key != nullptr) {
-          shared_steps_.Progress(*active_share_key, rows_delta, bytes_delta);
-        }
+    // Each source node's SQL runs inside its DMS producer, so row
+    // production on one node overlaps pack/route/unpack of nodes that
+    // finished earlier — no materialization barrier between step execution
+    // and movement.
+    NodeRuns runs(SourceNodes(step), profile_operators);
+    std::vector<DmsProducer> producers(
+        static_cast<size_t>(dms_.num_compute_nodes() + 1));
+    for (size_t i = 0; i < runs.nodes.size(); ++i) {
+      producers[static_cast<size_t>(runs.nodes[i])] = [&, i] {
+        return run_node(step, &runs, i);
       };
-      for (const ColumnDef& col : step.dest_schema.columns()) {
-        dms_options.types.push_back(col.type);
-      }
-      routed = dms_.ExecutePipelined(step.move_kind, std::move(producers),
-                                     step.hash_column_ordinals, &metrics,
-                                     parallel ? &pool : nullptr, dms_options);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        sp->node_seconds.emplace_back(sources[i], node_seconds[i]);
-        if (profile_operators) {
-          MergeOperators(node_profiles[i].operators, &sp->operators);
-        }
-        if (result.column_names.empty() && !node_names[i].empty()) {
-          result.column_names = node_names[i];
-        }
-      }
-    } else {
-      // Legacy row path: 1. run the step's SQL on every source node
-      // simultaneously, materializing all rows; 2. move them phase by
-      // phase through DMS.
-      std::vector<RowVector> source_rows(static_cast<size_t>(slots));
-      PDW_RETURN_NOT_OK(
-          run_on_nodes(step, SourceNodes(step), &source_rows, sp));
-      DmsExecOptions dms_options;
-      dms_options.codec = DmsCodec::kRow;
-      dms_options.cancel = cancel;
-      dms_options.max_workers = max_parallel_nodes;
-      dms_options.progress = [this, query_id, idx = sp->index,
-                              &active_share_key](double rows_delta,
-                                                 double bytes_delta) {
-        requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
-        if (active_share_key != nullptr) {
-          shared_steps_.Progress(*active_share_key, rows_delta, bytes_delta);
-        }
-      };
-      routed = dms_.Execute(step.move_kind, std::move(source_rows),
-                            step.hash_column_ordinals, &metrics,
-                            parallel ? &pool : nullptr, dms_options);
     }
+    DmsExecOptions dms_options;
+    dms_options.cancel = cancel;
+    dms_options.max_workers = max_parallel_nodes;
+    dms_options.progress = [this, query_id, idx = sp->index,
+                            &active_share_key](double rows_delta,
+                                               double bytes_delta) {
+      requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
+      // Leading a shared step: attribute the same movement to every
+      // follower blocked on it, so their DMV rows advance live too.
+      if (active_share_key != nullptr) {
+        shared_steps_.Progress(*active_share_key, rows_delta, bytes_delta);
+      }
+    };
+    for (const ColumnDef& col : step.dest_schema.columns()) {
+      dms_options.types.push_back(col.type);
+    }
+    DmsRunMetrics metrics;
+    auto routed = dms_.ExecutePipelined(
+        step.move_kind, std::move(producers), step.hash_column_ordinals,
+        &metrics, parallel ? &pool : nullptr, dms_options);
     if (!routed.ok()) return routed.status();
+    runs.FoldInto(sp, &result.column_names);
     result.dms_metrics.Accumulate(metrics);
     FillComponents(metrics, sp);
     sp->actual_rows = static_cast<double>(metrics.rows_moved);
-    // 3. Materialize the destination temp table on every target node,
-    // again simultaneously — engines are per-node, so each target only
-    // touches its own catalog and storage.
+    // Materialize the destination temp table on every target node, again
+    // simultaneously — engines are per-node, so each target only touches
+    // its own catalog and storage.
     TableDef temp_def;
     temp_def.name = step.dest_table;
     temp_def.schema = step.dest_schema;
@@ -667,17 +601,28 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     sp->kind = "RETURN";
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", std::string("Return"));
-    int slots = dms_.num_compute_nodes() + 1;
-    std::vector<RowVector> per_node(static_cast<size_t>(slots));
-    const std::vector<int> sources = SourceNodes(step);
-    PDW_RETURN_NOT_OK(run_on_nodes(step, sources, &per_node, sp));
+    // Every source node runs the SQL simultaneously (capped at
+    // max_parallel_nodes; 1 = the serial node-by-node loop).
+    NodeRuns runs(SourceNodes(step), profile_operators);
+    std::vector<Result<RowVector>> per_node(
+        runs.nodes.size(), Status::Internal("node not run"));
+    pool.ParallelFor(
+        static_cast<int>(runs.nodes.size()),
+        [&](int i) {
+          per_node[static_cast<size_t>(i)] =
+              run_node(step, &runs, static_cast<size_t>(i));
+        },
+        parallel ? max_parallel_nodes : 1);
+    for (const Result<RowVector>& rows : per_node) {
+      if (!rows.ok()) return rows.status();
+    }
+    runs.FoldInto(sp, &result.column_names);
     // Assemble in node order, keeping the serial loop's deterministic
     // stream order regardless of which node finished first.
     RowVector assembled;
-    for (int node : sources) {
-      RowVector& rows = per_node[static_cast<size_t>(node)];
-      assembled.insert(assembled.end(), std::make_move_iterator(rows.begin()),
-                       std::make_move_iterator(rows.end()));
+    for (Result<RowVector>& rows : per_node) {
+      assembled.insert(assembled.end(), std::make_move_iterator(rows->begin()),
+                       std::make_move_iterator(rows->end()));
     }
     if (!step.merge_sort.empty()) {
       std::stable_sort(assembled.begin(), assembled.end(),
@@ -1247,8 +1192,8 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
         ApplianceResult result,
         ExecuteDsql(dsql, query_id, options.observe.collect_operator_actuals,
                     max_parallel, options.execute.engine,
-                    options.execute.dms_codec, options.execute.retry,
-                    options.execute.share_steps, cancel));
+                    options.execute.retry, options.execute.share_steps,
+                    cancel));
     result.modeled_cost = modeled_cost;
     result.plan_text = plan_text;
     result.cache_hit = cache_hit;
@@ -1299,9 +1244,8 @@ Result<ApplianceResult> Appliance::ExecutePlan(
   UniquifyTempNames(&dsql, query_id);
   Result<ApplianceResult> result =
       ExecuteDsql(dsql, query_id, /*profile_operators=*/false,
-                  /*max_parallel_nodes=*/0, ExecOptions{},
-                  DefaultDmsCodec(), RetryPolicy{}, DefaultSharedSteps(),
-                  /*cancel=*/nullptr);
+                  /*max_parallel_nodes=*/0, ExecOptions{}, RetryPolicy{},
+                  DefaultSharedSteps(), /*cancel=*/nullptr);
   if (!result.ok()) {
     requests_.Fail(query_id, result.status().ToString());
     return result.status();

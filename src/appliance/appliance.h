@@ -37,7 +37,7 @@ struct CompileOptions {
   bool explain_only = false;
 };
 
-/// Execution-tier knobs of one query: engine/codec selection, workload
+/// Execution-tier knobs of one query: engine selection, workload
 /// management, caching, retries, and fault injection.
 struct ExecutionOptions {
   /// Cap on how many compute nodes run one DSQL step's work at the same
@@ -51,10 +51,6 @@ struct ExecutionOptions {
   /// vectorized batch engine (default, also overridable process-wide via
   /// PDW_ENGINE=row|batch) or the row-at-a-time reference interpreter.
   ExecOptions engine;
-  /// DMS wire codec for this query's movement steps: the streaming
-  /// columnar pipeline (default; process-wide overridable via
-  /// PDW_DMS_CODEC=row|columnar) or the legacy materialized row path.
-  DmsCodec dms_codec = DefaultDmsCodec();
   /// Faults armed for this query only (on top of any process-wide
   /// PDW_FAULTS schedule). Specs with query# = 1 or '*' target this query.
   fault::FaultSchedule faults;
@@ -78,7 +74,7 @@ struct ExecutionOptions {
   /// leads, others consume its materialized temp table (§ DESIGN.md 5j).
   /// On by default; process-wide overridable via PDW_WLM_SHARE=0. The
   /// resolved value is part of every step fingerprint, so only executions
-  /// that agree on the knob (and on engine + DMS codec) ever rendezvous.
+  /// that agree on the knob (and on the engine) ever rendezvous.
   bool share_steps = DefaultSharedSteps();
 };
 
@@ -123,10 +119,6 @@ struct QueryOptions {
   }
   QueryOptions& WithEngine(ExecOptions engine) {
     execute.engine = engine;
-    return *this;
-  }
-  QueryOptions& WithDmsCodec(DmsCodec codec) {
-    execute.dms_codec = codec;
     return *this;
   }
   QueryOptions& WithFaults(fault::FaultSchedule faults) {
@@ -358,7 +350,6 @@ class Appliance {
                                       bool profile_operators,
                                       int max_parallel_nodes,
                                       const ExecOptions& exec,
-                                      DmsCodec dms_codec,
                                       const RetryPolicy& retry,
                                       bool share_steps,
                                       const std::atomic<bool>* cancel);

@@ -23,8 +23,7 @@ double NowSeconds() {
       .count();
 }
 
-/// Folds one run's deltas into the process-wide metrics registry (shared
-/// by the row and columnar paths so dashboards see one meter).
+/// Folds one run's deltas into the process-wide metrics registry.
 void FoldRunIntoRegistry(const DmsRunMetrics& before, const DmsRunMetrics& m,
                          obs::TraceSpan* span) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -82,10 +81,6 @@ Result<std::vector<RowVector>> DmsService::Execute(
     DmsOpKind kind, std::vector<RowVector> source_rows,
     const std::vector<int>& hash_ordinals, DmsRunMetrics* metrics,
     ThreadPool* pool, const DmsExecOptions& options) {
-  if (options.codec == DmsCodec::kRow) {
-    return ExecuteRowCodec(kind, std::move(source_rows), hash_ordinals,
-                           metrics, pool, options);
-  }
   int total_slots = nodes_ + 1;
   if (static_cast<int>(source_rows.size()) != total_slots) {
     return Status::InvalidArgument("source_rows must have one slot per node");
@@ -103,191 +98,6 @@ Result<std::vector<RowVector>> DmsService::Execute(
   }
   return ExecutePipelined(kind, std::move(producers), hash_ordinals, metrics,
                           pool, options);
-}
-
-Result<std::vector<RowVector>> DmsService::ExecuteRowCodec(
-    DmsOpKind kind, std::vector<RowVector> source_rows,
-    const std::vector<int>& hash_ordinals, DmsRunMetrics* metrics,
-    ThreadPool* pool, const DmsExecOptions& options) {
-  int n = nodes_;
-  int total_slots = n + 1;
-  if (static_cast<int>(source_rows.size()) != total_slots) {
-    return Status::InvalidArgument("source_rows must have one slot per node");
-  }
-  DmsRunMetrics local_metrics;
-  DmsRunMetrics* m = metrics != nullptr ? metrics : &local_metrics;
-  const DmsRunMetrics before = *m;  // callers may pass accumulators
-  double wall_start = NowSeconds();
-  obs::TraceSpan span("dms.execute");
-  span.AddAttr("kind", std::string(DmsOpKindToString(kind)));
-  span.AddAttr("codec", std::string("row"));
-
-  bool hashes = kind == DmsOpKind::kShuffle || kind == DmsOpKind::kTrimMove;
-  if (hashes && hash_ordinals.empty()) {
-    return Status::InvalidArgument("hash move without hash columns");
-  }
-  // The row path materializes whole phases; cancellation is only observed
-  // up front (the streaming path checks every queue push instead).
-  if (options.cancel != nullptr &&
-      options.cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query cancelled before DMS row move");
-  }
-
-  // Runs one phase's per-node body, in parallel when a pool is supplied;
-  // each body only touches its own node's slots, so no locking is needed.
-  auto each_node = [&](const std::function<void(int)>& body) {
-    if (pool != nullptr) {
-      pool->ParallelFor(total_slots, body, options.max_workers);
-    } else {
-      for (int i = 0; i < total_slots; ++i) body(i);
-    }
-  };
-
-  // Reader phase: each source node packs its rows into per-target buffers.
-  // target_buffers[src][dst] holds the bytes src sends to dst. Component
-  // seconds are the *sum of per-node durations* — the cost model's B*λ
-  // work metric — so serial and pooled runs meter the same quantity.
-  std::vector<std::vector<std::vector<uint8_t>>> buffers(
-      static_cast<size_t>(total_slots));
-  for (auto& per_target : buffers) {
-    per_target.resize(static_cast<size_t>(total_slots));
-  }
-
-  std::vector<DmsRunMetrics> node_m(static_cast<size_t>(total_slots));
-  std::vector<Status> node_status(static_cast<size_t>(total_slots));
-  each_node([&](int src) {
-    DmsRunMetrics& nm = node_m[static_cast<size_t>(src)];
-    Status fs = fault::Check("dms.pack");
-    if (!fs.ok()) {
-      node_status[static_cast<size_t>(src)] = std::move(fs);
-      return;
-    }
-    double t0 = NowSeconds();
-    for (const Row& row : source_rows[static_cast<size_t>(src)]) {
-      std::vector<int> targets;
-      switch (kind) {
-        case DmsOpKind::kShuffle:
-          targets = {TargetNode(row, hash_ordinals)};
-          break;
-        case DmsOpKind::kPartitionMove:
-        case DmsOpKind::kRemoteCopyToSingle:
-          targets = {control_node()};
-          break;
-        case DmsOpKind::kControlNodeMove:
-        case DmsOpKind::kBroadcastMove:
-        case DmsOpKind::kReplicatedBroadcast:
-          for (int i = 0; i < n; ++i) targets.push_back(i);
-          break;
-        case DmsOpKind::kTrimMove:
-          // Keep only rows this node is responsible for; no network.
-          if (TargetNode(row, hash_ordinals) == src) targets = {src};
-          break;
-      }
-      for (int dst : targets) {
-        auto bytes = PackRow(
-            row, &buffers[static_cast<size_t>(src)][static_cast<size_t>(dst)]);
-        if (!bytes.ok()) {
-          node_status[static_cast<size_t>(src)] = bytes.status();
-          return;
-        }
-        nm.reader.bytes += static_cast<double>(*bytes);
-      }
-      nm.rows_moved += 1;
-    }
-    nm.reader.seconds += NowSeconds() - t0;
-  });
-  for (const Status& s : node_status) {
-    if (!s.ok()) return s;
-  }
-
-  // Network phase: move buffers from source to target queues (local
-  // deliveries are free — Trim moves never touch the network). Each target
-  // drains its own inbound column of the buffer matrix.
-  std::vector<std::vector<uint8_t>> inbound(static_cast<size_t>(total_slots));
-  each_node([&](int dst) {
-    DmsRunMetrics& nm = node_m[static_cast<size_t>(dst)];
-    Status fs = fault::Check("dms.network");
-    if (!fs.ok()) {
-      node_status[static_cast<size_t>(dst)] = std::move(fs);
-      return;
-    }
-    double t0 = NowSeconds();
-    for (int src = 0; src < total_slots; ++src) {
-      std::vector<uint8_t>& buf =
-          buffers[static_cast<size_t>(src)][static_cast<size_t>(dst)];
-      if (buf.empty()) continue;
-      if (src != dst) nm.network.bytes += static_cast<double>(buf.size());
-      std::vector<uint8_t>& q = inbound[static_cast<size_t>(dst)];
-      q.insert(q.end(), buf.begin(), buf.end());
-      buf.clear();
-      buf.shrink_to_fit();
-    }
-    nm.network.seconds += NowSeconds() - t0;
-  });
-  for (const Status& s : node_status) {
-    if (!s.ok()) return s;
-  }
-
-  // Writer phase: unpack rows on each target.
-  std::vector<RowVector> unpacked(static_cast<size_t>(total_slots));
-  each_node([&](int dst) {
-    DmsRunMetrics& nm = node_m[static_cast<size_t>(dst)];
-    Status fs = fault::Check("dms.unpack");
-    if (!fs.ok()) {
-      node_status[static_cast<size_t>(dst)] = std::move(fs);
-      return;
-    }
-    double t0 = NowSeconds();
-    const std::vector<uint8_t>& buf = inbound[static_cast<size_t>(dst)];
-    size_t offset = 0;
-    while (offset < buf.size()) {
-      auto row = UnpackRow(buf, &offset);
-      if (!row.ok()) {
-        node_status[static_cast<size_t>(dst)] = row.status();
-        return;
-      }
-      unpacked[static_cast<size_t>(dst)].push_back(std::move(*row));
-    }
-    nm.writer.bytes += static_cast<double>(buf.size());
-    nm.writer.seconds += NowSeconds() - t0;
-  });
-  for (const Status& s : node_status) {
-    if (!s.ok()) return s;
-  }
-
-  // Bulk-copy phase: insert into the destination table storage (a copy,
-  // like SQL Server's bulk insert materializing the temp table).
-  std::vector<RowVector> result(static_cast<size_t>(total_slots));
-  each_node([&](int dst) {
-    DmsRunMetrics& nm = node_m[static_cast<size_t>(dst)];
-    Status fs = fault::Check("dms.bulkcopy");
-    if (!fs.ok()) {
-      node_status[static_cast<size_t>(dst)] = std::move(fs);
-      return;
-    }
-    double t0 = NowSeconds();
-    RowVector& out = result[static_cast<size_t>(dst)];
-    out.reserve(unpacked[static_cast<size_t>(dst)].size());
-    double landed_bytes = 0;
-    for (const Row& row : unpacked[static_cast<size_t>(dst)]) {
-      double width = static_cast<double>(RowWidth(row));
-      nm.bulkcopy.bytes += width;
-      landed_bytes += width;
-      out.push_back(row);
-    }
-    nm.bulkcopy.seconds += NowSeconds() - t0;
-    if (options.progress && !out.empty()) {
-      options.progress(static_cast<double>(out.size()), landed_bytes);
-    }
-  });
-  for (const Status& s : node_status) {
-    if (!s.ok()) return s;
-  }
-
-  for (const DmsRunMetrics& nm : node_m) m->Accumulate(nm);
-  m->wall_seconds += NowSeconds() - wall_start;
-  FoldRunIntoRegistry(before, *m, &span);
-  return result;
 }
 
 Result<std::vector<RowVector>> DmsService::ExecutePipelined(
@@ -310,7 +120,6 @@ Result<std::vector<RowVector>> DmsService::ExecutePipelined(
   double wall_start = NowSeconds();
   obs::TraceSpan span("dms.execute");
   span.AddAttr("kind", std::string(DmsOpKindToString(kind)));
-  span.AddAttr("codec", std::string("columnar"));
 
   const int batch_size =
       options.batch_size > 0 ? options.batch_size : kDmsWireBatchRows;
@@ -389,8 +198,7 @@ Result<std::vector<RowVector>> DmsService::ExecutePipelined(
       return;
     }
     // Bulk copy: account the materialized rows for the destination
-    // temp-table storage, metered in row widths exactly like the legacy
-    // path.
+    // temp-table storage, metered in row widths.
     for (const Row& row : chunk) {
       nm.bulkcopy.bytes += static_cast<double>(RowWidth(row));
     }
@@ -642,8 +450,8 @@ Result<std::vector<RowVector>> DmsService::ExecutePipelined(
     if (!d->status.ok()) return d->status;
   }
 
-  // Assemble each destination's rows in (source, sequence) order — the
-  // same deterministic order the materialized path produces.
+  // Assemble each destination's rows in (source, sequence) order, so the
+  // result never depends on which worker finished first.
   std::vector<RowVector> result(static_cast<size_t>(total_slots));
   for (int dst = 0; dst < total_slots; ++dst) {
     DmsRunMetrics& nm = node_m[static_cast<size_t>(dst)];
@@ -672,7 +480,7 @@ Result<std::vector<RowVector>> DmsService::ExecutePipelined(
   return result;
 }
 
-DmsCostParameters CalibrateCostModel(int rows_per_probe, DmsCodec codec) {
+DmsCostParameters CalibrateCostModel(int rows_per_probe) {
   // Synthetic rows resembling a shuffled intermediate result.
   RowVector rows;
   rows.reserve(static_cast<size_t>(rows_per_probe));
@@ -692,157 +500,82 @@ DmsCostParameters CalibrateCostModel(int rows_per_probe, DmsCodec codec) {
   DmsCostParameters p;
   std::vector<int> hash_cols = {0};
 
-  if (codec == DmsCodec::kColumnar) {
-    // Columnar probes: the same component work the pipelined path does,
-    // batch-at-a-time.
-    const std::vector<TypeId> types = {TypeId::kInt, TypeId::kDouble,
-                                       TypeId::kVarchar, TypeId::kDate};
-    const int bs = kDmsWireBatchRows;
-    auto for_each_slice = [&](auto&& fn) {
-      for (size_t begin = 0; begin < rows.size();
-           begin += static_cast<size_t>(bs)) {
-        size_t end = std::min(rows.size(), begin + static_cast<size_t>(bs));
-        fn(begin, end);
-      }
-    };
-    // Reader (direct): pack straight from row storage, as the pipeline does.
-    p.lambda_reader_direct = measure([&]() {
-      std::vector<uint8_t> buf;
-      double bytes = 0;
-      for_each_slice([&](size_t begin, size_t end) {
-        auto r = PackRowsColumnar(rows, begin, end, types, &buf);
-        if (r.ok()) bytes += static_cast<double>(*r);
-      });
-      return bytes;
-    });
-    // Reader (hash): route + pack each destination's selection.
-    p.lambda_reader_hash = measure([&]() {
-      std::vector<uint8_t> buf;
-      std::vector<SelVector> parts;
-      double bytes = 0;
-      for_each_slice([&](size_t begin, size_t end) {
-        HashPartitionRows(rows, begin, end, hash_cols, 8, &parts);
-        for (const SelVector& sel : parts) {
-          if (sel.empty()) continue;
-          auto r = PackRowsColumnarSelected(rows, sel, types, &buf);
-          if (r.ok()) bytes += static_cast<double>(*r);
-        }
-      });
-      return bytes;
-    });
-    // The wire batches the remaining component probes consume.
-    std::vector<ColumnBatch> batches;
+  // Every probe does the same component work the pipelined path does,
+  // one wire batch at a time.
+  const std::vector<TypeId> types = {TypeId::kInt, TypeId::kDouble,
+                                     TypeId::kVarchar, TypeId::kDate};
+  const int bs = kDmsWireBatchRows;
+  auto for_each_slice = [&](auto&& fn) {
+    for (size_t begin = 0; begin < rows.size();
+         begin += static_cast<size_t>(bs)) {
+      size_t end = std::min(rows.size(), begin + static_cast<size_t>(bs));
+      fn(begin, end);
+    }
+  };
+  // Reader (direct): pack straight from row storage, as the pipeline does.
+  p.lambda_reader_direct = measure([&]() {
+    std::vector<uint8_t> buf;
+    double bytes = 0;
     for_each_slice([&](size_t begin, size_t end) {
-      ColumnBatch b(types);
-      AppendRowsToBatch(rows, begin, end, {0, 1, 2, 3}, &b);
-      batches.push_back(std::move(b));
+      auto r = PackRowsColumnar(rows, begin, end, types, &buf);
+      if (r.ok()) bytes += static_cast<double>(*r);
     });
-    // Network: byte transfer between queues.
-    {
-      std::vector<uint8_t> buf;
-      for (const ColumnBatch& b : batches) (void)PackBatch(b, &buf).ok();
-      p.lambda_network = measure([&]() {
-        std::vector<uint8_t> inbound;
-        inbound.insert(inbound.end(), buf.begin(), buf.end());
-        return static_cast<double>(inbound.size());
-      });
-      // A queue append under-represents a real network; scale to keep the
-      // relative component ordering of the paper (network slower than
-      // packing). The scale factor is part of the simulator's definition.
-      p.lambda_network *= 8;
-    }
-    // Writer: decode wire batches straight into row storage, exactly the
-    // pipeline's receive path.
-    {
-      std::vector<uint8_t> buf;
-      for (const ColumnBatch& b : batches) (void)PackBatch(b, &buf).ok();
-      p.lambda_writer = measure([&]() {
-        size_t offset = 0;
-        RowVector dest;
-        dest.reserve(rows.size());
-        while (offset < buf.size()) {
-          auto n = UnpackBatchToRows(buf, &offset, &dest);
-          if (!n.ok()) break;
-        }
-        return static_cast<double>(buf.size());
-      });
-    }
-    // Bulk copy: width metering + chunk assembly into destination storage.
-    RowVector chunk = rows;  // copied outside the probe's clock
-    p.lambda_bulkcopy = measure([&]() {
-      RowVector dest;
-      dest.reserve(chunk.size());
-      double bytes = 0;
-      for (const Row& r : chunk) bytes += static_cast<double>(RowWidth(r));
-      std::move(chunk.begin(), chunk.end(), std::back_inserter(dest));
-      return bytes;
-    });
-    p.lambda_bulkcopy *= 6;  // temp-table materialization penalty
-  } else {
-    // Reader (direct): pack only.
-    p.lambda_reader_direct = measure([&]() {
-      std::vector<uint8_t> buf;
-      double bytes = 0;
-      for (const Row& r : rows) {
-        auto n = PackRow(r, &buf);
-        if (n.ok()) bytes += static_cast<double>(*n);
+    return bytes;
+  });
+  // Reader (hash): route + pack each destination's selection.
+  p.lambda_reader_hash = measure([&]() {
+    std::vector<uint8_t> buf;
+    std::vector<SelVector> parts;
+    double bytes = 0;
+    for_each_slice([&](size_t begin, size_t end) {
+      HashPartitionRows(rows, begin, end, hash_cols, 8, &parts);
+      for (const SelVector& sel : parts) {
+        if (sel.empty()) continue;
+        auto r = PackRowsColumnarSelected(rows, sel, types, &buf);
+        if (r.ok()) bytes += static_cast<double>(*r);
       }
-      return bytes;
     });
-    // Reader (hash): pack + route hash.
-    p.lambda_reader_hash = measure([&]() {
-      std::vector<uint8_t> buf;
-      double bytes = 0;
-      size_t sink = 0;
-      for (const Row& r : rows) {
-        sink += HashRowColumns(r, hash_cols) % 8;
-        auto n = PackRow(r, &buf);
-        if (n.ok()) bytes += static_cast<double>(*n);
-      }
-      // Keep `sink` alive.
-      if (sink == static_cast<size_t>(-1)) bytes += 1;
-      return bytes;
-    });
-    // Network: byte transfer between queues.
-    {
-      std::vector<uint8_t> buf;
-      for (const Row& r : rows) (void)PackRow(r, &buf).ok();
-      p.lambda_network = measure([&]() {
-        std::vector<uint8_t> inbound;
-        inbound.insert(inbound.end(), buf.begin(), buf.end());
-        return static_cast<double>(inbound.size());
-      });
-      p.lambda_network *= 8;
+    return bytes;
+  });
+  // The wire batches the network and writer probes consume, packed
+  // outside their clocks.
+  std::vector<uint8_t> wire;
+  for_each_slice([&](size_t begin, size_t end) {
+    (void)PackRowsColumnar(rows, begin, end, types, &wire).ok();
+  });
+  // Network: byte transfer between queues.
+  p.lambda_network = measure([&]() {
+    std::vector<uint8_t> inbound;
+    inbound.insert(inbound.end(), wire.begin(), wire.end());
+    return static_cast<double>(inbound.size());
+  });
+  // A queue append under-represents a real network; scale to keep the
+  // relative component ordering of the paper (network slower than
+  // packing). The scale factor is part of the simulator's definition.
+  p.lambda_network *= 8;
+  // Writer: decode wire batches straight into row storage, exactly the
+  // pipeline's receive path.
+  p.lambda_writer = measure([&]() {
+    size_t offset = 0;
+    RowVector dest;
+    dest.reserve(rows.size());
+    while (offset < wire.size()) {
+      auto n = UnpackBatchToRows(wire, &offset, &dest);
+      if (!n.ok()) break;
     }
-    // Writer: unpack.
-    {
-      std::vector<uint8_t> buf;
-      for (const Row& r : rows) (void)PackRow(r, &buf).ok();
-      p.lambda_writer = measure([&]() {
-        size_t offset = 0;
-        int count = 0;
-        while (offset < buf.size()) {
-          auto r = UnpackRow(buf, &offset);
-          if (!r.ok()) break;
-          ++count;
-        }
-        return static_cast<double>(buf.size());
-      });
-    }
-    // Bulk copy: row copy into destination storage, with the temp-table
-    // materialization penalty that makes it the dominant component.
-    p.lambda_bulkcopy = measure([&]() {
-      RowVector dest;
-      dest.reserve(rows.size());
-      double bytes = 0;
-      for (const Row& r : rows) {
-        bytes += static_cast<double>(RowWidth(r));
-        dest.push_back(r);
-      }
-      return bytes;
-    });
-    p.lambda_bulkcopy *= 6;  // temp-table materialization penalty
-  }
+    return static_cast<double>(wire.size());
+  });
+  // Bulk copy: width metering + chunk assembly into destination storage.
+  RowVector chunk = rows;  // copied outside the probe's clock
+  p.lambda_bulkcopy = measure([&]() {
+    RowVector dest;
+    dest.reserve(chunk.size());
+    double bytes = 0;
+    for (const Row& r : chunk) bytes += static_cast<double>(RowWidth(r));
+    std::move(chunk.begin(), chunk.end(), std::back_inserter(dest));
+    return bytes;
+  });
+  p.lambda_bulkcopy *= 6;  // temp-table materialization penalty
 
   // Calibration post-processing: hashing can never be cheaper than a
   // direct read; measurement noise at small probe sizes is clamped away.

@@ -45,16 +45,13 @@ struct DmsRunMetrics {
 
 /// Default rows per columnar wire batch (see DmsExecOptions::batch_size).
 /// Sized so that even an 8-way shuffle split leaves ~thousand-row
-/// messages — per-message framing, queue handoff, and assembly overhead is
-/// what erodes the columnar win as fan-out grows.
+/// messages — per-message framing, queue handoff, and assembly overhead
+/// grows with fan-out.
 inline constexpr int kDmsWireBatchRows = 8192;
 
 /// Knobs of one DMS execution.
 struct DmsExecOptions {
-  /// Wire encoding: the streaming columnar pipeline (default) or the
-  /// legacy materialize-then-move row codec kept as the reference oracle.
-  DmsCodec codec = DefaultDmsCodec();
-  /// Rows per wire batch on the columnar path; 0 = kDmsWireBatchRows.
+  /// Rows per wire batch; 0 = kDmsWireBatchRows.
   /// Wire batches are deliberately larger than the engine's execution
   /// batches: movement cost is framing + memcpy, so bigger slices amortize
   /// per-message headers, queue handoffs, and assembly bookkeeping.
@@ -69,9 +66,8 @@ struct DmsExecOptions {
   /// temp-table schema). Empty = infer per source from the produced rows.
   std::vector<TypeId> types;
   /// Optional live progress feed: invoked as row chunks land on their
-  /// destination with (rows, wire bytes) of that chunk — on the columnar
-  /// path from concurrent pipeline workers mid-flight, on the legacy row
-  /// path per destination during bulk copy. Must be thread-safe and cheap;
+  /// destination with (rows, wire bytes) of that chunk, from concurrent
+  /// pipeline workers mid-flight. Must be thread-safe and cheap;
   /// feeds sys.dm_pdw_exec_requests' rows/bytes-moved-so-far columns. When
   /// the step is a *shared* leader execution, the appliance's callback also
   /// fans the same deltas out to every follower blocked on the step, so
@@ -107,13 +103,9 @@ using DmsProducer = std::function<Result<RowVector>()>;
 /// λ constants can be calibrated against this substrate exactly as the
 /// paper calibrates against hardware.
 ///
-/// Two execution paths share those component semantics:
-///  * the legacy row path materializes every phase before the next starts
-///    and encodes one type tag per value (the paper's no-pipelining DMS);
-///  * the columnar path streams ColumnBatch-sized wire messages through
-///    bounded, backpressured per-destination queues, so reader/pack,
-///    network and writer/unpack run concurrently on the shared pool and
-///    movement overlaps production.
+/// Movement streams columnar wire batches through bounded, backpressured
+/// per-destination queues, so reader/pack, network and writer/unpack run
+/// concurrently on the shared pool and movement overlaps production.
 ///
 /// Thread safety: DmsService holds no mutable state, so concurrent
 /// Execute calls (one per in-flight query) are safe as long as each call
@@ -130,14 +122,15 @@ class DmsService {
   int num_compute_nodes() const { return nodes_; }
   int control_node() const { return nodes_; }
 
-  /// Executes a data movement: `source_rows[i]` holds the rows produced by
-  /// the step's SQL on node i (size num_compute_nodes + 1; the last slot
-  /// is the control node). Returns the rows landing on each node (same
-  /// indexing). `hash_ordinals` drive Shuffle/Trim routing. A non-null
-  /// `pool` runs the per-node work in parallel across nodes (component
-  /// seconds then sum per-node durations, as in the serial loop); null
-  /// keeps the deterministic serial schedule. `options.codec` picks the
-  /// wire path; the columnar default routes through ExecutePipelined.
+  /// Executes a data movement of materialized inputs: `source_rows[i]`
+  /// holds the rows produced by the step's SQL on node i (size
+  /// num_compute_nodes + 1; the last slot is the control node). Each
+  /// non-empty slot becomes a trivial producer of ExecutePipelined.
+  /// Returns the rows landing on each node (same indexing).
+  /// `hash_ordinals` drive Shuffle/Trim routing. A non-null `pool` runs the
+  /// per-node work in parallel across nodes (component seconds then sum
+  /// per-node durations, as in the serial loop); null keeps the
+  /// deterministic serial schedule.
   Result<std::vector<RowVector>> Execute(DmsOpKind kind,
                                          std::vector<RowVector> source_rows,
                                          const std::vector<int>& hash_ordinals,
@@ -148,8 +141,8 @@ class DmsService {
   /// The streaming columnar pipeline. `producers[i]` (size
   /// num_compute_nodes + 1, null entries = no source on that node) runs on
   /// a pipeline worker and feeds its rows straight into the reader stage:
-  /// rows are sliced into ColumnBatches, hash-routed column-at-a-time
-  /// (Shuffle/Trim), packed with the columnar wire codec, and pushed into
+  /// rows are sliced into wire batches, hash-routed column-at-a-time
+  /// (Shuffle/Trim), packed with PackRowsColumnar, and pushed into
   /// the destination's bounded inbound queue; destination workers unpack
   /// and bulk-copy concurrently. Backpressure: a producer that finds a
   /// queue full first tries to drain that destination itself (so progress
@@ -162,7 +155,7 @@ class DmsService {
       ThreadPool* pool = nullptr, const DmsExecOptions& options = {});
 
   /// Hash routing used for both table loads and shuffles, so collocated
-  /// joins really are collocated. HashPartitionBatch is the vectorized
+  /// joins really are collocated. HashPartitionRows is the vectorized
   /// equivalent; both chain per-column value hashes through MixColumnHash.
   int TargetNode(const Row& row, const std::vector<int>& hash_ordinals) const {
     return static_cast<int>(HashRowColumns(row, hash_ordinals) %
@@ -170,21 +163,15 @@ class DmsService {
   }
 
  private:
-  Result<std::vector<RowVector>> ExecuteRowCodec(
-      DmsOpKind kind, std::vector<RowVector> source_rows,
-      const std::vector<int>& hash_ordinals, DmsRunMetrics* metrics,
-      ThreadPool* pool, const DmsExecOptions& options);
-
   int nodes_;
 };
 
 /// Runs targeted micro-measurements against the simulator's component
 /// implementations and fits the per-byte λ constants (§3.3.3 "cost
-/// calibration"). `rows_per_probe` controls measurement size; `codec`
-/// selects which wire path's work is measured (default: the process-wide
-/// codec, so costing matches what execution actually does).
-DmsCostParameters CalibrateCostModel(int rows_per_probe = 20000,
-                                     DmsCodec codec = DefaultDmsCodec());
+/// calibration"). `rows_per_probe` controls measurement size. Each probe
+/// does the same component work as ExecutePipelined, so costing matches
+/// what execution actually does.
+DmsCostParameters CalibrateCostModel(int rows_per_probe = 20000);
 
 }  // namespace pdw
 

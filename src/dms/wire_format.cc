@@ -1,9 +1,6 @@
 #include "dms/wire_format.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
 
 namespace pdw {
 
@@ -24,24 +21,11 @@ Status ReadBytes(const std::vector<uint8_t>& buffer, size_t* offset, void* out,
   return Status::OK();
 }
 
-// Column flags of the batch codec.
+// Column flags of the wire batch.
 constexpr uint8_t kFlagHasNulls = 1;
 constexpr uint8_t kFlagVariant = 2;
 
 }  // namespace
-
-const char* DmsCodecToString(DmsCodec codec) {
-  return codec == DmsCodec::kRow ? "row" : "columnar";
-}
-
-DmsCodec DefaultDmsCodec() {
-  static const DmsCodec kCodec = [] {
-    const char* env = std::getenv("PDW_DMS_CODEC");
-    if (env != nullptr && std::strcmp(env, "row") == 0) return DmsCodec::kRow;
-    return DmsCodec::kColumnar;
-  }();
-  return kCodec;
-}
 
 Status ValidateWireString(size_t length) {
   if (length > kDmsMaxVarcharBytes) {
@@ -132,161 +116,10 @@ Result<Datum> UnpackDatum(const std::vector<uint8_t>& buffer, size_t* offset) {
   }
 }
 
-Result<size_t> PackRow(const Row& row, std::vector<uint8_t>* buffer) {
-  size_t start = buffer->size();
-  uint16_t arity = static_cast<uint16_t>(row.size());
-  AppendBytes(&arity, sizeof(arity), buffer);
-  for (const Datum& d : row) {
-    PDW_RETURN_NOT_OK(PackDatum(d, buffer).status());
-  }
-  return buffer->size() - start;
-}
-
-Result<Row> UnpackRow(const std::vector<uint8_t>& buffer, size_t* offset) {
-  uint16_t arity = 0;
-  PDW_RETURN_NOT_OK(ReadBytes(buffer, offset, &arity, sizeof(arity)));
-  Row row;
-  row.reserve(arity);
-  for (uint16_t i = 0; i < arity; ++i) {
-    PDW_ASSIGN_OR_RETURN(Datum d, UnpackDatum(buffer, offset));
-    row.push_back(std::move(d));
-  }
-  return row;
-}
-
-namespace {
-
-/// Shared core of PackBatch / PackBatchSelected: packs `n` rows of `batch`,
-/// row i being sel[i] (or i itself when sel is null). The wire bytes are
-/// identical to packing a dense copy of those rows.
-Result<size_t> PackBatchCore(const ColumnBatch& batch, const int32_t* sel,
-                             size_t n, std::vector<uint8_t>* buffer) {
-  size_t start = buffer->size();
-  uint32_t rows = static_cast<uint32_t>(n);
-  uint16_t cols = static_cast<uint16_t>(batch.columns.size());
-  AppendBytes(&rows, sizeof(rows), buffer);
-  AppendBytes(&cols, sizeof(cols), buffer);
-  auto row_at = [&](size_t i) {
-    return sel != nullptr ? static_cast<size_t>(sel[i]) : i;
-  };
-  for (const ColumnVector& col : batch.columns) {
-    uint8_t tag = static_cast<uint8_t>(col.declared_type());
-    uint8_t flags = 0;
-    const std::vector<uint8_t>& nulls = col.nulls();
-    bool has_nulls = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (nulls[row_at(i)] != 0) {
-        has_nulls = true;
-        break;
-      }
-    }
-    bool variant = col.tag() == VecTag::kVariant;
-    if (has_nulls && !variant) flags |= kFlagHasNulls;
-    if (variant) flags |= kFlagVariant;
-    AppendBytes(&tag, 1, buffer);
-    AppendBytes(&flags, 1, buffer);
-    if (variant) {
-      // Exact-value escape hatch: per-Datum tagged cells (NULL rows travel
-      // as the kInvalid tag, so no separate bitmap is needed).
-      for (size_t i = 0; i < n; ++i) {
-        PDW_RETURN_NOT_OK(PackDatum(col.GetDatum(row_at(i)), buffer).status());
-      }
-      continue;
-    }
-    if (has_nulls) {
-      size_t bitmap_bytes = (n + 7) / 8;
-      size_t at = buffer->size();
-      buffer->resize(at + bitmap_bytes, 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (nulls[row_at(i)] != 0) {
-          (*buffer)[at + i / 8] |= uint8_t(1u << (i % 8));
-        }
-      }
-    }
-    switch (col.tag()) {
-      case VecTag::kInt64:
-        if (col.declared_type() == TypeId::kBool) {
-          const int64_t* v = col.i64_data();
-          size_t at = buffer->size();
-          buffer->resize(at + n);
-          for (size_t i = 0; i < n; ++i) {
-            (*buffer)[at + i] = v[row_at(i)] != 0 ? 1 : 0;
-          }
-        } else if (col.declared_type() == TypeId::kDate) {
-          const int64_t* v = col.i64_data();
-          size_t at = buffer->size();
-          buffer->resize(at + n * sizeof(int32_t));
-          auto* out = reinterpret_cast<int32_t*>(buffer->data() + at);
-          for (size_t i = 0; i < n; ++i) {
-            out[i] = static_cast<int32_t>(v[row_at(i)]);
-          }
-        } else if (sel == nullptr) {
-          AppendBytes(col.i64_data(), n * sizeof(int64_t), buffer);
-        } else {
-          const int64_t* v = col.i64_data();
-          size_t at = buffer->size();
-          buffer->resize(at + n * sizeof(int64_t));
-          auto* out = reinterpret_cast<int64_t*>(buffer->data() + at);
-          for (size_t i = 0; i < n; ++i) out[i] = v[static_cast<size_t>(sel[i])];
-        }
-        break;
-      case VecTag::kDouble:
-        if (sel == nullptr) {
-          AppendBytes(col.f64_data(), n * sizeof(double), buffer);
-        } else {
-          const double* v = col.f64_data();
-          size_t at = buffer->size();
-          buffer->resize(at + n * sizeof(double));
-          auto* out = reinterpret_cast<double*>(buffer->data() + at);
-          for (size_t i = 0; i < n; ++i) out[i] = v[static_cast<size_t>(sel[i])];
-        }
-        break;
-      case VecTag::kString: {
-        size_t at = buffer->size();
-        buffer->resize(at + n * sizeof(uint32_t));
-        size_t blob = 0;
-        {
-          auto* lens = reinterpret_cast<uint32_t*>(buffer->data() + at);
-          for (size_t i = 0; i < n; ++i) {
-            const std::string& s = col.str(row_at(i));
-            PDW_RETURN_NOT_OK(ValidateWireString(s.size()));
-            lens[i] = static_cast<uint32_t>(s.size());
-            blob += s.size();
-          }
-        }
-        size_t blob_at = buffer->size();
-        buffer->resize(blob_at + blob);
-        for (size_t i = 0; i < n; ++i) {
-          const std::string& s = col.str(row_at(i));
-          std::memcpy(buffer->data() + blob_at, s.data(), s.size());
-          blob_at += s.size();
-        }
-        break;
-      }
-      case VecTag::kVariant:
-        break;  // handled above
-    }
-  }
-  return buffer->size() - start;
-}
-
-}  // namespace
-
-Result<size_t> PackBatch(const ColumnBatch& batch,
-                         std::vector<uint8_t>* buffer) {
-  return PackBatchCore(batch, nullptr, batch.rows, buffer);
-}
-
-Result<size_t> PackBatchSelected(const ColumnBatch& batch, const SelVector& sel,
-                                 std::vector<uint8_t>* buffer) {
-  return PackBatchCore(batch, sel.data(), sel.size(), buffer);
-}
-
 namespace {
 
 /// Shared core of PackRowsColumnar / ...Selected: packs `n` rows, the i-th
-/// being rows[row_at(i)], column-at-a-time. Produces exactly the bytes
-/// PackBatch would for a ColumnBatch built from those rows.
+/// being rows[row_at(i)], column-at-a-time.
 template <typename RowAt>
 Result<size_t> PackRowsCore(const RowVector& rows, size_t n, RowAt row_at,
                             const std::vector<TypeId>& types,
@@ -476,144 +309,6 @@ void HashPartitionRows(const RowVector& rows, size_t begin, size_t end,
   }
 }
 
-Result<ColumnBatch> UnpackBatch(const std::vector<uint8_t>& buffer,
-                                size_t* offset) {
-  uint32_t rows = 0;
-  uint16_t cols = 0;
-  PDW_RETURN_NOT_OK(ReadBytes(buffer, offset, &rows, sizeof(rows)));
-  PDW_RETURN_NOT_OK(ReadBytes(buffer, offset, &cols, sizeof(cols)));
-  ColumnBatch batch;
-  batch.rows = rows;
-  batch.columns.reserve(cols);
-  std::vector<uint8_t> null_bytes;  // byte-per-row scratch, reused per column
-  for (uint16_t c = 0; c < cols; ++c) {
-    uint8_t tag = 0;
-    uint8_t flags = 0;
-    PDW_RETURN_NOT_OK(ReadBytes(buffer, offset, &tag, 1));
-    PDW_RETURN_NOT_OK(ReadBytes(buffer, offset, &flags, 1));
-    if (tag > static_cast<uint8_t>(TypeId::kDate)) {
-      return Status::Internal("DMS batch: bad column type tag");
-    }
-    TypeId declared = static_cast<TypeId>(tag);
-    ColumnVector col(declared);
-    col.Reserve(rows);
-    if ((flags & kFlagVariant) != 0) {
-      for (uint32_t r = 0; r < rows; ++r) {
-        PDW_ASSIGN_OR_RETURN(Datum d, UnpackDatum(buffer, offset));
-        col.Append(d);
-      }
-      batch.columns.push_back(std::move(col));
-      continue;
-    }
-    bool has_nulls = (flags & kFlagHasNulls) != 0;
-    null_bytes.assign(rows, 0);
-    if (has_nulls) {
-      size_t bitmap_bytes = (static_cast<size_t>(rows) + 7) / 8;
-      if (*offset + bitmap_bytes > buffer.size()) {
-        return Status::Internal("DMS buffer underrun (null bitmap)");
-      }
-      const uint8_t* bitmap = buffer.data() + *offset;
-      *offset += bitmap_bytes;
-      for (uint32_t r = 0; r < rows; ++r) {
-        null_bytes[r] = (bitmap[r / 8] >> (r % 8)) & 1;
-      }
-    }
-    const uint8_t* null_ptr = has_nulls ? null_bytes.data() : nullptr;
-    switch (VecTagForType(declared)) {
-      case VecTag::kInt64:
-        if (declared == TypeId::kBool) {
-          if (*offset + rows > buffer.size()) {
-            return Status::Internal("DMS buffer underrun (bool plane)");
-          }
-          const uint8_t* v = buffer.data() + *offset;
-          *offset += rows;
-          for (uint32_t r = 0; r < rows; ++r) {
-            if (null_ptr != nullptr && null_ptr[r] != 0) {
-              col.AppendNull();
-            } else {
-              col.AppendI64(v[r] != 0 ? 1 : 0);
-            }
-          }
-        } else if (declared == TypeId::kDate) {
-          size_t plane = static_cast<size_t>(rows) * sizeof(int32_t);
-          if (*offset + plane > buffer.size()) {
-            return Status::Internal("DMS buffer underrun (date plane)");
-          }
-          const auto* v =
-              reinterpret_cast<const int32_t*>(buffer.data() + *offset);
-          *offset += plane;
-          for (uint32_t r = 0; r < rows; ++r) {
-            if (null_ptr != nullptr && null_ptr[r] != 0) {
-              col.AppendNull();
-            } else {
-              col.AppendI64(v[r]);
-            }
-          }
-        } else {
-          size_t plane = static_cast<size_t>(rows) * sizeof(int64_t);
-          if (*offset + plane > buffer.size()) {
-            return Status::Internal("DMS buffer underrun (int plane)");
-          }
-          col.AppendI64Bulk(
-              reinterpret_cast<const int64_t*>(buffer.data() + *offset),
-              null_ptr, rows);
-          *offset += plane;
-        }
-        break;
-      case VecTag::kDouble: {
-        size_t plane = static_cast<size_t>(rows) * sizeof(double);
-        if (*offset + plane > buffer.size()) {
-          return Status::Internal("DMS buffer underrun (double plane)");
-        }
-        col.AppendF64Bulk(
-            reinterpret_cast<const double*>(buffer.data() + *offset), null_ptr,
-            rows);
-        *offset += plane;
-        break;
-      }
-      case VecTag::kString: {
-        size_t lens_bytes = static_cast<size_t>(rows) * sizeof(uint32_t);
-        if (*offset + lens_bytes > buffer.size()) {
-          return Status::Internal("DMS buffer underrun (varchar lengths)");
-        }
-        const auto* lens =
-            reinterpret_cast<const uint32_t*>(buffer.data() + *offset);
-        *offset += lens_bytes;
-        for (uint32_t r = 0; r < rows; ++r) {
-          if (*offset + lens[r] > buffer.size()) {
-            return Status::Internal("DMS buffer underrun (varchar blob)");
-          }
-          if (null_ptr != nullptr && null_ptr[r] != 0) {
-            if (lens[r] != 0) {
-              return Status::Internal("DMS batch: NULL varchar with payload");
-            }
-            col.AppendNull();
-          } else {
-            col.AppendString(std::string(
-                reinterpret_cast<const char*>(buffer.data() + *offset),
-                lens[r]));
-          }
-          *offset += lens[r];
-        }
-        break;
-      }
-      case VecTag::kVariant:
-        // Non-variant flag with a variant-only declared type (kInvalid):
-        // an all-NULL column; materialize from the bitmap alone.
-        for (uint32_t r = 0; r < rows; ++r) {
-          if (null_ptr != nullptr && null_ptr[r] != 0) {
-            col.AppendNull();
-          } else {
-            return Status::Internal("DMS batch: typeless non-NULL column");
-          }
-        }
-        break;
-    }
-    batch.columns.push_back(std::move(col));
-  }
-  return batch;
-}
-
 Result<size_t> UnpackBatchToRows(const std::vector<uint8_t>& buffer,
                                  size_t* offset, RowVector* out) {
   uint32_t rows = 0;
@@ -746,80 +441,6 @@ Result<size_t> UnpackBatchToRows(const std::vector<uint8_t>& buffer,
     }
   }
   return static_cast<size_t>(rows);
-}
-
-void HashPartitionBatch(const ColumnBatch& batch,
-                        const std::vector<int>& hash_ordinals, int num_nodes,
-                        std::vector<SelVector>* out) {
-  out->assign(static_cast<size_t>(num_nodes), SelVector{});
-  if (batch.rows == 0 || num_nodes <= 0) return;
-  if (num_nodes == 1) {
-    SelVector& all = (*out)[0];
-    all.resize(batch.rows);
-    for (size_t r = 0; r < batch.rows; ++r) all[r] = static_cast<int32_t>(r);
-    return;
-  }
-  // Column-at-a-time hash chain: one typed pass per key column over a flat
-  // hash array — the tag dispatch is hoisted out of the row loop, and each
-  // kernel mirrors ColumnVector::HashAt (and therefore Datum::Hash) bit for
-  // bit, NULLs and integral doubles included.
-  constexpr size_t kNullHash = 0x9e3779b97f4a7c15ULL;
-  std::vector<size_t> hashes(batch.rows, kRowHashSeed);
-  size_t* h = hashes.data();
-  for (int ord : hash_ordinals) {
-    const ColumnVector& col = batch.columns[static_cast<size_t>(ord)];
-    const uint8_t* nulls = col.nulls().data();
-    size_t n = batch.rows;
-    switch (col.tag()) {
-      case VecTag::kInt64: {
-        const int64_t* v = col.i64_data();
-        if (col.declared_type() == TypeId::kBool) {
-          for (size_t r = 0; r < n; ++r) {
-            h[r] = MixColumnHash(
-                h[r], nulls[r] ? kNullHash : std::hash<bool>()(v[r] != 0));
-          }
-        } else {
-          for (size_t r = 0; r < n; ++r) {
-            h[r] = MixColumnHash(
-                h[r], nulls[r] ? kNullHash : std::hash<int64_t>()(v[r]));
-          }
-        }
-        break;
-      }
-      case VecTag::kDouble: {
-        const double* v = col.f64_data();
-        for (size_t r = 0; r < n; ++r) {
-          size_t cell;
-          if (nulls[r]) {
-            cell = kNullHash;
-          } else {
-            double d = v[r];
-            cell = (d == std::floor(d) && std::abs(d) < 9.2e18)
-                       ? std::hash<int64_t>()(static_cast<int64_t>(d))
-                       : std::hash<double>()(d);
-          }
-          h[r] = MixColumnHash(h[r], cell);
-        }
-        break;
-      }
-      case VecTag::kString:
-        for (size_t r = 0; r < n; ++r) {
-          h[r] = MixColumnHash(
-              h[r], nulls[r] ? kNullHash : std::hash<std::string>()(col.str(r)));
-        }
-        break;
-      case VecTag::kVariant:
-        for (size_t r = 0; r < n; ++r) {
-          h[r] = MixColumnHash(h[r],
-                               nulls[r] ? kNullHash : col.variant(r).Hash());
-        }
-        break;
-    }
-  }
-  for (size_t r = 0; r < batch.rows; ++r) {
-    (*out)[h[r] % static_cast<size_t>(num_nodes)].push_back(
-        static_cast<int32_t>(r));
-  }
 }
 
 std::vector<TypeId> InferRowTypes(const RowVector& rows) {

@@ -10,110 +10,59 @@
 
 namespace pdw {
 
-/// Encoding DMS puts on the wire between nodes.
-///  * kRow      — the legacy per-Datum tagged encoding (one type tag per
-///                value, one arity prefix per row). Kept as the reference
-///                oracle for the columnar codec.
-///  * kColumnar — one type tag + null bitmap per column per batch;
-///                fixed-width columns travel as contiguous value planes,
-///                varchars as a length array + blob. Cuts per-value framing
-///                overhead and turns pack/unpack into bulk memcpy work.
-enum class DmsCodec : uint8_t { kRow, kColumnar };
-
-const char* DmsCodecToString(DmsCodec codec);
-
-/// Process default, read once from PDW_DMS_CODEC ("row" or "columnar");
-/// unset/unrecognized means kColumnar.
-DmsCodec DefaultDmsCodec();
-
-/// Largest varchar either codec can carry: length fields on the wire are
-/// 32-bit. PackRow/PackBatch reject longer strings instead of silently
+/// Largest varchar the wire format can carry: length fields on the wire
+/// are 32-bit. The packers reject longer strings instead of silently
 /// truncating the length and corrupting the stream.
 inline constexpr size_t kDmsMaxVarcharBytes = UINT32_MAX;
 
-/// Shared varchar guard of both codecs' writers; kept separately callable
-/// so the boundary is testable without allocating a 4 GiB string.
+/// The packers' varchar guard; kept separately callable so the boundary is
+/// testable without allocating a 4 GiB string.
 Status ValidateWireString(size_t length);
 
-// --- legacy row codec (the reference oracle) ---
-
-/// Serializes one Datum as [u8 type tag][payload]; NULL is tag-only.
+/// Serializes one Datum as [u8 type tag][payload]; NULL is tag-only. The
+/// cell encoding of variant columns (see PackRowsColumnar).
 Result<size_t> PackDatum(const Datum& d, std::vector<uint8_t>* buffer);
 
 /// Inverse of PackDatum; reads one value starting at `offset`, advancing
 /// it. Fails cleanly on truncated input or an unknown type tag.
 Result<Datum> UnpackDatum(const std::vector<uint8_t>& buffer, size_t* offset);
 
-/// Serializes a row into `buffer` (u16 arity + per-Datum tagged cells);
-/// returns the encoded size in bytes.
-Result<size_t> PackRow(const Row& row, std::vector<uint8_t>* buffer);
-
-/// Inverse of PackRow; reads one row starting at `offset`, advancing it.
-Result<Row> UnpackRow(const std::vector<uint8_t>& buffer, size_t* offset);
-
-// --- columnar batch codec ---
-
-/// Serializes a ColumnBatch column-at-a-time:
+/// Packs rows[begin, end) straight from row storage into one columnar wire
+/// batch, column-at-a-time:
 ///   [u32 rows][u16 cols] then per column
 ///   [u8 declared TypeId][u8 flags][bit-packed null bitmap when flagged]
-///   [value plane: bytes/int32s/int64s/doubles memcpy'd, or u32 length
-///    array + string blob, or per-Datum tagged cells for variant columns].
-/// Returns the encoded size appended to `buffer`.
-Result<size_t> PackBatch(const ColumnBatch& batch,
-                         std::vector<uint8_t>* buffer);
-
-/// PackBatch of only the selected rows, in selection order — the shuffle
-/// hot path packs each destination's slice straight from the shared source
-/// batch, with no per-destination gather materialization. The wire bytes
-/// are exactly those of packing GatherBatch(batch, sel).
-Result<size_t> PackBatchSelected(const ColumnBatch& batch, const SelVector& sel,
-                                 std::vector<uint8_t>* buffer);
-
-/// Packs rows[begin, end) straight from row storage into the columnar wire
-/// format — the DMS send-side fast path, one column-at-a-time pass with no
-/// intermediate ColumnBatch materialization. `types` declares one TypeId
-/// per column (kInvalid = all-NULL); a column whose non-NULL cells diverge
-/// from the declared type travels as a variant column. The wire bytes are
-/// identical to building a ColumnBatch of those rows and PackBatch-ing it.
+///   [value plane: bytes/int32s/int64s/doubles, or u32 length array +
+///    string blob, or PackDatum cells for variant columns].
+/// `types` declares one TypeId per column (kInvalid = all-NULL); a column
+/// whose non-NULL cells diverge from the declared type travels as a
+/// variant column. Returns the encoded size appended to `buffer`.
 Result<size_t> PackRowsColumnar(const RowVector& rows, size_t begin, size_t end,
                                 const std::vector<TypeId>& types,
                                 std::vector<uint8_t>* buffer);
 
 /// PackRowsColumnar of the selected rows (absolute indices into `rows`),
-/// in selection order.
+/// in selection order — the shuffle packs each destination's slice straight
+/// from the shared source rows. The bytes are exactly those of packing the
+/// gathered rows.
 Result<size_t> PackRowsColumnarSelected(const RowVector& rows,
                                         const SelVector& sel,
                                         const std::vector<TypeId>& types,
                                         std::vector<uint8_t>* buffer);
 
-/// HashPartitionBatch's row-storage twin: hashes key columns of
-/// rows[begin, end) column-at-a-time and scatters *absolute* row indices
-/// into one selection vector per destination. Same MixColumnHash chain —
-/// agrees with TargetNode for every type and NULL.
+/// Vectorized shuffle routing: hashes the key columns of rows[begin, end)
+/// column-at-a-time and scatters *absolute* row indices into one selection
+/// vector per destination. Same MixColumnHash chain as HashRowColumns, so
+/// it agrees with DmsService::TargetNode for every type and NULL.
 void HashPartitionRows(const RowVector& rows, size_t begin, size_t end,
                        const std::vector<int>& hash_ordinals, int num_nodes,
                        std::vector<SelVector>* out);
 
-/// Inverse of PackBatch; reads one batch starting at `offset`, advancing
-/// it. Fails cleanly on truncation or malformed headers.
-Result<ColumnBatch> UnpackBatch(const std::vector<uint8_t>& buffer,
-                                size_t* offset);
-
-/// UnpackBatch straight into row storage — the DMS receive-side fast path,
-/// appending the decoded rows to `out` with no intermediate ColumnBatch.
-/// Returns the number of rows appended; identical decode semantics and
-/// error cases as UnpackBatch + MoveBatchToRows.
+/// Inverse of PackRowsColumnar: decodes one wire batch starting at
+/// `offset`, advancing it, and appends its rows to `out`. Returns the
+/// number of rows appended. Fails cleanly on truncation or malformed
+/// headers.
 Result<size_t> UnpackBatchToRows(const std::vector<uint8_t>& buffer,
                                  size_t* offset, RowVector* out);
-
-/// Vectorized shuffle routing: hashes the key columns `hash_ordinals` of
-/// every row of `batch` column-at-a-time (ColumnVector::HashAt chained
-/// through MixColumnHash, exactly the HashRowColumns recipe) and scatters
-/// row indices into one selection vector per destination node. Guaranteed
-/// to agree with DmsService::TargetNode for every type and NULL.
-void HashPartitionBatch(const ColumnBatch& batch,
-                        const std::vector<int>& hash_ordinals, int num_nodes,
-                        std::vector<SelVector>* out);
 
 /// Declared type of each column, inferred from the first non-NULL cell of
 /// each column across `rows` (kInvalid for all-NULL columns). The DMS

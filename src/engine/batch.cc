@@ -69,18 +69,6 @@ Datum ColumnVector::GetDatum(size_t i) const {
   return Datum::Null();
 }
 
-Datum ColumnVector::TakeDatum(size_t i) {
-  if (nulls_[i]) return Datum::Null();
-  switch (tag_) {
-    case VecTag::kString:
-      return Datum::Varchar(std::move(str_[i]));
-    case VecTag::kVariant:
-      return std::move(var_[i]);
-    default:
-      return GetDatum(i);
-  }
-}
-
 void ColumnVector::PromoteToVariant() {
   size_t n = nulls_.size();
   var_.clear();
@@ -245,26 +233,6 @@ void ColumnVector::AppendRowsColumn(const RowVector& rows, size_t begin,
   }
 }
 
-void ColumnVector::AppendI64Bulk(const int64_t* v, const uint8_t* null_bytes,
-                                 size_t n) {
-  i64_.insert(i64_.end(), v, v + n);
-  if (null_bytes == nullptr) {
-    nulls_.insert(nulls_.end(), n, 0);
-  } else {
-    nulls_.insert(nulls_.end(), null_bytes, null_bytes + n);
-  }
-}
-
-void ColumnVector::AppendF64Bulk(const double* v, const uint8_t* null_bytes,
-                                 size_t n) {
-  f64_.insert(f64_.end(), v, v + n);
-  if (null_bytes == nullptr) {
-    nulls_.insert(nulls_.end(), n, 0);
-  } else {
-    nulls_.insert(nulls_.end(), null_bytes, null_bytes + n);
-  }
-}
-
 size_t ColumnVector::HashAt(size_t i) const {
   // Mirrors Datum::Hash exactly so hash-partitioned structures agree with
   // Datum-level equality (notably integral doubles hashing like ints).
@@ -349,36 +317,6 @@ void AppendRowsToBatch(const RowVector& rows, size_t begin, size_t end,
   out->rows += n;
 }
 
-void AppendBatchToRows(const ColumnBatch& batch, RowVector* out) {
-  out->reserve(out->size() + batch.rows);
-  for (size_t r = 0; r < batch.rows; ++r) {
-    Row row;
-    row.reserve(batch.columns.size());
-    for (const ColumnVector& col : batch.columns) {
-      row.push_back(col.GetDatum(r));
-    }
-    out->push_back(std::move(row));
-  }
-}
-
-void MoveBatchToRows(ColumnBatch* batch, RowVector* out) {
-  out->reserve(out->size() + batch->rows);
-  for (size_t r = 0; r < batch->rows; ++r) {
-    Row row;
-    row.reserve(batch->columns.size());
-    for (ColumnVector& col : batch->columns) {
-      row.push_back(col.TakeDatum(r));
-    }
-    out->push_back(std::move(row));
-  }
-}
-
-RowVector TableToRows(const ColumnTable& table) {
-  RowVector rows;
-  for (const ColumnBatch& b : table.batches) AppendBatchToRows(b, &rows);
-  return rows;
-}
-
 ColumnBatch ConcatBatches(const ColumnTable& table) {
   ColumnBatch out(table.types);
   size_t total = table.total_rows();
@@ -391,19 +329,6 @@ ColumnBatch ConcatBatches(const ColumnTable& table) {
     }
     out.rows += b.rows;
   }
-  return out;
-}
-
-ColumnBatch GatherBatch(const ColumnBatch& batch, const SelVector& sel) {
-  ColumnBatch out;
-  out.columns.reserve(batch.columns.size());
-  for (const ColumnVector& col : batch.columns) {
-    ColumnVector dst(col.declared_type());
-    dst.Reserve(sel.size());
-    for (int32_t i : sel) dst.AppendFrom(col, static_cast<size_t>(i));
-    out.columns.push_back(std::move(dst));
-  }
-  out.rows = sel.size();
   return out;
 }
 

@@ -52,11 +52,6 @@ class ColumnVector {
   /// Reconstructs the Datum at `i` (exact round-trip of what was appended).
   Datum GetDatum(size_t i) const;
 
-  /// GetDatum that surrenders ownership: strings and variant Datums are
-  /// moved out, leaving the slot valid but unspecified. For single-pass
-  /// batch→row conversions (MoveBatchToRows).
-  Datum TakeDatum(size_t i);
-
   /// Appends any Datum, promoting storage if its type does not match.
   void Append(const Datum& d);
   void AppendNull();
@@ -97,19 +92,6 @@ class ColumnVector {
   const std::string& str(size_t i) const { return str_[i]; }
   const Datum& variant(size_t i) const { return var_[i]; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }
-
-  // Raw value-plane pointers (valid for the matching tag; null slots hold
-  // default values). The DMS columnar wire codec memcpy's whole planes
-  // from these instead of re-dispatching per cell.
-  const int64_t* i64_data() const { return i64_.data(); }
-  const double* f64_data() const { return f64_.data(); }
-
-  /// Bulk appends of `n` rows from a raw value plane plus an optional
-  /// byte-per-row null array (nullptr = all rows valid) — the wire codec's
-  /// unpack fast path. The tag must match; null slots keep the value-plane
-  /// payload as their default slot.
-  void AppendI64Bulk(const int64_t* v, const uint8_t* null_bytes, size_t n);
-  void AppendF64Bulk(const double* v, const uint8_t* null_bytes, size_t n);
 
   /// Numeric view of a non-null fixed-width value (INT/DATE/BOOL/DOUBLE),
   /// for cross-type comparisons. Invalid for strings.
@@ -176,31 +158,16 @@ struct ColumnTable {
 /// (minimum 1), else 1024 — read once per process.
 int DefaultBatchSize();
 
-// --- row <-> batch converters (the DMS and client boundaries) ---
+// --- row -> batch converter (the scan boundary) ---
 
 /// Appends rows[begin, end) to `out`, mapping stored column `ordinals[c]`
 /// to batch column c (a scan's projection).
 void AppendRowsToBatch(const RowVector& rows, size_t begin, size_t end,
                        const std::vector<int>& ordinals, ColumnBatch* out);
 
-/// Appends every row of `batch` to `out` (the client/DMS boundary).
-void AppendBatchToRows(const ColumnBatch& batch, RowVector* out);
-
-/// AppendBatchToRows for a batch the caller is done with: strings and
-/// variant Datums are moved out instead of copied (the DMS unpack path,
-/// where every wire batch is converted exactly once). Leaves `batch` with
-/// valid but unspecified column contents.
-void MoveBatchToRows(ColumnBatch* batch, RowVector* out);
-
-/// Flattens a ColumnTable to rows, batch order preserved.
-RowVector TableToRows(const ColumnTable& table);
-
 /// Concatenates all batches of `table` into one contiguous batch (hash-join
 /// build sides gather from a single chunk).
 ColumnBatch ConcatBatches(const ColumnTable& table);
-
-/// Dense copy of the selected rows, in selection order.
-ColumnBatch GatherBatch(const ColumnBatch& batch, const SelVector& sel);
 
 }  // namespace pdw
 

@@ -13,14 +13,13 @@ namespace pdw {
 /// against the DMS simulator. Units: seconds per byte (scaled arbitrarily;
 /// only ratios matter for plan choice).
 ///
-/// Defaults are fitted to the streaming columnar wire codec
-/// (CalibrateCostModel with DmsCodec::kColumnar, see
-/// bench_fig5_dms_cost): pack/route is bulk memcpy work so the reader
-/// constants dropped well below the old per-Datum row-codec fits, the
-/// hash overhead shrank to ~1.2x of a direct read (vectorized routing),
-/// and the receive side (unpack + row materialization, then temp-table
-/// bulk copy) now dominates — matching the paper's observation that
-/// materializing to temp tables is the expensive end of a move.
+/// Defaults are fitted to the streaming columnar wire format
+/// (CalibrateCostModel, see bench_fig5_dms_cost): pack/route is
+/// column-at-a-time plane work, the hash overhead is ~1.2x of a direct
+/// read (vectorized routing), and the receive side (unpack + row
+/// materialization, then temp-table bulk copy) dominates — matching the
+/// paper's observation that materializing to temp tables is the expensive
+/// end of a move.
 struct DmsCostParameters {
   /// Reader: pull tuples from the local SQL query and pack buffers. The
   /// paper found hashing moves (Shuffle, Trim) need their own constant.

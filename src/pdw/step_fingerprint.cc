@@ -138,8 +138,7 @@ std::vector<StepFingerprint> ComputeStepFingerprints(
       out.push_back(std::move(fp));  // unresolvable lineage: never share
       continue;
     }
-    std::string text = "v1|eng:" + opts.engine_label +
-                       "|codec:" + opts.codec_label + "|share:1";
+    std::string text = "v1|eng:" + opts.engine_label + "|share:1";
     text += "|move:";
     text += DmsOpKindToString(step.move_kind);
     text += "|src:" + DistributionKindLabel(step.source_distribution);

@@ -30,8 +30,8 @@ namespace pdw {
 ///    so a load between two queries splits their fingerprints;
 ///  * the DMS movement kind, source/destination distribution properties,
 ///    hash-routing ordinals, and the destination schema;
-///  * the local engine and DMS codec labels plus the resolved PDW_WLM_SHARE
-///    knob, fingerprinted like the other execution-affecting knobs — only
+///  * the local engine label plus the resolved PDW_WLM_SHARE knob,
+///    fingerprinted like the other execution-affecting knobs — only
 ///    executions whose every byte-determining knob agrees may rendezvous.
 struct StepFingerprint {
   /// Full canonical identity — the SharedStepRegistry key. The whole text
@@ -53,7 +53,6 @@ std::string FingerprintHex(const std::string& text);
 /// Execution-context labels baked into every fingerprint.
 struct StepFingerprintOptions {
   std::string engine_label;  ///< "row" | "batch" (per-node engine).
-  std::string codec_label;   ///< "row" | "columnar" (DMS wire codec).
 };
 
 /// Computes one fingerprint per step of an already-uniquified DSQL plan

@@ -1,6 +1,6 @@
-// Seeded chaos differential suite. Each run derives a query, an engine, a
-// DMS codec, and a randomized fault schedule from one seed, executes it
-// against the full appliance, and requires one of exactly two outcomes:
+// Seeded chaos differential suite. Each run derives a query, an engine, and
+// a randomized fault schedule from one seed, executes it against the full
+// appliance, and requires one of exactly two outcomes:
 // the result matches the fault-free run of the same configuration, or the
 // query fails with a clean Status — never a crash, a hang, or a wrong
 // answer. After every run, zero TEMP_ID temp tables may survive anywhere
@@ -241,7 +241,6 @@ TEST_F(ChaosTest, SeededDifferentialSweep) {
     QueryOptions options;
     options.execute.engine.engine =
         rng() % 2 == 0 ? EngineKind::kRow : EngineKind::kBatch;
-    options.execute.dms_codec = rng() % 2 == 0 ? DmsCodec::kRow : DmsCodec::kColumnar;
     options.compile.use_plan_cache = rng() % 4 == 0;
     options.compile.compiler.pdw.enable_preagg = rng() % 2 == 0 ? 1 : 0;
     options.execute.retry.max_attempts = 3;
@@ -251,8 +250,6 @@ TEST_F(ChaosTest, SeededDifferentialSweep) {
     SCOPED_TRACE("chaos seed=" + std::to_string(seed) + " schedule=" +
                  fault::FaultScheduleToString(schedule) + " engine=" +
                  (options.execute.engine.engine == EngineKind::kRow ? "row" : "batch") +
-                 " codec=" +
-                 (options.execute.dms_codec == DmsCodec::kRow ? "row" : "columnar") +
                  " preagg=" +
                  std::to_string(options.compile.compiler.pdw.enable_preagg) +
                  "\nsql: " + sql);
@@ -351,8 +348,6 @@ TEST_F(ChaosTest, PreaggPlansSurviveChaos) {
     options.compile.compiler = compiler;
     options.execute.engine.engine =
         rng() % 2 == 0 ? EngineKind::kRow : EngineKind::kBatch;
-    options.execute.dms_codec =
-        rng() % 2 == 0 ? DmsCodec::kRow : DmsCodec::kColumnar;
     options.execute.retry.max_attempts = 3;
     options.execute.retry.sleep_fn = [](double) {};
     FaultSchedule schedule = BuildRandomSchedule(seed);
@@ -476,21 +471,22 @@ TEST_F(ChaosTest, TransientFaultsExhaustingRetriesFailCleanly) {
 // the "wlm.admit" point fires before any slot or queue mutation, so a
 // faulted admission leaves no held slot and no queued waiter behind. A
 // concurrent storm where a third of the admissions blow up must drain to
-// zero active/queued across every resource class.
+// zero active/queued across every resource class. The faults are one
+// process-wide schedule of kThreads / 3 firings, so exactly a third fail:
+// a spec each query armed for itself with query# '*' would match its
+// concurrent neighbours too, and could go unfired when its owner hit a
+// neighbour's spec first.
 TEST_F(ChaosTest, AdmissionFaultsNeverLeakSlotsOrWaiters) {
   constexpr int kThreads = 9;
+  uint64_t token = FaultRegistry::Global().Arm(
+      {{"wlm.admit", 0, kThreads / 3 - 1, FaultKind::kPermanentError},
+       {"wlm.admit", 0, 1, FaultKind::kTransientError}});
   std::atomic<int> survived{0}, faulted{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back([&] {
       Session session = appliance_->Connect();
-      QueryOptions options;
-      if (t % 3 == 0) {
-        options.execute.faults = {{"wlm.admit", 0, 1,
-                                   t % 2 == 0 ? FaultKind::kPermanentError
-                                              : FaultKind::kTransientError}};
-      }
-      auto r = session.Run("SELECT COUNT(*) AS c FROM nation", options);
+      auto r = session.Run("SELECT COUNT(*) AS c FROM nation");
       if (r.ok()) {
         survived.fetch_add(1);
       } else {
@@ -503,6 +499,7 @@ TEST_F(ChaosTest, AdmissionFaultsNeverLeakSlotsOrWaiters) {
     });
   }
   for (auto& th : threads) th.join();
+  FaultRegistry::Global().Disarm(token);
   EXPECT_EQ(survived.load(), kThreads - kThreads / 3);
   EXPECT_EQ(faulted.load(), kThreads / 3);
   for (const WorkloadClassSnapshot& s : appliance_->workload().Snapshot()) {
@@ -519,7 +516,7 @@ TEST_F(ChaosTest, AdmissionFaultsNeverLeakSlotsOrWaiters) {
 }
 
 // Every registered injection point must be traversed by the covering
-// queries below — a FAULT_POINT site that exists in the canonical list but
+// query below — a FAULT_POINT site that exists in the canonical list but
 // is no longer reachable (dead code, renamed stage) fails here instead of
 // silently rotting. The armed spec is a single zero-duration delay, so
 // traversal is recorded without perturbing any result.
@@ -532,29 +529,19 @@ TEST_F(ChaosTest, AllFaultPointsReachable) {
   const std::string join_sql =
       "SELECT c_nationkey, COUNT(*) AS cnt FROM customer, orders "
       "WHERE c_custkey = o_custkey GROUP BY c_nationkey";
-  for (DmsCodec codec : {DmsCodec::kColumnar, DmsCodec::kRow}) {
-    QueryOptions options;
-    options.execute.dms_codec = codec;
-    auto r = session_->Run(join_sql, options);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  {
-    // plan_cache.fill is traversed on the insert after a cache miss. The
-    // suite shares one appliance and the cache is on by default, so an
-    // earlier test may already have cached this statement — clear first
-    // to force the miss.
-    appliance_->plan_cache().Clear();
-    QueryOptions options;
-    options.compile.use_plan_cache = true;
-    auto r = session_->Run(join_sql, options);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
+  // plan_cache.fill is traversed on the insert after a cache miss. The
+  // suite shares one appliance and the cache is on by default, so an
+  // earlier test may already have cached this statement — clear first to
+  // force the miss.
+  appliance_->plan_cache().Clear();
+  auto r = session_->Run(join_sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   reg.Disarm(token);
 
   for (const std::string& point : FaultRegistry::AllPoints()) {
     EXPECT_GT(reg.HitCount(point), 0u)
         << "fault point '" << point
-        << "' was never traversed by the covering queries — dead site?";
+        << "' was never traversed by the covering query — dead site?";
   }
   for (const auto& [point, hits] : reg.HitCounts()) {
     EXPECT_TRUE(FaultRegistry::IsKnownPoint(point))
@@ -591,7 +578,6 @@ TEST_P(PipelineAbortTest, BackpressuredPipelineAbortsWithoutDeadlock) {
     };
   }
   DmsExecOptions options;
-  options.codec = DmsCodec::kColumnar;
   options.queue_capacity = 1;  // maximal backpressure
   options.batch_size = 64;     // many wire messages per source
   DmsRunMetrics metrics;
@@ -617,12 +603,9 @@ TEST_P(PipelineAbortTest, BackpressuredPipelineAbortsWithoutDeadlock) {
     };
   }
   DmsRunMetrics retry_metrics;
-  DmsExecOptions retry_options;
-  retry_options.codec = DmsCodec::kColumnar;
   auto ok = dms.ExecutePipelined(DmsOpKind::kShuffle,
                                  std::move(retry_producers), {0},
-                                 &retry_metrics, &ThreadPool::Global(),
-                                 retry_options);
+                                 &retry_metrics, &ThreadPool::Global());
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(static_cast<int>(retry_metrics.rows_moved), 400);
 }

@@ -1,9 +1,9 @@
-// Differential and concurrency coverage of the streaming columnar DMS
-// pipeline: for every move kind, the pipelined columnar path must land
-// exactly the rows the legacy materialized row path lands (same slots, same
-// order), with rows_moved identical and per-component metrics populated —
-// including empty inputs, single-row sources, one-row batches, variant
-// columns, and concurrent sessions hammering one appliance.
+// Placement and concurrency coverage of the streaming columnar DMS
+// pipeline: for every move kind, the pipeline must land exactly the rows
+// the move's definition places on each slot (same slots, same (source, row)
+// order), with rows_moved equal to the rows read and per-component metrics
+// populated — including empty inputs, single-row sources, one-row batches,
+// variant columns, and concurrent sessions hammering one appliance.
 
 #include <gtest/gtest.h>
 
@@ -98,6 +98,8 @@ void ExpectSlotsIdentical(const std::vector<RowVector>& a,
         EXPECT_EQ(a[s][r][c].is_null(), b[s][r][c].is_null())
             << "slot " << s << " row " << r << " col " << c;
         if (!a[s][r][c].is_null()) {
+          EXPECT_EQ(a[s][r][c].type(), b[s][r][c].type())
+              << "slot " << s << " row " << r << " col " << c;
           EXPECT_EQ(a[s][r][c].Compare(b[s][r][c]), 0)
               << "slot " << s << " row " << r << " col " << c;
         }
@@ -106,52 +108,96 @@ void ExpectSlotsIdentical(const std::vector<RowVector>& a,
   }
 }
 
+/// The placement oracle: each slot's expected rows straight from the
+/// move's definition, in (source, row) order. Shuffle sends a row to its
+/// TargetNode; PartitionMove and RemoteCopyToSingle send it to the control
+/// node; ControlNodeMove, BroadcastMove and ReplicatedBroadcast send it to
+/// every compute node; Trim keeps it only on the compute node whose hash
+/// slice it is, and only if that node is its source. `rows_moved` is every
+/// source row read.
+std::vector<RowVector> ExpectedPlacement(const DmsService& dms, DmsOpKind kind,
+                                         const std::vector<RowVector>& sources,
+                                         const std::vector<int>& ordinals,
+                                         double* rows_moved) {
+  const int n = dms.num_compute_nodes();
+  std::vector<RowVector> slots(static_cast<size_t>(n + 1));
+  *rows_moved = 0;
+  for (int src = 0; src <= n; ++src) {
+    for (const Row& row : sources[static_cast<size_t>(src)]) {
+      *rows_moved += 1;
+      switch (kind) {
+        case DmsOpKind::kShuffle:
+          slots[static_cast<size_t>(dms.TargetNode(row, ordinals))].push_back(
+              row);
+          break;
+        case DmsOpKind::kPartitionMove:
+        case DmsOpKind::kRemoteCopyToSingle:
+          slots[static_cast<size_t>(dms.control_node())].push_back(row);
+          break;
+        case DmsOpKind::kControlNodeMove:
+        case DmsOpKind::kBroadcastMove:
+        case DmsOpKind::kReplicatedBroadcast:
+          for (int dst = 0; dst < n; ++dst) {
+            slots[static_cast<size_t>(dst)].push_back(row);
+          }
+          break;
+        case DmsOpKind::kTrimMove:
+          if (src < n && dms.TargetNode(row, ordinals) == src) {
+            slots[static_cast<size_t>(src)].push_back(row);
+          }
+          break;
+      }
+    }
+  }
+  return slots;
+}
+
 class DmsPipelineTest : public ::testing::Test {
  protected:
   DmsService dms_{kNodes};
 
-  void RunDifferential(DmsOpKind kind, uint32_t seed, int rows, int batch_size,
-                       ThreadPool* pool) {
+  /// Moves `sources` through the pipeline and compares every slot, in
+  /// order, and rows_moved against the placement oracle.
+  void ExpectPlacement(DmsOpKind kind, std::vector<RowVector> sources,
+                       int batch_size, ThreadPool* pool) {
     std::vector<int> ordinals = {0};
-    DmsRunMetrics row_m, col_m;
-    DmsExecOptions row_opts;
-    row_opts.codec = DmsCodec::kRow;
-    auto row_out = dms_.Execute(kind, SlotsFor(kind, seed, rows), ordinals,
-                                &row_m, pool, row_opts);
-    ASSERT_TRUE(row_out.ok()) << row_out.status().ToString();
-    DmsExecOptions col_opts;
-    col_opts.codec = DmsCodec::kColumnar;
-    col_opts.batch_size = batch_size;
-    auto col_out = dms_.Execute(kind, SlotsFor(kind, seed, rows), ordinals,
-                                &col_m, pool, col_opts);
-    ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
-    ExpectSlotsIdentical(*row_out, *col_out);
-    EXPECT_EQ(row_m.rows_moved, col_m.rows_moved) << DmsOpKindToString(kind);
-    if (rows > 0) {
+    double expected_moved = 0;
+    std::vector<RowVector> expected =
+        ExpectedPlacement(dms_, kind, sources, ordinals, &expected_moved);
+    DmsRunMetrics m;
+    DmsExecOptions opts;
+    opts.batch_size = batch_size;
+    auto out = dms_.Execute(kind, std::move(sources), ordinals, &m, pool, opts);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ExpectSlotsIdentical(expected, *out);
+    EXPECT_EQ(m.rows_moved, expected_moved) << DmsOpKindToString(kind);
+    if (expected_moved > 0) {
       // Every component must stay metered on the pipelined path.
-      EXPECT_GT(col_m.reader.bytes, 0) << DmsOpKindToString(kind);
-      EXPECT_GT(col_m.writer.bytes, 0) << DmsOpKindToString(kind);
-      EXPECT_GT(col_m.bulkcopy.bytes, 0) << DmsOpKindToString(kind);
+      EXPECT_GT(m.reader.bytes, 0) << DmsOpKindToString(kind);
+      EXPECT_GT(m.writer.bytes, 0) << DmsOpKindToString(kind);
+      EXPECT_GT(m.bulkcopy.bytes, 0) << DmsOpKindToString(kind);
       if (kind != DmsOpKind::kTrimMove) {
-        EXPECT_GT(col_m.network.bytes, 0) << DmsOpKindToString(kind);
+        EXPECT_GT(m.network.bytes, 0) << DmsOpKindToString(kind);
       } else {
-        EXPECT_EQ(col_m.network.bytes, 0);  // trim never crosses the wire
+        EXPECT_EQ(m.network.bytes, 0);  // trim never crosses the wire
       }
     }
   }
+
 };
 
 TEST_F(DmsPipelineTest, AllKindsMatchRowCodecSerial) {
   uint32_t seed = 100;
   for (DmsOpKind kind : kAllKinds) {
-    RunDifferential(kind, seed++, 300, 0, nullptr);
+    ExpectPlacement(kind, SlotsFor(kind, seed++, 300), 0, nullptr);
   }
 }
 
 TEST_F(DmsPipelineTest, AllKindsMatchRowCodecPooled) {
   uint32_t seed = 200;
   for (DmsOpKind kind : kAllKinds) {
-    RunDifferential(kind, seed++, 300, 0, &ThreadPool::Global());
+    ExpectPlacement(kind, SlotsFor(kind, seed++, 300), 0,
+                    &ThreadPool::Global());
   }
 }
 
@@ -159,21 +205,22 @@ TEST_F(DmsPipelineTest, SingleRowBatchesMatch) {
   // batch_size=1 — the PDW_BATCH_SIZE=1 slicing, one wire message per row.
   uint32_t seed = 300;
   for (DmsOpKind kind : kAllKinds) {
-    RunDifferential(kind, seed++, 17, 1, &ThreadPool::Global());
+    ExpectPlacement(kind, SlotsFor(kind, seed++, 17), 1,
+                    &ThreadPool::Global());
   }
 }
 
 TEST_F(DmsPipelineTest, EmptyInputsMatch) {
   for (DmsOpKind kind : kAllKinds) {
-    RunDifferential(kind, 400, 0, 0, nullptr);
-    RunDifferential(kind, 401, 0, 0, &ThreadPool::Global());
+    ExpectPlacement(kind, SlotsFor(kind, 400, 0), 0, nullptr);
+    ExpectPlacement(kind, SlotsFor(kind, 401, 0), 0, &ThreadPool::Global());
   }
 }
 
 TEST_F(DmsPipelineTest, SingleRowSourcesMatch) {
   uint32_t seed = 500;
   for (DmsOpKind kind : kAllKinds) {
-    RunDifferential(kind, seed++, 1, 0, nullptr);
+    ExpectPlacement(kind, SlotsFor(kind, seed++, 1), 0, nullptr);
   }
 }
 
@@ -182,7 +229,6 @@ TEST_F(DmsPipelineTest, TinyQueueStillCompletes) {
   // the pipeline moving under any pool size.
   DmsRunMetrics m;
   DmsExecOptions opts;
-  opts.codec = DmsCodec::kColumnar;
   opts.batch_size = 8;
   opts.queue_capacity = 1;
   auto out = dms_.Execute(DmsOpKind::kShuffle, SlotsFor(DmsOpKind::kShuffle, 9, 500),
@@ -192,8 +238,9 @@ TEST_F(DmsPipelineTest, TinyQueueStillCompletes) {
 }
 
 TEST_F(DmsPipelineTest, VariantColumnsSurviveTheWire) {
-  // A column mixing INT and DOUBLE promotes to variant storage; the wire
-  // codec's per-Datum escape hatch must round-trip it exactly.
+  // A column mixing INT and DOUBLE travels as a variant column; the wire
+  // format's per-Datum escape hatch must round-trip it exactly, types
+  // included, under every move kind.
   std::vector<RowVector> slots(static_cast<size_t>(kNodes + 1));
   for (int n = 0; n < kNodes; ++n) {
     for (int i = 0; i < 50; ++i) {
@@ -202,17 +249,9 @@ TEST_F(DmsPipelineTest, VariantColumnsSurviveTheWire) {
                                      : Datum::Double(i * 0.25)});
     }
   }
-  auto slots_copy = slots;
-  DmsExecOptions row_opts, col_opts;
-  row_opts.codec = DmsCodec::kRow;
-  col_opts.codec = DmsCodec::kColumnar;
-  auto row_out = dms_.Execute(DmsOpKind::kShuffle, std::move(slots), {0},
-                              nullptr, nullptr, row_opts);
-  auto col_out = dms_.Execute(DmsOpKind::kShuffle, std::move(slots_copy), {0},
-                              nullptr, nullptr, col_opts);
-  ASSERT_TRUE(row_out.ok());
-  ASSERT_TRUE(col_out.ok());
-  ExpectSlotsIdentical(*row_out, *col_out);
+  for (DmsOpKind kind : kAllKinds) {
+    ExpectPlacement(kind, slots, 0, &ThreadPool::Global());
+  }
 }
 
 TEST_F(DmsPipelineTest, ProducerErrorPropagates) {
@@ -229,7 +268,7 @@ TEST_F(DmsPipelineTest, ProducerErrorPropagates) {
   EXPECT_NE(out.status().ToString().find("node 1 exploded"), std::string::npos);
 }
 
-// --- appliance-level differential: whole queries, row vs columnar DMS ---
+// --- appliance level: whole queries against the single-node reference ---
 
 std::unique_ptr<Appliance> MakeLoadedAppliance(int nodes, double scale) {
   auto appliance = std::make_unique<Appliance>(Topology{nodes});
@@ -258,20 +297,11 @@ TEST(DmsPipelineApplianceTest, QueriesMatchAcrossCodecs) {
   auto appliance = MakeLoadedAppliance(4, 0.05);
   Session session = appliance->Connect();
   for (const char* sql : kDmsQueries) {
-    QueryOptions row_opts;
-    row_opts.execute.dms_codec = DmsCodec::kRow;
-    auto row_r = session.Run(sql, row_opts);
-    ASSERT_TRUE(row_r.ok()) << sql << "\n" << row_r.status().ToString();
-    QueryOptions col_opts;
-    col_opts.execute.dms_codec = DmsCodec::kColumnar;
-    auto col_r = session.Run(sql, col_opts);
-    ASSERT_TRUE(col_r.ok()) << sql << "\n" << col_r.status().ToString();
-    EXPECT_TRUE(RowSetsEqual(row_r->rows, col_r->rows)) << sql;
-    EXPECT_EQ(row_r->dms_metrics.rows_moved, col_r->dms_metrics.rows_moved)
-        << sql;
+    auto r = session.Run(sql);
+    ASSERT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
     auto ref = appliance->ExecuteReference(sql);
     ASSERT_TRUE(ref.ok());
-    EXPECT_TRUE(RowSetsEqual(col_r->rows, ref->rows)) << sql;
+    EXPECT_TRUE(RowSetsEqual(r->rows, ref->rows)) << sql;
   }
 }
 
@@ -280,10 +310,8 @@ TEST(DmsPipelineApplianceTest, PipelinedStepProfileStaysPopulated) {
   // pipelined path must keep them flowing into the step profile.
   auto appliance = MakeLoadedAppliance(4, 0.05);
   Session session = appliance->Connect();
-  QueryOptions opts;
-  opts.execute.dms_codec = DmsCodec::kColumnar;
   auto r = session.Run(
-      "SELECT o_custkey, COUNT(*) AS c FROM orders GROUP BY o_custkey", opts);
+      "SELECT o_custkey, COUNT(*) AS c FROM orders GROUP BY o_custkey");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   bool saw_dms = false;
   for (const obs::StepProfile& sp : r->profile.steps) {
@@ -322,9 +350,7 @@ TEST(DmsPipelineConcurrencyTest, ConcurrentSessionsOverPipelinedDms) {
       for (int rep = 0; rep < kReps; ++rep) {
         size_t qi = static_cast<size_t>(t + rep) %
                     (sizeof(kDmsQueries) / sizeof(kDmsQueries[0]));
-        QueryOptions opts;
-        opts.execute.dms_codec = DmsCodec::kColumnar;
-        auto r = session.Run(kDmsQueries[qi], opts);
+        auto r = session.Run(kDmsQueries[qi]);
         if (!r.ok() || !RowSetsEqual(r->rows, expected[qi])) {
           failures.fetch_add(1);
         }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 #include "dms/dms_service.h"
 #include "dms/wire_format.h"
@@ -30,37 +31,6 @@ class DmsTest : public ::testing::Test {
     return std::vector<RowVector>(static_cast<size_t>(dms_.num_compute_nodes() + 1));
   }
 };
-
-TEST_F(DmsTest, PackUnpackRoundTrip) {
-  Row row = {Datum::Int(-42), Datum::Double(3.25), Datum::Varchar("hello"),
-             Datum::Null(), Datum::Bool(true), Datum::Date(8888)};
-  std::vector<uint8_t> buf;
-  auto packed = PackRow(row, &buf);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(*packed, buf.size());
-  size_t offset = 0;
-  auto out = UnpackRow(buf, &offset);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(offset, buf.size());
-  ASSERT_EQ(out->size(), row.size());
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) {
-      EXPECT_TRUE((*out)[i].is_null());
-    } else {
-      EXPECT_EQ((*out)[i].Compare(row[i]), 0);
-      EXPECT_EQ((*out)[i].type(), row[i].type());
-    }
-  }
-}
-
-TEST_F(DmsTest, UnpackDetectsTruncation) {
-  Row row = {Datum::Varchar("hello world")};
-  std::vector<uint8_t> buf;
-  ASSERT_TRUE(PackRow(row, &buf).ok());
-  buf.resize(buf.size() - 3);
-  size_t offset = 0;
-  EXPECT_FALSE(UnpackRow(buf, &offset).ok());
-}
 
 TEST_F(DmsTest, ShufflePartitionsByHash) {
   auto slots = EmptySlots();
@@ -104,17 +74,11 @@ TEST_F(DmsTest, PartitionMoveGathersToControl) {
 TEST_F(DmsTest, BroadcastReplicatesEverywhere) {
   auto slots = EmptySlots();
   for (int n = 0; n < 4; ++n) slots[static_cast<size_t>(n)] = MakeRows(n * 10, 10);
-  DmsRunMetrics m;
-  DmsExecOptions opts;
-  opts.codec = DmsCodec::kRow;
-  auto out = dms_.Execute(DmsOpKind::kBroadcastMove, std::move(slots), {}, &m,
-                          nullptr, opts);
+  auto out = dms_.Execute(DmsOpKind::kBroadcastMove, std::move(slots), {});
   ASSERT_TRUE(out.ok());
   for (int n = 0; n < 4; ++n) {
     EXPECT_EQ((*out)[static_cast<size_t>(n)].size(), 40u);
   }
-  // The legacy row reader packs one copy per target.
-  EXPECT_GT(m.reader.bytes, m.writer.bytes / 2);
 }
 
 TEST_F(DmsTest, ColumnarBroadcastPacksOnce) {
@@ -123,10 +87,7 @@ TEST_F(DmsTest, ColumnarBroadcastPacksOnce) {
     slots[static_cast<size_t>(n)] = MakeRows(n * 10, 10);
   }
   DmsRunMetrics m;
-  DmsExecOptions opts;
-  opts.codec = DmsCodec::kColumnar;
-  auto out = dms_.Execute(DmsOpKind::kBroadcastMove, std::move(slots), {}, &m,
-                          nullptr, opts);
+  auto out = dms_.Execute(DmsOpKind::kBroadcastMove, std::move(slots), {}, &m);
   ASSERT_TRUE(out.ok());
   for (int n = 0; n < 4; ++n) {
     EXPECT_EQ((*out)[static_cast<size_t>(n)].size(), 40u);
@@ -221,38 +182,38 @@ Row RandomRow(std::mt19937* rng, const std::vector<Datum>& pool,
 }
 
 TEST_F(DmsTest, VectorizedRoutingMatchesTargetNode) {
-  // The tentpole's consistency guarantee: HashPartitionBatch must send
-  // every row exactly where the row-at-a-time TargetNode would, for every
-  // type, NULLs, empty strings, and integral doubles, over 1..3 key
-  // columns.
+  // HashPartitionRows must send every row of rows[begin, end) exactly where
+  // the row-at-a-time TargetNode would, for every type, NULLs, empty
+  // strings, and integral doubles, over 1..3 key columns — and report the
+  // absolute row indices of the slice.
   std::mt19937 rng(20120520);
   const std::vector<Datum> pool = AllKindsOfDatums();
   for (size_t num_keys : {1u, 2u, 3u}) {
-    const size_t arity = 4;
     RowVector rows;
-    for (int i = 0; i < 500; ++i) rows.push_back(RandomRow(&rng, pool, arity));
+    for (int i = 0; i < 500; ++i) rows.push_back(RandomRow(&rng, pool, 4));
     std::vector<int> ordinals;
     for (size_t k = 0; k < num_keys; ++k) {
       ordinals.push_back(static_cast<int>(k));
     }
-    std::vector<TypeId> types = InferRowTypes(rows);
-    std::vector<int> all(arity);
-    for (size_t c = 0; c < arity; ++c) all[static_cast<size_t>(c)] = static_cast<int>(c);
-    ColumnBatch batch(types);
-    AppendRowsToBatch(rows, 0, rows.size(), all, &batch);
-    std::vector<SelVector> parts;
-    HashPartitionBatch(batch, ordinals, dms_.num_compute_nodes(), &parts);
-    ASSERT_EQ(parts.size(), static_cast<size_t>(dms_.num_compute_nodes()));
-    size_t covered = 0;
-    for (int node = 0; node < dms_.num_compute_nodes(); ++node) {
-      for (int32_t r : parts[static_cast<size_t>(node)]) {
-        EXPECT_EQ(dms_.TargetNode(rows[static_cast<size_t>(r)], ordinals),
-                  node)
-            << "row " << r << " keys=" << num_keys;
-        ++covered;
+    for (auto [begin, end] : {std::pair<size_t, size_t>{0, 500},
+                              std::pair<size_t, size_t>{37, 421}}) {
+      std::vector<SelVector> parts;
+      HashPartitionRows(rows, begin, end, ordinals, dms_.num_compute_nodes(),
+                        &parts);
+      ASSERT_EQ(parts.size(), static_cast<size_t>(dms_.num_compute_nodes()));
+      size_t covered = 0;
+      for (int node = 0; node < dms_.num_compute_nodes(); ++node) {
+        for (int32_t r : parts[static_cast<size_t>(node)]) {
+          ASSERT_GE(static_cast<size_t>(r), begin);
+          ASSERT_LT(static_cast<size_t>(r), end);
+          EXPECT_EQ(dms_.TargetNode(rows[static_cast<size_t>(r)], ordinals),
+                    node)
+              << "row " << r << " keys=" << num_keys << " begin=" << begin;
+          ++covered;
+        }
       }
+      EXPECT_EQ(covered, end - begin);  // a partition for every row
     }
-    EXPECT_EQ(covered, rows.size());  // a partition for every row
   }
 }
 
@@ -265,86 +226,98 @@ TEST_F(DmsTest, WireStringOverflowGuard) {
   EXPECT_FALSE(ValidateWireString(static_cast<size_t>(1) << 40).ok());
 }
 
-TEST_F(DmsTest, RowCodecFuzzRoundTripAndTruncation) {
-  std::mt19937 rng(424242);
-  const std::vector<Datum> pool = AllKindsOfDatums();
-  for (int iter = 0; iter < 200; ++iter) {
-    size_t arity = rng() % 7;  // includes zero-column rows
-    Row row = RandomRow(&rng, pool, arity);
-    std::vector<uint8_t> buf;
-    auto packed = PackRow(row, &buf);
-    ASSERT_TRUE(packed.ok());
-    size_t offset = 0;
-    auto out = UnpackRow(buf, &offset);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(offset, buf.size());
-    ASSERT_EQ(out->size(), row.size());
-    for (size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ((*out)[i].is_null(), row[i].is_null());
-      if (!row[i].is_null()) {
-        EXPECT_EQ((*out)[i].Compare(row[i]), 0);
-        EXPECT_EQ((*out)[i].type(), row[i].type());
-      }
-    }
-    // Every strict prefix must fail cleanly — never read past the end,
-    // never crash (the buffer-underrun guard).
-    for (size_t cut = buf.empty() ? 0 : rng() % buf.size(); cut < buf.size();
-         cut += 1 + rng() % 7) {
-      std::vector<uint8_t> trunc(buf.begin(),
-                                 buf.begin() + static_cast<long>(cut));
-      size_t o = 0;
-      EXPECT_FALSE(UnpackRow(trunc, &o).ok()) << "cut=" << cut;
+/// Rows for the wire-format fuzz: per column, either one type with some
+/// NULLs (a typed value plane), only NULLs (a kInvalid column), or mixed
+/// types (a variant column).
+RowVector RandomWireRows(std::mt19937* rng, const std::vector<Datum>& pool,
+                         size_t arity, size_t count) {
+  RowVector rows(count, Row(arity));
+  for (size_t c = 0; c < arity; ++c) {
+    int mode = static_cast<int>((*rng)() % 4);  // 0-1 typed, 2 NULL, 3 mixed
+    TypeId type = pool[(*rng)() % pool.size()].type();
+    for (size_t r = 0; r < count; ++r) {
+      const Datum& d = pool[(*rng)() % pool.size()];
+      if (mode == 3 || (mode < 2 && d.type() == type)) rows[r][c] = d;
     }
   }
-  // Garbage tag bytes must be rejected, not interpreted.
-  std::vector<uint8_t> evil = {1, 0, 250};  // arity 1, bogus type tag 250
-  size_t o = 0;
-  EXPECT_FALSE(UnpackRow(evil, &o).ok());
+  return rows;
+}
+
+void ExpectSameRows(const RowVector& got, const RowVector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "row " << r;
+    for (size_t c = 0; c < want[r].size(); ++c) {
+      EXPECT_EQ(got[r][c].is_null(), want[r][c].is_null()) << r << "," << c;
+      if (!want[r][c].is_null()) {
+        EXPECT_EQ(got[r][c].type(), want[r][c].type()) << r << "," << c;
+        EXPECT_EQ(got[r][c].Compare(want[r][c]), 0) << r << "," << c;
+      }
+    }
+  }
 }
 
 TEST_F(DmsTest, BatchCodecFuzzRoundTripAndTruncation) {
+  // PackRowsColumnar -> UnpackBatchToRows, the pair every DMS move runs:
+  // typed, all-NULL and variant columns, empty batches, and slices with a
+  // nonzero begin must round-trip exactly, and every sampled strict prefix
+  // of a wire batch must fail cleanly.
   std::mt19937 rng(77777);
   const std::vector<Datum> pool = AllKindsOfDatums();
-  for (int iter = 0; iter < 60; ++iter) {
+  for (int iter = 0; iter < 80; ++iter) {
     size_t arity = 1 + rng() % 5;
     size_t count = rng() % 40;  // includes empty batches
-    RowVector rows;
-    for (size_t i = 0; i < count; ++i) {
-      rows.push_back(RandomRow(&rng, pool, arity));
-    }
+    RowVector rows = RandomWireRows(&rng, pool, arity, count);
     std::vector<TypeId> types = InferRowTypes(rows);
     if (types.size() != arity) types.assign(arity, TypeId::kInvalid);
-    std::vector<int> all;
-    for (size_t c = 0; c < arity; ++c) all.push_back(static_cast<int>(c));
-    ColumnBatch batch(types);
-    AppendRowsToBatch(rows, 0, rows.size(), all, &batch);
+    size_t begin = count == 0 ? 0 : rng() % count;
     std::vector<uint8_t> buf;
-    auto packed = PackBatch(batch, &buf);
+    auto packed = PackRowsColumnar(rows, begin, count, types, &buf);
     ASSERT_TRUE(packed.ok());
     EXPECT_EQ(*packed, buf.size());
     size_t offset = 0;
-    auto out = UnpackBatch(buf, &offset);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(offset, buf.size());
     RowVector round;
-    AppendBatchToRows(*out, &round);
-    ASSERT_EQ(round.size(), rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      for (size_t c = 0; c < arity; ++c) {
-        EXPECT_EQ(round[r][c].is_null(), rows[r][c].is_null());
-        if (!rows[r][c].is_null()) {
-          EXPECT_EQ(round[r][c].Compare(rows[r][c]), 0) << r << "," << c;
-        }
-      }
-    }
+    auto unpacked = UnpackBatchToRows(buf, &offset, &round);
+    ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+    EXPECT_EQ(*unpacked, count - begin);
+    EXPECT_EQ(offset, buf.size());
+    ExpectSameRows(round, RowVector(rows.begin() + static_cast<long>(begin),
+                                    rows.end()));
     // Truncated batch buffers fail cleanly at every sampled prefix.
     for (size_t cut = buf.empty() ? 0 : rng() % buf.size(); cut < buf.size();
          cut += 1 + rng() % 13) {
       std::vector<uint8_t> trunc(buf.begin(),
                                  buf.begin() + static_cast<long>(cut));
       size_t o = 0;
-      EXPECT_FALSE(UnpackBatch(trunc, &o).ok()) << "cut=" << cut;
+      RowVector sink;
+      EXPECT_FALSE(UnpackBatchToRows(trunc, &o, &sink).ok()) << "cut=" << cut;
     }
+  }
+}
+
+TEST_F(DmsTest, SelectedPackMatchesPackOfGatheredRows) {
+  // The shuffle packs each destination's selection straight from the
+  // source rows; its bytes must be those of packing the gathered rows.
+  std::mt19937 rng(5150);
+  const std::vector<Datum> pool = AllKindsOfDatums();
+  for (int iter = 0; iter < 60; ++iter) {
+    size_t arity = 1 + rng() % 5;
+    size_t count = rng() % 40;
+    RowVector rows = RandomWireRows(&rng, pool, arity, count);
+    std::vector<TypeId> types = InferRowTypes(rows);
+    if (types.size() != arity) types.assign(arity, TypeId::kInvalid);
+    SelVector sel;
+    RowVector gathered;
+    for (size_t r = 0; r < count; ++r) {
+      if (rng() % 3 == 0) continue;
+      sel.push_back(static_cast<int32_t>(r));
+      gathered.push_back(rows[r]);
+    }
+    std::vector<uint8_t> selected, dense;
+    ASSERT_TRUE(PackRowsColumnarSelected(rows, sel, types, &selected).ok());
+    ASSERT_TRUE(
+        PackRowsColumnar(gathered, 0, gathered.size(), types, &dense).ok());
+    EXPECT_EQ(selected, dense) << "iter " << iter;
   }
 }
 

@@ -1,6 +1,6 @@
 // Partial-aggregate pushdown (PR 9): plan-shape expectations, cost-based
 // decline, duplicate-sensitivity gates, AVG oracle regression, the
-// preagg on/off x engine x DMS-codec differential sweep, DMS byte
+// preagg on/off x engine differential sweep, DMS byte
 // savings, observability surfaces, and plan-cache fingerprinting.
 //
 // The fixture is a purpose-built dim/fact schema rather than TPC-H: at
@@ -192,8 +192,8 @@ TEST_F(PreaggTest, AvgMatchesRowOracleOverBothPlanShapes) {
 }
 
 TEST_F(PreaggTest, PushdownSweepIsByteIdentical) {
-  // Every query x preagg on/off x engine x DMS codec must agree with the
-  // reference oracle — including the shapes that refuse pushdown.
+  // Every query x preagg on/off x engine must agree with the reference
+  // oracle — including the shapes that refuse pushdown.
   const char* queries[] = {kHighReduction, kNearUnique, kAvgQuery,
                            kDistinctAgg, kScalarAgg};
   Session session = appliance_->Connect();
@@ -201,19 +201,15 @@ TEST_F(PreaggTest, PushdownSweepIsByteIdentical) {
     RowVector ref = Reference(sql);
     for (int preagg : {0, 1}) {
       for (EngineKind engine : {EngineKind::kRow, EngineKind::kBatch}) {
-        for (DmsCodec codec : {DmsCodec::kRow, DmsCodec::kColumnar}) {
-          ExecOptions exec;
-          exec.engine = engine;
-          auto got = session.Run(sql, QueryOptions()
-                                          .WithCompilerOptions(Opts(preagg))
-                                          .WithEngine(exec)
-                                          .WithDmsCodec(codec));
-          ASSERT_TRUE(got.ok()) << got.status().message();
-          EXPECT_TRUE(RowSetsEqual(got->rows, ref))
-              << sql << "\npreagg=" << preagg
-              << " engine=" << static_cast<int>(engine)
-              << " codec=" << static_cast<int>(codec);
-        }
+        ExecOptions exec;
+        exec.engine = engine;
+        auto got = session.Run(sql, QueryOptions()
+                                        .WithCompilerOptions(Opts(preagg))
+                                        .WithEngine(exec));
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        EXPECT_TRUE(RowSetsEqual(got->rows, ref))
+            << sql << "\npreagg=" << preagg
+            << " engine=" << static_cast<int>(engine);
       }
     }
   }

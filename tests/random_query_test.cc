@@ -204,17 +204,16 @@ TEST_P(RandomQueryTest, DistributedMatchesReference) {
 
 TEST_P(RandomQueryTest, PreaggSweepMatchesReference) {
   // Partial-aggregate pushdown must be invisible in results: the same
-  // random query with the rewrite forced off and on — across engines and
-  // DMS codecs chosen per seed — agrees with the reference oracle and
-  // with itself. Non-aggregate seeds still exercise the off/on compile
-  // paths (the enumerator simply finds no aggregate to push).
+  // random query with the rewrite forced off and on — on the engine chosen
+  // per seed — agrees with the reference oracle and with itself.
+  // Non-aggregate seeds still exercise the off/on compile paths (the
+  // enumerator simply finds no aggregate to push).
   uint32_t seed = GetParam();
   std::string sql = BuildRandomQuery(seed);
   SCOPED_TRACE(sql);
 
   ExecOptions exec;
   exec.engine = (seed & 1) ? EngineKind::kBatch : EngineKind::kRow;
-  DmsCodec codec = (seed & 2) ? DmsCodec::kColumnar : DmsCodec::kRow;
 
   std::vector<RowVector> got;
   for (int preagg : {0, 1}) {
@@ -222,8 +221,7 @@ TEST_P(RandomQueryTest, PreaggSweepMatchesReference) {
     compiler.pdw.enable_preagg = preagg;
     auto res = session_->Run(sql, QueryOptions()
                                       .WithCompilerOptions(compiler)
-                                      .WithEngine(exec)
-                                      .WithDmsCodec(codec));
+                                      .WithEngine(exec));
     ASSERT_TRUE(res.ok()) << sql << "\npreagg=" << preagg << "\n"
                           << res.status().ToString();
     got.push_back(res->rows);

@@ -1,7 +1,7 @@
 // Differential sharing suite: sub-plan sharing across concurrent queries
-// must be *byte-identical* to isolated execution — under both engines, both
-// DMS codecs, leader faults, leader cancellation, and retry — and must
-// never leak a temp table or a registry refcount.
+// must be *byte-identical* to isolated execution — under both engines,
+// leader faults, leader cancellation, and retry — and must never leak a
+// temp table or a registry refcount.
 //
 // The deterministic anchor is intra-query sharing: a UNION ALL of two
 // identical arms materializes the same shuffle twice, so with sharing on,
@@ -69,7 +69,6 @@ TEST(StepFingerprintTest, QueryIdInvariantAndLineageChained) {
   TableVersionTracker versions;
   StepFingerprintOptions opts;
   opts.engine_label = "batch";
-  opts.codec_label = "columnar";
   auto f5 = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, opts);
   auto f9 = ComputeStepFingerprints(MakeTwoStepPlan(9), 9, versions, opts);
   ASSERT_EQ(f5.size(), 3u);
@@ -88,7 +87,6 @@ TEST(StepFingerprintTest, StatsBumpCascadesThroughLineage) {
   TableVersionTracker versions;
   StepFingerprintOptions opts;
   opts.engine_label = "batch";
-  opts.codec_label = "columnar";
   auto before = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, opts);
   versions.Bump("orders");
   auto after = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, opts);
@@ -100,19 +98,16 @@ TEST(StepFingerprintTest, StatsBumpCascadesThroughLineage) {
 
 TEST(StepFingerprintTest, EngineAndCodecSplitFingerprints) {
   TableVersionTracker versions;
-  StepFingerprintOptions batch_col{"batch", "columnar"};
-  StepFingerprintOptions row_col{"row", "columnar"};
-  StepFingerprintOptions batch_row{"batch", "row"};
-  auto a = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, batch_col);
-  auto b = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, row_col);
-  auto c = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, batch_row);
+  StepFingerprintOptions batch{"batch"};
+  StepFingerprintOptions row{"row"};
+  auto a = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, batch);
+  auto b = ComputeStepFingerprints(MakeTwoStepPlan(5), 5, versions, row);
   EXPECT_NE(a[0].text, b[0].text);
-  EXPECT_NE(a[0].text, c[0].text);
 }
 
 TEST(StepFingerprintTest, UnresolvedLineageIsNeverShareable) {
   TableVersionTracker versions;
-  StepFingerprintOptions opts{"batch", "columnar"};
+  StepFingerprintOptions opts{"batch"};
   DsqlPlan plan;
   DsqlStep s;
   s.kind = DsqlStepKind::kDms;
@@ -128,23 +123,19 @@ TEST(StepFingerprintTest, UnresolvedLineageIsNeverShareable) {
 // Appliance-level differential tests.
 // ---------------------------------------------------------------------------
 
-struct EngineCodec {
+struct EngineConfig {
   EngineKind engine;
-  DmsCodec codec;
   const char* name;
 };
 
-const EngineCodec kConfigs[] = {
-    {EngineKind::kBatch, DmsCodec::kColumnar, "batch/columnar"},
-    {EngineKind::kBatch, DmsCodec::kRow, "batch/row"},
-    {EngineKind::kRow, DmsCodec::kColumnar, "row/columnar"},
-    {EngineKind::kRow, DmsCodec::kRow, "row/row"},
+const EngineConfig kConfigs[] = {
+    {EngineKind::kBatch, "batch"},
+    {EngineKind::kRow, "row"},
 };
 
-QueryOptions ConfigOptions(const EngineCodec& cfg, bool share) {
+QueryOptions ConfigOptions(const EngineConfig& cfg, bool share) {
   QueryOptions options;
   options.execute.engine.engine = cfg.engine;
-  options.execute.dms_codec = cfg.codec;
   options.execute.share_steps = share;
   options.execute.retry.sleep_fn = [](double) {};
   return options;
@@ -203,13 +194,14 @@ class SharedStepTest : public ::testing::Test {
   }
 
   /// Blocks until the registry holds an entry in `state`, or 5s.
-  static bool WaitForRegistryEntry(const std::string& state) {
+  static bool WaitForRegistryEntry(const std::string& state,
+                                   int min_waiters = 0) {
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline) {
       for (const SharedStepRegistry::EntryInfo& e :
            appliance_->shared_steps().ListEntries()) {
-        if (e.state == state) return true;
+        if (e.state == state && e.waiters >= min_waiters) return true;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -257,7 +249,7 @@ const char kUnionSql[] =
     "AND c_nationkey > 5";
 
 TEST_F(SharedStepTest, UnionArmsShareDeterministically) {
-  for (const EngineCodec& cfg : kConfigs) {
+  for (const EngineConfig& cfg : kConfigs) {
     auto isolated = session_->Run(kUnionSql, ConfigOptions(cfg, false));
     ASSERT_TRUE(isolated.ok()) << cfg.name << ": " << isolated.status().ToString();
     EXPECT_EQ(isolated->shared_steps_followed, 0);
@@ -304,7 +296,7 @@ TEST_F(SharedStepTest, SharedRoleSurfacesInProfileAndDmv) {
 }
 
 TEST_F(SharedStepTest, ConcurrentOverlappingQueriesShare) {
-  const EngineCodec& cfg = kConfigs[0];
+  const EngineConfig& cfg = kConfigs[0];
   // Isolated baselines (also pre-warms the plan cache, keeping the
   // follower's compile out of the rendezvous window).
   auto base_a = session_->Run(kAggSql, ConfigOptions(cfg, false));
@@ -343,38 +335,50 @@ TEST_F(SharedStepTest, ConcurrentOverlappingQueriesShare) {
 }
 
 TEST_F(SharedStepTest, FaultedLeaderReleasesFollowers) {
-  const EngineCodec& cfg = kConfigs[0];
+  const EngineConfig& cfg = kConfigs[0];
   auto base_b = session_->Run(kAggSqlOrdered, ConfigOptions(cfg, false));
   ASSERT_TRUE(base_b.ok()) << base_b.status().ToString();
   (void)session_->Run(kAggSql, ConfigOptions(cfg, false));  // warm plan cache
 
-  // Leader: slow network (so the follower joins), then a permanent
-  // bulkcopy failure — the flight must fail, the follower must re-lead.
-  QueryOptions leader_options = ConfigOptions(cfg, true);
+  // Leader: slow network (so the follower blocks on its flight), then a
+  // permanent bulkcopy failure — the flight must fail, the follower must
+  // re-lead. Both faults are armed process-wide: a query-scoped spec
+  // (QueryOptions::faults with query 1) stops matching once the follower's
+  // query begins, so the leader could finish before its fault fired. While
+  // the follower waits only the leader moves data, so the delay slows only
+  // the leader, and the one-shot failure, armed once the follower waits,
+  // can only hit the leader.
+  FaultRegistry& faults = FaultRegistry::Global();
   FaultSpec slow;
   slow.point = "dms.network";
-  slow.query = 1;
   slow.count = -1;
   slow.kind = FaultKind::kDelay;
-  slow.delay_seconds = 0.05;
-  FaultSpec boom;
-  boom.point = "dms.bulkcopy";
-  boom.query = 1;
-  boom.count = -1;
-  boom.kind = FaultKind::kPermanentError;
-  leader_options.execute.faults = {slow, boom};
+  slow.delay_seconds = 0.1;
+  uint64_t slow_token = faults.Arm({slow});
 
   uint64_t failed_flights_before =
       appliance_->shared_steps().stats().failed_flights;
   Result<ApplianceResult> leader_result = Status::Internal("not run");
   std::thread leader([&] {
-    leader_result = session_->Run(kAggSql, leader_options);
+    leader_result = session_->Run(kAggSql, ConfigOptions(cfg, true));
   });
   ASSERT_TRUE(WaitForRegistryEntry("executing"));
-  auto follower_result =
-      session_->Run(kAggSqlOrdered, ConfigOptions(cfg, true));
+  Result<ApplianceResult> follower_result = Status::Internal("not run");
+  std::thread follower([&] {
+    follower_result = session_->Run(kAggSqlOrdered, ConfigOptions(cfg, true));
+  });
+  bool follower_waited = WaitForRegistryEntry("executing", 1);
+  FaultSpec boom;
+  boom.point = "dms.bulkcopy";
+  boom.count = 1;
+  boom.kind = FaultKind::kPermanentError;
+  uint64_t boom_token = faults.Arm({boom});
   leader.join();
+  faults.Disarm(slow_token);
+  follower.join();
+  faults.Disarm(boom_token);
 
+  EXPECT_TRUE(follower_waited) << "follower never blocked on the leader";
   EXPECT_FALSE(leader_result.ok()) << "permanent fault must fail the leader";
   ASSERT_TRUE(follower_result.ok())
       << "released follower must execute independently: "
@@ -385,7 +389,7 @@ TEST_F(SharedStepTest, FaultedLeaderReleasesFollowers) {
 }
 
 TEST_F(SharedStepTest, CancelledLeaderReleasesFollowers) {
-  const EngineCodec& cfg = kConfigs[0];
+  const EngineConfig& cfg = kConfigs[0];
   // Distinct marker literal so FindRunningQuery targets the leader only.
   const std::string leader_sql = std::string(kAggSql) + " ORDER BY cnt";
   auto base_a = session_->Run(leader_sql, ConfigOptions(cfg, false));
@@ -428,7 +432,7 @@ TEST_F(SharedStepTest, CancelledLeaderReleasesFollowers) {
 }
 
 TEST_F(SharedStepTest, TransientLeaderRetryStillPublishes) {
-  const EngineCodec& cfg = kConfigs[0];
+  const EngineConfig& cfg = kConfigs[0];
   auto isolated = session_->Run(kUnionSql, ConfigOptions(cfg, false));
   ASSERT_TRUE(isolated.ok());
 
@@ -501,7 +505,7 @@ TEST_F(SharedStepTest, SharedStepsDmvIsQueryable) {
 }
 
 /// Seeded N-thread storm of overlapping, non-identical TPC-H subqueries,
-/// swept across both engines × both DMS codecs: every result must be
+/// swept across both engines: every result must be
 /// byte-identical to its isolated (share-off) baseline, at least one
 /// shared execution must happen per config, and nothing may leak.
 TEST_F(SharedStepTest, SeededStormMatchesIsolatedExecution) {
@@ -517,7 +521,7 @@ TEST_F(SharedStepTest, SeededStormMatchesIsolatedExecution) {
       "WHERE c_custkey = o_custkey AND c_nationkey > 3 GROUP BY c_nationkey "
       "ORDER BY cnt, c_nationkey",
   };
-  for (const EngineCodec& cfg : kConfigs) {
+  for (const EngineConfig& cfg : kConfigs) {
     // Isolated baselines, share off.
     std::vector<RowVector> baselines;
     for (const std::string& sql : workload) {
