@@ -1,10 +1,7 @@
-// Compile-time scaling of the parallel optimizer (PR: multi-threaded memo
-// enumeration with beam fallback). Two result tables:
+// Compile-time scaling of the memo optimizer. Two result tables:
 //
-//  SCALE — full-DP join enumeration on star/chain/clique stress queries,
-//  compile time vs PDW_OPT_THREADS and the speedup over the serial run.
-//  The memo is byte-identical at every thread count (asserted here too),
-//  so the speedup is free: same plan, less wall clock.
+//  SCALE — full-DP join enumeration on star/chain/clique stress queries:
+//  compile time with the relation cap and expression budget lifted.
 //
 //  BEAM — graduated degradation on 10–25-relation queries with stock
 //  knobs: beam compile time, and where full DP is still feasible, the
@@ -28,19 +25,16 @@ namespace pdw {
 namespace {
 
 constexpr int kReps = 3;
-const int kThreadCounts[] = {1, 2, 4, 8};
 
-MemoOptions FullDpOptions(int threads) {
+MemoOptions FullDpOptions() {
   MemoOptions opts;
   opts.max_dp_relations = 18;
   opts.expr_budget = 20'000'000;
-  opts.opt_threads = threads;
   return opts;
 }
 
 double BestCompileMs(const JoinStressQuery& q, const MemoOptions& opts,
-                     std::string* memo_text = nullptr, double* cost = nullptr,
-                     bool* beam_used = nullptr) {
+                     double* cost = nullptr, bool* beam_used = nullptr) {
   double best = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     Result<CompilationResult> r(Status::Internal("not compiled"));
@@ -51,10 +45,9 @@ double BestCompileMs(const JoinStressQuery& q, const MemoOptions& opts,
     }
     best = std::min(best, ms);
     if (rep == 0) {
-      if (memo_text != nullptr) *memo_text = r->memo->ToString();
       if (beam_used != nullptr) *beam_used = r->memo->beam_used();
       if (cost != nullptr) {
-        auto plan = ExtractBestSerialPlan(r->memo.get(), opts.opt_threads);
+        auto plan = ExtractBestSerialPlan(r->memo.get());
         *cost = plan.ok() ? SerialWinnerCost(r->memo.get(), r->memo->root())
                           : -1;
       }
@@ -66,7 +59,7 @@ double BestCompileMs(const JoinStressQuery& q, const MemoOptions& opts,
 struct ScaleRow {
   JoinStressShape shape;
   int relations;
-  double ms_by_threads[4];
+  double compile_ms = 0;
 };
 
 struct BeamRow {
@@ -80,36 +73,21 @@ struct BeamRow {
 };
 
 void Run(bool json_enabled, const std::string& json_path) {
-  bench::Header("OPT-SCALE: parallel memo enumeration, full DP");
-  std::printf("%-8s %4s | %10s %10s %10s %10s | %8s\n", "shape", "rels",
-              "1 thr ms", "2 thr ms", "4 thr ms", "8 thr ms", "speedup");
+  bench::Header("OPT-SCALE: memo enumeration, full DP");
+  std::printf("%-8s %4s | %10s\n", "shape", "rels", "compile ms");
 
   const ScaleRow scale_cases[] = {
-      {JoinStressShape::kChain, 18, {}},
-      {JoinStressShape::kStar, 15, {}},
-      {JoinStressShape::kClique, 12, {}},
+      {JoinStressShape::kChain, 18},
+      {JoinStressShape::kStar, 15},
+      {JoinStressShape::kClique, 12},
   };
   std::vector<ScaleRow> scale;
   for (ScaleRow row : scale_cases) {
     JoinStressQuery q =
         MakeJoinStressQuery({row.shape, row.relations, /*seed=*/42});
-    std::string serial_memo;
-    for (size_t t = 0; t < 4; ++t) {
-      std::string memo_text;
-      row.ms_by_threads[t] =
-          BestCompileMs(q, FullDpOptions(kThreadCounts[t]), &memo_text);
-      if (t == 0) {
-        serial_memo = std::move(memo_text);
-      } else if (memo_text != serial_memo) {
-        std::fprintf(stderr, "memo diverged at %d threads!\n", kThreadCounts[t]);
-        std::abort();
-      }
-    }
-    double speedup = row.ms_by_threads[0] / row.ms_by_threads[3];
-    std::printf("%-8s %4d | %10.2f %10.2f %10.2f %10.2f | %7.2fx\n",
-                JoinStressShapeName(row.shape), row.relations,
-                row.ms_by_threads[0], row.ms_by_threads[1],
-                row.ms_by_threads[2], row.ms_by_threads[3], speedup);
+    row.compile_ms = BestCompileMs(q, FullDpOptions());
+    std::printf("%-8s %4d | %10.2f\n", JoinStressShapeName(row.shape),
+                row.relations, row.compile_ms);
     scale.push_back(row);
   }
 
@@ -144,11 +122,9 @@ void Run(bool json_enabled, const std::string& json_path) {
     JoinStressQuery q =
         MakeJoinStressQuery({row.shape, row.relations, /*seed=*/42});
     MemoOptions stock;  // max_dp_relations 9 => every case takes the beam
-    stock.opt_threads = 8;
-    row.beam_ms = BestCompileMs(q, stock, nullptr, &row.beam_cost,
-                                &row.beam_used);
+    row.beam_ms = BestCompileMs(q, stock, &row.beam_cost, &row.beam_used);
     if (full_dp_feasible(row)) {
-      row.full_ms = BestCompileMs(q, FullDpOptions(8), nullptr, &row.full_cost);
+      row.full_ms = BestCompileMs(q, FullDpOptions(), &row.full_cost);
     }
     if (row.full_ms >= 0) {
       std::printf("%-8s %4d | %10.2f %12.4g | %10.2f %12.4g | %+.1f%%%s\n",
@@ -165,17 +141,13 @@ void Run(bool json_enabled, const std::string& json_path) {
   }
 
   if (!json_enabled) return;
-  std::string out = "{\"bench\":\"optimizer_scaling\",\"threads\":[1,2,4,8]";
-  out += ",\"full_dp\":[";
+  std::string out = "{\"bench\":\"optimizer_scaling\",\"full_dp\":[";
   for (size_t i = 0; i < scale.size(); ++i) {
     const ScaleRow& r = scale[i];
     if (i > 0) out += ",";
     out += StringFormat(
-        "{\"shape\":\"%s\",\"relations\":%d,\"compile_ms\":[%.3f,%.3f,%.3f,"
-        "%.3f],\"speedup_8t\":%.3f}",
-        JoinStressShapeName(r.shape), r.relations, r.ms_by_threads[0],
-        r.ms_by_threads[1], r.ms_by_threads[2], r.ms_by_threads[3],
-        r.ms_by_threads[0] / r.ms_by_threads[3]);
+        "{\"shape\":\"%s\",\"relations\":%d,\"compile_ms\":%.3f}",
+        JoinStressShapeName(r.shape), r.relations, r.compile_ms);
   }
   out += "],\"beam\":[";
   for (size_t i = 0; i < beam.size(); ++i) {

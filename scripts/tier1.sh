@@ -18,7 +18,8 @@ python3 perfbench/run.py --self-test
 # The parallel execution engine, plan cache, and the pipelined DMS
 # (bounded queues + push-with-help backpressure + concurrent sessions
 # moving data through the same pool) are the racy surfaces; run their
-# tests instrumented. TSAN_OPTIONS halts on the first report.
+# tests instrumented. concurrency_test's session storm also compiles every
+# step on every node concurrently. TSAN_OPTIONS halts on the first report.
 cmake -B build-tsan -S . -DPDW_SANITIZE=thread
 cmake --build build-tsan -j --target concurrency_test dms_pipeline_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
@@ -32,18 +33,11 @@ cmake --build build-tsan -j --target dmv_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dmv_test
 
 # Workload leg: admission control (slot handoff, priority queue, overload
-# fast-fail), result-cache coalescing (leader/follower wakeups), and
-# cooperative cancellation racing queued and mid-DMS queries — all
-# lock/condvar surfaces, so they run instrumented.
+# fast-fail), result-cache coalescing (leader/follower wakeups, follower
+# cancel), and cooperative cancellation racing queued and mid-DMS queries —
+# all lock/condvar surfaces, so they run instrumented.
 cmake --build build-tsan -j --target workload_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test
-
-# Parallel-optimizer leg: multi-threaded memo enumeration and the
-# level-ordered cost sweeps must stay byte-identical to serial under TSan
-# (the determinism proof doubles as a race detector: any unsynchronized
-# write to the shared memo shows up as a report or a diff).
-cmake --build build-tsan -j --target optimizer_parallel_test
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/optimizer_parallel_test
 
 # The vectorized batch engine (the default) owns raw selection-vector /
 # hash-table indexing; run the whole suite through it under

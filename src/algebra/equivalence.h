@@ -32,10 +32,9 @@ class ColumnEquivalence {
   std::vector<std::set<ColumnId>> NonTrivialClasses() const;
 
  private:
-  /// Read-only root walk. Deliberately no path compression: const lookups
-  /// run concurrently from the parallel memo expansion, so they must not
-  /// mutate shared state. AddEquality (single-threaded build phase)
-  /// compresses instead.
+  /// Read-only root walk: const lookups never mutate, so a built
+  /// equivalence can be read from any thread. AddEquality (the build
+  /// phase) compresses instead.
   ColumnId FindRoot(ColumnId id) const;
   /// Root walk with path compression, for use during construction only.
   ColumnId FindRootCompress(ColumnId id);

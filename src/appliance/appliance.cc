@@ -247,11 +247,6 @@ void InstallObsHooks() {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       reg.SetGauge("pool.queue_depth", static_cast<double>(queue_depth));
       reg.SetGauge("pool.active_workers", static_cast<double>(active));
-      ThreadPool& pool = ThreadPool::Global();
-      reg.SetGauge("pool.nested_depth",
-                   static_cast<double>(pool.max_nesting_depth()));
-      reg.SetGauge("pool.nested_serial_fallbacks",
-                   static_cast<double>(pool.nested_serial_fallbacks()));
     });
     fault::FaultRegistry::Global().SetMetricsHook(
         [](const std::string& point, fault::FaultKind kind) {
@@ -897,8 +892,10 @@ Status Appliance::Cancel(uint64_t query_id) {
   flag->store(true);
   // Wake admission-queue waiters so a queued (not yet executing) query
   // observes the flag immediately instead of after getting a slot, and
-  // shared-step followers so a cancelled one abandons its leader wait.
+  // result-cache and shared-step followers so a cancelled one abandons its
+  // leader wait.
   workload_.Poke();
+  result_cache_.Poke();
   shared_steps_.Poke();
   return Status::OK();
 }
@@ -1001,8 +998,11 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     rc_normalized = NormalizeSqlForPlanCache(sql);
     rc_fingerprint = FingerprintCompilerOptions(options.compile.compiler);
     bool coalesced = false;
-    if (auto hit = result_cache_.LookupOrJoin(rc_normalized, rc_fingerprint,
-                                              &coalesced)) {
+    PDW_ASSIGN_OR_RETURN(std::optional<CachedQueryResult> hit,
+                         result_cache_.LookupOrJoin(rc_normalized,
+                                                    rc_fingerprint, &coalesced,
+                                                    cancel));
+    if (hit) {
       requests_.MarkResultCacheHit(query_id);
       ApplianceResult result;
       result.column_names = std::move(hit->column_names);

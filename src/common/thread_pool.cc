@@ -8,21 +8,11 @@
 
 namespace pdw {
 
-namespace {
-/// ParallelFor nesting depth of the current thread. Pool workers start at
-/// 0 and adopt a batch's depth while draining it, so nesting is tracked
-/// across the enqueue boundary, not just down the caller's stack.
-thread_local int tls_nesting_depth = 0;
-}  // namespace
-
-int ThreadPool::nesting_depth() { return tls_nesting_depth; }
-
 /// Shared state of one ParallelFor call. Indices are claimed from `next`;
 /// `done` counts finished calls so the owner can wait for claimed-but-
 /// unfinished work even after the index space is exhausted.
 struct ThreadPool::Batch {
   int n = 0;
-  int depth = 0;  ///< Nesting depth the batch's fn runs at.
   std::atomic<int> next{0};
   std::atomic<int> done{0};
   const std::function<void(int)>* fn = nullptr;
@@ -31,8 +21,6 @@ struct ThreadPool::Batch {
 
   /// Claims and runs indices until none remain; returns how many it ran.
   int Drain() {
-    int saved_depth = tls_nesting_depth;
-    tls_nesting_depth = depth;
     int ran = 0;
     for (;;) {
       int i = next.fetch_add(1, std::memory_order_relaxed);
@@ -44,7 +32,6 @@ struct ThreadPool::Batch {
         cv.notify_all();
       }
     }
-    tls_nesting_depth = saved_depth;
     return ran;
   }
 };
@@ -123,28 +110,14 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
                              int max_parallelism) {
   if (n <= 0) return;
-  const int depth = tls_nesting_depth + 1;
-  int prev_max = max_nesting_depth_.load(std::memory_order_relaxed);
-  while (prev_max < depth &&
-         !max_nesting_depth_.compare_exchange_weak(prev_max, depth,
-                                                   std::memory_order_relaxed)) {
-  }
   int cap = max_parallelism > 0 ? max_parallelism : size() + 1;
-  if (depth > kMaxNestingDepth) {
-    nested_serial_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    cap = 1;
-  }
   if (n == 1 || cap <= 1) {
-    int saved_depth = tls_nesting_depth;
-    tls_nesting_depth = depth;
     for (int i = 0; i < n; ++i) fn(i);
-    tls_nesting_depth = saved_depth;
     return;
   }
 
   auto batch = std::make_shared<Batch>();
   batch->n = n;
-  batch->depth = depth;
   batch->fn = &fn;
 
   // One helper per index beyond the caller, bounded by the cap and the

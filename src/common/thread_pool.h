@@ -50,25 +50,6 @@ class ThreadPool {
     return tasks_executed_.load(std::memory_order_relaxed);
   }
 
-  /// ParallelFor batches nested deeper than this run inline on the caller
-  /// instead of enqueuing helpers: each nesting level multiplies the
-  /// enqueued-helper fan-out, and a deep stack of them (optimizer inside
-  /// executor inside a concurrent-compile storm) floods the queue with
-  /// helpers that find nothing to claim.
-  static constexpr int kMaxNestingDepth = 4;
-
-  /// ParallelFor nesting depth of the calling thread (0 = outside any
-  /// batch; helpers run at the depth of the ParallelFor that spawned them).
-  static int nesting_depth();
-  /// Batches that ran inline because kMaxNestingDepth was exceeded.
-  uint64_t nested_serial_fallbacks() const {
-    return nested_serial_fallbacks_.load(std::memory_order_relaxed);
-  }
-  /// High-water nesting depth observed across all threads.
-  int max_nesting_depth() const {
-    return max_nesting_depth_.load(std::memory_order_relaxed);
-  }
-
   /// Installs a metrics hook called as hook(queue_depth, active_workers)
   /// whenever a task starts or finishes. Pass nullptr to clear. The hook
   /// must be thread-safe; installation is not synchronized with running
@@ -100,8 +81,6 @@ class ThreadPool {
   std::atomic<int> queue_depth_{0};
   std::atomic<int> active_{0};
   std::atomic<uint64_t> tasks_executed_{0};
-  std::atomic<uint64_t> nested_serial_fallbacks_{0};
-  std::atomic<int> max_nesting_depth_{0};
   std::function<void(int, int)> metrics_hook_;
   std::mutex hook_mu_;
 };

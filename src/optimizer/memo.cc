@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <thread>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace pdw {
-
-int ResolveOptThreads(int opt_threads) {
-  if (opt_threads >= 1) return opt_threads;
-  if (const char* env = std::getenv("PDW_OPT_THREADS")) {
-    int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  // CPU-bound work: one claimer per core. The executor pool oversubscribes
-  // cores on purpose (its tasks block on modeled dispatch latency); letting
-  // the optimizer do the same just adds contention — most visibly on a
-  // single-core host, where this default collapses to serial inline.
-  int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw >= 1 ? hw : 1;
-}
 
 int ResolveBeamWidth(int beam_width) {
   if (beam_width >= 0) return beam_width;
@@ -77,13 +61,6 @@ GroupId Memo::NewGroup(std::vector<ColumnBinding> output, double cardinality,
 GroupId Memo::AddExpr(LogicalOpPtr payload, std::vector<GroupId> children,
                       GroupId target_group) {
   size_t fp = ExprFingerprint(*payload, children);
-  return AddExprWithFingerprint(std::move(payload), std::move(children), fp,
-                                target_group);
-}
-
-GroupId Memo::AddExprWithFingerprint(LogicalOpPtr payload,
-                                     std::vector<GroupId> children, size_t fp,
-                                     GroupId target_group) {
   {
     auto [lo, hi] = expr_index_.equal_range(fp);
     for (auto it = lo; it != hi; ++it) {
@@ -366,53 +343,19 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
 
   const uint32_t full = n >= 32 ? 0xffffffffu : (1u << n) - 1;
   bool graph_connected = connected(full);
-  const int threads = ResolveOptThreads(options_.opt_threads);
-  ThreadPool& pool = ThreadPool::Global();
 
   // Decide full DP vs. degraded enumeration (the "timeout" fallback).
   bool full_dp = options_.enumerate_joins && n < 32 &&
                  n <= options_.max_dp_relations && graph_connected;
   // level_masks[s]: connected masks of popcount s, ascending — the DP
-  // levels. Enumerated in parallel chunks merged in chunk order, which is
-  // ascending-mask order, so the levels are independent of thread count.
+  // levels.
   std::vector<std::vector<uint32_t>> level_masks;
   if (full_dp) {
     level_masks.assign(static_cast<size_t>(n) + 1, {});
-    constexpr uint64_t kChunk = 4096;
-    const uint64_t total = static_cast<uint64_t>(full);  // masks 1..full
-    if (threads != 1 && total >= 2 * kChunk) {
-      const uint64_t num_chunks = (total + kChunk - 1) / kChunk;
-      std::vector<std::vector<std::vector<uint32_t>>> chunk_levels(
-          static_cast<size_t>(num_chunks));
-      pool.ParallelFor(
-          static_cast<int>(num_chunks),
-          [&](int ci) {
-            auto& lv = chunk_levels[static_cast<size_t>(ci)];
-            lv.assign(static_cast<size_t>(n) + 1, {});
-            const uint64_t lo = 1 + static_cast<uint64_t>(ci) * kChunk;
-            const uint64_t hi = std::min(total, lo + kChunk - 1);
-            for (uint64_t m = lo; m <= hi; ++m) {
-              uint32_t mask = static_cast<uint32_t>(m);
-              int size = Popcount(mask);
-              if (size >= 2 && connected(mask)) {
-                lv[static_cast<size_t>(size)].push_back(mask);
-              }
-            }
-          },
-          threads);
-      for (auto& lv : chunk_levels) {
-        for (int s = 2; s <= n; ++s) {
-          auto& dst = level_masks[static_cast<size_t>(s)];
-          auto& src = lv[static_cast<size_t>(s)];
-          dst.insert(dst.end(), src.begin(), src.end());
-        }
-      }
-    } else {
-      for (uint32_t mask = 1; mask <= full; ++mask) {
-        int size = Popcount(mask);
-        if (size >= 2 && connected(mask)) {
-          level_masks[static_cast<size_t>(size)].push_back(mask);
-        }
+    for (uint32_t mask = 1; mask <= full; ++mask) {
+      int size = Popcount(mask);
+      if (size >= 2 && connected(mask)) {
+        level_masks[static_cast<size_t>(size)].push_back(mask);
       }
     }
     // Rough bound: each subset contributes ~2*size split expressions.
@@ -460,74 +403,27 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
     for (int i = 0; i < n; ++i) {
       subset_store(1u << i, leaves[static_cast<size_t>(i)].gid);
     }
-    // One DP level per subset size. Within a level no subset depends on
-    // another, so the expansion — properties, splits, fingerprints; all
-    // pure reads of lower levels' subset_group entries — fans out across
-    // the pool. The commit then replays the expansions serially in
-    // ascending-mask order, mutating groups_/expr_index_/num_exprs_ in
-    // exactly the serial DP's order, which keeps the memo byte-identical
-    // at every thread count.
-    struct SplitPlan {
-      LogicalOpPtr payload;
-      GroupId left = kInvalidGroupId;
-      GroupId right = kInvalidGroupId;
-      size_t fp = 0;
-    };
-    struct MaskPlan {
-      uint32_t mask = 0;
-      double card = 0;
-      double row_width = 0;
-      std::vector<ColumnBinding> output;
-      std::vector<SplitPlan> splits;
-    };
+    // Bottom-up by subset size, each level in ascending-mask order: every
+    // split of a subset is a pair of smaller subsets, so both halves are
+    // already committed when the subset's group is built.
     for (int size = 2; size <= n; ++size) {
-      const std::vector<uint32_t>& masks =
-          level_masks[static_cast<size_t>(size)];
-      if (masks.empty()) continue;
-      std::vector<MaskPlan> plans(masks.size());
-      // Small levels are not worth the fan-out (~masks * 2^size split work).
-      int par =
-          (static_cast<uint64_t>(masks.size()) << size) < 4096 ? 1 : threads;
-      pool.ParallelFor(
-          static_cast<int>(masks.size()),
-          [&](int mi) {
-            const uint32_t mask = masks[static_cast<size_t>(mi)];
-            MaskPlan& p = plans[static_cast<size_t>(mi)];
-            p.mask = mask;
-            p.card = subset_cardinality(mask);
-            p.output = subset_output(mask);
-            p.row_width = estimator_->RowWidth(p.output);
-            // All splits (both orders arise as (L,R) and (R,L)).
-            for (uint32_t l = (mask - 1) & mask; l != 0; l = (l - 1) & mask) {
-              uint32_t r = mask ^ l;
-              GroupId gl = subset_lookup(l);
-              GroupId gr = subset_lookup(r);
-              if (gl == kInvalidGroupId || gr == kInvalidGroupId) continue;
-              std::vector<ScalarExprPtr> conds = split_conditions(l, r);
-              if (conds.empty()) continue;  // connected mask => no cross needed
-              SplitPlan sp;
-              sp.payload = std::make_shared<LogicalJoin>(
-                  LogicalJoinType::kInner, std::move(conds), nullptr, nullptr);
-              sp.left = gl;
-              sp.right = gr;
-              sp.fp = ExprFingerprint(*sp.payload, {sp.left, sp.right});
-              p.splits.push_back(std::move(sp));
-            }
-          },
-          par);
-      // One rehash for the whole level instead of amortized growth during
-      // the serial commit (rehashing 100k+ expression entries mid-commit
-      // is a measurable chunk of large-star compile time).
-      size_t level_exprs = 0;
-      for (const MaskPlan& p : plans) level_exprs += p.splits.size();
-      expr_index_.reserve(expr_index_.size() + level_exprs);
-      for (MaskPlan& p : plans) {
-        GroupId gid = NewGroup(std::move(p.output), p.card, 0);
-        mutable_group(gid).row_width = p.row_width;
-        subset_store(p.mask, gid);
-        for (SplitPlan& sp : p.splits) {
-          AddExprWithFingerprint(std::move(sp.payload), {sp.left, sp.right},
-                                 sp.fp, gid);
+      for (uint32_t mask : level_masks[static_cast<size_t>(size)]) {
+        GroupId gid =
+            NewGroup(subset_output(mask), subset_cardinality(mask), 0);
+        mutable_group(gid).row_width = estimator_->RowWidth(group(gid).output);
+        subset_store(mask, gid);
+        // All splits (both orders arise as (L,R) and (R,L)).
+        for (uint32_t l = (mask - 1) & mask; l != 0; l = (l - 1) & mask) {
+          uint32_t r = mask ^ l;
+          GroupId gl = subset_lookup(l);
+          GroupId gr = subset_lookup(r);
+          if (gl == kInvalidGroupId || gr == kInvalidGroupId) continue;
+          std::vector<ScalarExprPtr> conds = split_conditions(l, r);
+          if (conds.empty()) continue;  // connected mask => no cross needed
+          AddExpr(std::make_shared<LogicalJoin>(LogicalJoinType::kInner,
+                                                std::move(conds), nullptr,
+                                                nullptr),
+                  {gl, gr}, gid);
         }
       }
     }
@@ -643,10 +539,8 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
     // Budget-bounded beam search over the DP levels: keep the top-k
     // cheapest connected subsets per level instead of abandoning
     // enumeration entirely (the graduated replacement for the old
-    // all-or-nothing cliff). Deterministic by construction — candidate
-    // generation fans out over the pool but merges in task order, and
-    // ranking ties break on the mask — so the memo is identical at every
-    // thread count.
+    // all-or-nothing cliff). Ranking ties break on the mask, so the memo
+    // is deterministic.
     int k = std::min(
         beam, std::max(2, options_.expr_budget / std::max(1, 2 * n * n)));
     constexpr size_t kMaxSplitsPerSubset = 8;
@@ -679,34 +573,20 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
     bool beam_failed = false;
     for (int s = 2; s <= n && !beam_failed; ++s) {
       // Candidates: disjoint survivor pairs from levels (i, s-i) joined by
-      // at least one conjunct. One task per left survivor.
-      std::vector<std::pair<int, size_t>> tasks;
-      for (int i = 1; i * 2 <= s; ++i) {
-        for (size_t ai = 0; ai < surv[static_cast<size_t>(i)].size(); ++ai) {
-          tasks.emplace_back(i, ai);
-        }
-      }
-      std::vector<std::vector<BeamPair>> task_pairs(tasks.size());
-      pool.ParallelFor(
-          static_cast<int>(tasks.size()),
-          [&](int ti) {
-            auto [i, ai] = tasks[static_cast<size_t>(ti)];
-            uint32_t a = surv[static_cast<size_t>(i)][ai];
-            auto& out = task_pairs[static_cast<size_t>(ti)];
-            for (uint32_t b : surv[static_cast<size_t>(s - i)]) {
-              if (i * 2 == s && b <= a) continue;  // unordered pair once
-              if ((a & b) != 0) continue;
-              std::vector<ScalarExprPtr> conds = split_conditions(a, b);
-              if (conds.empty()) continue;
-              out.push_back(BeamPair{a, b, std::move(conds)});
-            }
-          },
-          threads);
+      // at least one conjunct.
       std::map<uint32_t, std::vector<BeamPair>> cands;
-      for (auto& tp : task_pairs) {
-        for (BeamPair& p : tp) {
-          std::vector<BeamPair>& v = cands[p.a | p.b];
-          if (v.size() < kMaxSplitsPerSubset) v.push_back(std::move(p));
+      for (int i = 1; i * 2 <= s; ++i) {
+        for (uint32_t a : surv[static_cast<size_t>(i)]) {
+          for (uint32_t b : surv[static_cast<size_t>(s - i)]) {
+            if (i * 2 == s && b <= a) continue;  // unordered pair once
+            if ((a & b) != 0) continue;
+            std::vector<ScalarExprPtr> conds = split_conditions(a, b);
+            if (conds.empty()) continue;
+            std::vector<BeamPair>& v = cands[a | b];
+            if (v.size() < kMaxSplitsPerSubset) {
+              v.push_back(BeamPair{a, b, std::move(conds)});
+            }
+          }
         }
       }
       if (cands.empty()) {
@@ -877,65 +757,6 @@ std::string Memo::ToString() const {
     }
   }
   return out;
-}
-
-Result<std::vector<std::vector<GroupId>>> MemoLevels(const Memo& memo,
-                                                     GroupId root) {
-  if (root == kInvalidGroupId || root >= memo.num_groups()) {
-    return Status::Internal("MemoLevels: invalid root group");
-  }
-  // Longest-path level of every reachable group via iterative DFS.
-  // state: 0 = unvisited, 1 = on stack (in progress), 2 = done.
-  std::vector<int8_t> state(static_cast<size_t>(memo.num_groups()), 0);
-  std::vector<int> level(static_cast<size_t>(memo.num_groups()), -1);
-  std::vector<std::pair<GroupId, size_t>> stack;  // (group, child cursor)
-  stack.emplace_back(root, 0);
-  state[static_cast<size_t>(root)] = 1;
-  auto children_of = [&memo](GroupId gid) {
-    std::vector<GroupId> out;
-    for (const GroupExpr& e : memo.group(gid).exprs) {
-      for (GroupId c : e.children) {
-        // Self-children arise from in-group alternatives (e.g. the
-        // semi-join rewrite's project back into its own group); the winner
-        // passes skip those expressions, so the level order does too.
-        if (c != gid) out.push_back(c);
-      }
-    }
-    return out;
-  };
-  std::vector<std::vector<GroupId>> adj(static_cast<size_t>(memo.num_groups()));
-  adj[static_cast<size_t>(root)] = children_of(root);
-  while (!stack.empty()) {
-    auto& [gid, cursor] = stack.back();
-    const auto& kids = adj[static_cast<size_t>(gid)];
-    if (cursor < kids.size()) {
-      GroupId c = kids[cursor++];
-      if (state[static_cast<size_t>(c)] == 1) {
-        return Status::Internal("MemoLevels: cross-group cycle in memo");
-      }
-      if (state[static_cast<size_t>(c)] == 0) {
-        state[static_cast<size_t>(c)] = 1;
-        adj[static_cast<size_t>(c)] = children_of(c);
-        stack.emplace_back(c, 0);
-      }
-      continue;
-    }
-    int lv = 0;
-    for (GroupId c : kids) {
-      lv = std::max(lv, level[static_cast<size_t>(c)] + 1);
-    }
-    level[static_cast<size_t>(gid)] = lv;
-    state[static_cast<size_t>(gid)] = 2;
-    stack.pop_back();
-  }
-  int max_level = level[static_cast<size_t>(root)];
-  std::vector<std::vector<GroupId>> levels(static_cast<size_t>(max_level) + 1);
-  for (GroupId g = 0; g < memo.num_groups(); ++g) {
-    if (state[static_cast<size_t>(g)] == 2) {
-      levels[static_cast<size_t>(level[static_cast<size_t>(g)])].push_back(g);
-    }
-  }
-  return levels;
 }
 
 }  // namespace pdw

@@ -55,22 +55,11 @@ struct MemoOptions {
   bool seed_distribution_aware = true;
   bool enable_semijoin_to_join = true;
   bool enumerate_joins = true;  ///< false = keep the input join order only.
-  /// Threads fanning out the join-order DP (and the downstream cost
-  /// sweeps). -1 = PDW_OPT_THREADS env, else one per hardware core;
-  /// 1 = serial. The memo produced is byte-identical at every setting.
-  int opt_threads = -1;
   /// Beam width of the degraded enumeration (top-K cheapest connected
   /// subsets kept per DP level). -1 = PDW_OPT_BEAM env, else 64;
   /// 0 = disable the beam (legacy left-deep cliff).
   int beam_width = -1;
 };
-
-/// Effective thread cap for optimizer fan-out: `opt_threads` when >= 1,
-/// else PDW_OPT_THREADS when set, else hardware_concurrency. Optimizer
-/// work is CPU-bound, so the default never oversubscribes cores the way
-/// the (dispatch-latency-bound) executor pool deliberately does; on a
-/// single-core host it degrades to serial inline with zero overhead.
-int ResolveOptThreads(int opt_threads);
 
 /// Effective beam width: `beam_width` when >= 0, else PDW_OPT_BEAM when
 /// set, else 64.
@@ -131,11 +120,6 @@ class Memo {
   GroupId InsertTreeInternal(const LogicalOpPtr& op);
   GroupId InsertJoinCluster(const LogicalOpPtr& top);
   void ComputeGroupProperties(Group* g, const GroupExpr& e);
-  /// AddExpr with the fingerprint already computed (the parallel DP hashes
-  /// expressions off the commit thread); semantics identical to AddExpr.
-  GroupId AddExprWithFingerprint(LogicalOpPtr payload,
-                                 std::vector<GroupId> children, size_t fp,
-                                 GroupId target_group);
   void ExploreSemiJoinAlternatives();
 
   const CardinalityEstimator* estimator_;
@@ -148,15 +132,6 @@ class Memo {
   // Dedup: payload+children fingerprint -> (group, expr index).
   std::unordered_multimap<size_t, std::pair<GroupId, int>> expr_index_;
 };
-
-/// Groups reachable from `root`, bucketed by longest-path level over the
-/// memo DAG: every child of a level-L group sits strictly below L, so the
-/// levels can be processed bottom-up with a barrier between them and no
-/// synchronization inside one. Self-referencing children are ignored (the
-/// winner pass skips those expressions anyway). Fails if the reachable
-/// subgraph has a cross-group cycle.
-Result<std::vector<std::vector<GroupId>>> MemoLevels(const Memo& memo,
-                                                     GroupId root);
 
 }  // namespace pdw
 

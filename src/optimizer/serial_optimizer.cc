@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
 
@@ -101,45 +100,6 @@ double ComputeWinner(Memo* memo, GroupId gid) {
   return best;
 }
 
-/// Non-recursive winner computation for the level-ordered sweep: every
-/// child's winner is already final (lower level), so this only reads
-/// sibling groups and writes its own — safe to run one call per group of a
-/// level concurrently. Cost arithmetic and tie-breaks match ComputeWinner
-/// exactly, so the sweep picks identical winners.
-void ComputeWinnerLocal(Memo* memo, GroupId gid) {
-  Group& g = memo->mutable_group(gid);
-  if (g.winner_cost >= 0) return;
-  double best = 1e300;
-  int best_expr = -1;
-  for (size_t i = 0; i < g.exprs.size(); ++i) {
-    const GroupExpr& e = g.exprs[i];
-    double total = LocalSerialCost(*memo, g, e);
-    bool valid = true;
-    for (GroupId c : e.children) {
-      if (c == gid) {
-        valid = false;
-        break;
-      }
-      double child_cost = memo->group(c).winner_cost;
-      if (child_cost < 0 || child_cost >= 1e300) {
-        valid = false;
-        break;
-      }
-      total += child_cost;
-      if (total >= 1e300) {
-        valid = false;
-        break;
-      }
-    }
-    if (valid && total < best) {
-      best = total;
-      best_expr = static_cast<int>(i);
-    }
-  }
-  g.winner_cost = best;
-  g.winner_expr = best_expr;
-}
-
 }  // namespace
 
 PlanNodePtr PlanNodeFromPayload(const LogicalOp& payload,
@@ -229,32 +189,11 @@ double SerialWinnerCost(Memo* memo, GroupId gid) {
   return ComputeWinner(memo, gid);
 }
 
-Result<PlanNodePtr> ExtractBestSerialPlan(Memo* memo, int opt_threads) {
+Result<PlanNodePtr> ExtractBestSerialPlan(Memo* memo) {
   if (memo->root() == kInvalidGroupId) {
     return Status::Internal("memo has no root group");
   }
-  const int threads = ResolveOptThreads(opt_threads);
-  bool swept = false;
-  if (threads != 1) {
-    // Level-ordered parallel sweep: groups of one level have all their
-    // children finalized by the previous levels' barrier, so their winners
-    // compute independently. Falls back to the recursion on level failure
-    // (e.g. an imported memo with a cross-group cycle).
-    Result<std::vector<std::vector<GroupId>>> levels =
-        MemoLevels(*memo, memo->root());
-    if (levels.ok()) {
-      ThreadPool& pool = ThreadPool::Global();
-      for (const std::vector<GroupId>& level : *levels) {
-        pool.ParallelFor(
-            static_cast<int>(level.size()),
-            [&](int i) { ComputeWinnerLocal(memo, level[static_cast<size_t>(i)]); },
-            threads);
-      }
-      swept = true;
-    }
-  }
-  double cost = swept ? memo->group(memo->root()).winner_cost
-                      : ComputeWinner(memo, memo->root());
+  double cost = ComputeWinner(memo, memo->root());
   if (cost >= 1e300 || memo->group(memo->root()).winner_expr < 0) {
     return Status::Internal("no serial plan found in memo");
   }

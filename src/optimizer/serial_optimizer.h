@@ -47,13 +47,7 @@ Result<CompilationResult> CompileSelect(const Catalog& catalog,
 /// (single-node cost model: scans, hash joins, aggregation, sort) and
 /// returns the best serial plan — what a non-PDW SQL Server would run, and
 /// the input to the parallelize-the-serial-plan baseline.
-///
-/// `opt_threads` fans the winner computation out level-by-level over the
-/// memo DAG (see MemoLevels); semantics as MemoOptions::opt_threads. The
-/// chosen winners are identical at every setting — within a group the
-/// expression order fixes the tie-break, and group costs only depend on
-/// lower levels, which are complete before a level starts.
-Result<PlanNodePtr> ExtractBestSerialPlan(Memo* memo, int opt_threads = -1);
+Result<PlanNodePtr> ExtractBestSerialPlan(Memo* memo);
 
 /// Serial cost of one group's winner (computes winners on demand).
 double SerialWinnerCost(Memo* memo, GroupId gid);

@@ -53,11 +53,6 @@ Result<PdwCompilation> CompilePdwQuery(const Catalog& shell_catalog,
     // The old cliff degraded plan quality silently; make it observable.
     obs::MetricsRegistry::Global().Count("optimizer.budget_exhausted");
   }
-  // One thread knob steers the whole pipeline unless the PDW side is
-  // overridden explicitly.
-  if (effective.pdw.opt_threads < 0) {
-    effective.pdw.opt_threads = options.memo.opt_threads;
-  }
 
   // Components 3-4a: XML export and PDW-side memo parse. The PDW optimizer
   // always runs against the *imported* memo so the interface boundary is
@@ -98,8 +93,7 @@ Result<PdwCompilation> CompilePdwQuery(const Catalog& shell_catalog,
     t0 = NowSeconds();
     obs::TraceSpan span("compile.baseline");
     PDW_ASSIGN_OR_RETURN(out.serial_plan,
-                         ExtractBestSerialPlan(out.serial.memo.get(),
-                                               effective.pdw.opt_threads));
+                         ExtractBestSerialPlan(out.serial.memo.get()));
     PDW_ASSIGN_OR_RETURN(
         out.baseline_plan,
         ParallelizeSerialPlan(out.serial_plan->Clone(),

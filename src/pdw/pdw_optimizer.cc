@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "optimizer/serial_optimizer.h"
 
@@ -101,10 +100,10 @@ ColumnId PdwOptimizer::MemberInOutput(GroupId gid, ColumnId rep) const {
 }
 
 bool PdwOptimizer::Consider(GroupId gid, PdwOption option) {
-  considered_.fetch_add(1, std::memory_order_relaxed);
+  ++considered_;
   bool is_enforcer = option.is_enforcer;
   bool is_preagg = option.preagg != nullptr;
-  if (is_preagg) preagg_considered_.fetch_add(1, std::memory_order_relaxed);
+  if (is_preagg) ++preagg_considered_;
   option.prop = option.prop.Canonical(props_.equivalence);
   std::vector<PdwOption>& opts = options_[gid];
   if (opts_.prune) {
@@ -112,24 +111,24 @@ bool PdwOptimizer::Consider(GroupId gid, PdwOption option) {
       if (opts[i].prop == option.prop) {
         if (option.cost < opts[i].cost) {
           opts[i] = std::move(option);
-          if (is_enforcer) enforcers_kept_.fetch_add(1, std::memory_order_relaxed);
-          if (is_preagg) preagg_kept_.fetch_add(1, std::memory_order_relaxed);
+          if (is_enforcer) ++enforcers_kept_;
+          if (is_preagg) ++preagg_kept_;
           return true;
         }
         return false;
       }
     }
     opts.push_back(std::move(option));
-    if (is_enforcer) enforcers_kept_.fetch_add(1, std::memory_order_relaxed);
-    if (is_preagg) preagg_kept_.fetch_add(1, std::memory_order_relaxed);
+    if (is_enforcer) ++enforcers_kept_;
+    if (is_preagg) ++preagg_kept_;
     return true;
   }
   // No pruning (FIG4 ablation): keep every structurally distinct option up
   // to the safety cap.
   if (opts.size() >= opts_.max_options_per_group) return false;
   opts.push_back(std::move(option));
-  if (is_enforcer) enforcers_kept_.fetch_add(1, std::memory_order_relaxed);
-  if (is_preagg) preagg_kept_.fetch_add(1, std::memory_order_relaxed);
+  if (is_enforcer) ++enforcers_kept_;
+  if (is_preagg) ++preagg_kept_;
   return true;
 }
 
@@ -1138,46 +1137,13 @@ Result<PdwPlanResult> PdwOptimizer::Optimize() {
   if (memo_->root() == kInvalidGroupId) {
     return Status::Internal("memo has no root group");
   }
-  const int threads = ResolveOptThreads(opts_.opt_threads);
-  bool swept = false;
-  if (threads != 1) {
-    // Level-ordered parallel sweep: every child of a level-L group lives
-    // strictly below L, so its option table is complete before L starts.
-    // Falls back to the recursion when the memo can't be leveled.
-    Result<std::vector<std::vector<GroupId>>> levels =
-        MemoLevels(*memo_, memo_->root());
-    if (levels.ok()) {
-      // Pre-create every reachable group's table so the map's structure is
-      // frozen during the sweep — Consider then only mutates its own
-      // group's vector, and child lookups are pure reads.
-      for (const std::vector<GroupId>& level : *levels) {
-        for (GroupId gid : level) options_[gid];
-      }
-      ThreadPool& pool = ThreadPool::Global();
-      for (const std::vector<GroupId>& level : *levels) {
-        pool.ParallelFor(
-            static_cast<int>(level.size()),
-            [&](int i) {
-              GroupId gid = level[static_cast<size_t>(i)];
-              const Group& g = memo_->group(gid);
-              for (size_t ei = 0; ei < g.exprs.size(); ++ei) {
-                EnumerateExpr(gid, static_cast<int>(ei));
-              }
-              EnforcerStep(gid);
-            },
-            threads);
-        for (GroupId gid : level) done_.insert(gid);
-      }
-      swept = true;
-    }
-  }
-  if (!swept) OptimizeGroup(memo_->root());
+  OptimizeGroup(memo_->root());
 
   // The final Return operation streams per-node results back to the client
   // (paper §2.3: such queries involve no DMS), so the root may finish under
   // any distribution property; the engine's result assembly merges sorted
   // streams and deduplicates replicated ones.
-  const auto& root_opts = options_.at(memo_->root());
+  const auto& root_opts = options_[memo_->root()];
   double best = kInfiniteCost;
   int best_idx = -1;
   for (size_t i = 0; i < root_opts.size(); ++i) {

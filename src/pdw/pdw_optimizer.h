@@ -1,7 +1,6 @@
 #ifndef PDW_PDW_PDW_OPTIMIZER_H_
 #define PDW_PDW_PDW_OPTIMIZER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <vector>
@@ -91,12 +90,6 @@ struct PdwOptimizerOptions {
   bool relational_costs = false;
   /// Per-byte weight of relational work in the extended model.
   double relational_lambda = 0.4e-8;
-  /// Fans the per-group enumeration out level-by-level over the memo DAG
-  /// (semantics as MemoOptions::opt_threads; -1 = PDW_OPT_THREADS env).
-  /// The option tables — and therefore the plan — are identical at every
-  /// setting: a group's table only depends on its children's completed
-  /// tables, and within a group the expression order is fixed.
-  int opt_threads = -1;
   /// Partial-aggregate pushdown below joins (PR 9): -1 = PDW_OPT_PREAGG
   /// env (default on), 0 = off, 1 = on. Resolved before plan-cache
   /// fingerprinting, like the beam width.
@@ -184,11 +177,10 @@ class PdwOptimizer {
   std::map<GroupId, std::vector<PdwOption>> options_;
   std::set<GroupId> done_;
   std::set<GroupId> in_progress_;
-  // Atomic: bumped from concurrent per-group tasks of the level sweep.
-  std::atomic<size_t> considered_{0};
-  std::atomic<size_t> enforcers_kept_{0};
-  std::atomic<size_t> preagg_considered_{0};
-  std::atomic<size_t> preagg_kept_{0};
+  size_t considered_ = 0;
+  size_t enforcers_kept_ = 0;
+  size_t preagg_considered_ = 0;
+  size_t preagg_kept_ = 0;
 };
 
 }  // namespace pdw

@@ -44,9 +44,7 @@ std::string FingerprintCompilerOptions(const PdwCompilerOptions& o) {
   // %a renders doubles exactly (hex float), so two λ sets that differ in
   // any bit fingerprint differently. The beam width is resolved before
   // fingerprinting because the env default changes the plan shape just like
-  // an explicit option; opt_threads is deliberately excluded — parallel
-  // enumeration is byte-identical to serial, so thread count never changes
-  // the plan.
+  // an explicit option.
   // The preagg switch is resolved like the beam width: the PDW_OPT_PREAGG
   // env default changes the plan shape exactly as the explicit option does,
   // so cached pushed-down plans never serve a pushdown-disabled query (or

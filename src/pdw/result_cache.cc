@@ -29,9 +29,9 @@ std::optional<CachedQueryResult> ResultCache::LookupLocked(
   return it->second->result;
 }
 
-std::optional<CachedQueryResult> ResultCache::LookupOrJoin(
+Result<std::optional<CachedQueryResult>> ResultCache::LookupOrJoin(
     const std::string& normalized_sql, const std::string& options_fingerprint,
-    bool* coalesced) {
+    bool* coalesced, const std::atomic<bool>* cancel) {
   if (coalesced != nullptr) *coalesced = false;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   std::string key = Key(normalized_sql, options_fingerprint);
@@ -49,18 +49,24 @@ std::optional<CachedQueryResult> ResultCache::LookupOrJoin(
       inflight_[key] = std::make_shared<InFlight>();
       ++stats_.misses;
       reg.Count("result_cache.miss");
-      return std::nullopt;
+      return std::optional<CachedQueryResult>();
     }
     // Identical query already executing: wait for its leader instead of
     // running redundantly. The shared_ptr keeps the flight alive across
     // the leader erasing the map entry.
     std::shared_ptr<InFlight> f = flight->second;
-    flight_cv_.wait(lock, [&] { return f->done; });
+    auto cancelled = [cancel] { return cancel != nullptr && cancel->load(); };
+    flight_cv_.wait(lock, [&] { return f->done || cancelled(); });
+    if (cancelled()) {
+      // The flight is the leader's: only its Publish/FailFlight resolves it.
+      return Status::Cancelled(
+          "query cancelled while waiting on an identical in-flight query");
+    }
     if (f->ok) {
       ++stats_.coalesced;
       reg.Count("result_cache.coalesced");
       if (coalesced != nullptr) *coalesced = true;
-      return f->result;
+      return std::optional<CachedQueryResult>(f->result);
     }
     // Leader failed: loop back — the LRU may have been filled meanwhile by
     // a different key variant, or this caller becomes the new leader.
@@ -130,6 +136,11 @@ void ResultCache::FailFlight(const std::string& normalized_sql,
     flight->second->done = true;
     inflight_.erase(flight);
   }
+  flight_cv_.notify_all();
+}
+
+void ResultCache::Poke() {
+  std::lock_guard<std::mutex> lock(mu_);
   flight_cv_.notify_all();
 }
 

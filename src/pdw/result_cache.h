@@ -1,6 +1,7 @@
 #ifndef PDW_PDW_RESULT_CACHE_H_
 #define PDW_PDW_RESULT_CACHE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -50,6 +51,8 @@ struct CachedQueryResult {
 ///    fails, followers are released to retry LookupOrJoin — the first one
 ///    back becomes the new leader, so one cancelled or faulted leader
 ///    never poisons innocent concurrent sessions.
+///  * a follower whose own query is cancelled abandons the wait with
+///    kCancelled (Poke wakes it); the flight stays the leader's to resolve.
 ///
 /// All methods are thread-safe. Counters mirror into the obs metrics
 /// registry as result_cache.* (hit/miss/invalidation/coalesced/...).
@@ -84,10 +87,13 @@ class ResultCache {
   /// leader-published result, or std::nullopt when the caller has become
   /// the leader and owns the execute-then-Publish/FailFlight obligation.
   /// `coalesced` (optional) is set when the result came from waiting on an
-  /// in-flight leader rather than the LRU.
-  std::optional<CachedQueryResult> LookupOrJoin(
+  /// in-flight leader rather than the LRU. `cancel` (optional) makes a
+  /// follower's wait cooperative: once it flips, the call fails with
+  /// kCancelled and the caller owes no Publish/FailFlight.
+  Result<std::optional<CachedQueryResult>> LookupOrJoin(
       const std::string& normalized_sql,
-      const std::string& options_fingerprint, bool* coalesced = nullptr);
+      const std::string& options_fingerprint, bool* coalesced = nullptr,
+      const std::atomic<bool>* cancel = nullptr);
 
   /// Plain lookup with no coalescing side effects (DMV/test use).
   std::optional<CachedQueryResult> Lookup(
@@ -104,6 +110,9 @@ class ResultCache {
   /// as the new leader. The failed execution inserts nothing.
   void FailFlight(const std::string& normalized_sql,
                   const std::string& options_fingerprint);
+
+  /// Wakes all followers to re-check their cancel flags (Appliance::Cancel).
+  void Poke();
 
   void Clear();
   size_t size() const;

@@ -431,6 +431,52 @@ TEST_F(SharedStepTest, CancelledLeaderReleasesFollowers) {
   EXPECT_TRUE(SameRows(base_b->rows, follower_result->rows));
 }
 
+TEST_F(SharedStepTest, CancelledFollowerAbandonsWait) {
+  const EngineConfig& cfg = kConfigs[0];
+  auto base_a = session_->Run(kAggSql, ConfigOptions(cfg, false));
+  ASSERT_TRUE(base_a.ok()) << base_a.status().ToString();
+  (void)session_->Run(kAggSqlOrdered, ConfigOptions(cfg, false));  // warm
+
+  // Leader: process-wide slow network, so the follower blocks on its
+  // flight (the waiting follower moves no data, so only the leader slows).
+  FaultRegistry& faults = FaultRegistry::Global();
+  FaultSpec slow;
+  slow.point = "dms.network";
+  slow.count = -1;
+  slow.kind = FaultKind::kDelay;
+  slow.delay_seconds = 0.1;
+  uint64_t slow_token = faults.Arm({slow});
+
+  uint64_t skips_before = appliance_->shared_steps().stats().cancel_skips;
+  Result<ApplianceResult> leader_result = Status::Internal("not run");
+  std::thread leader([&] {
+    leader_result = session_->Run(kAggSql, ConfigOptions(cfg, true));
+  });
+  bool leader_executing = WaitForRegistryEntry("executing");
+  Result<ApplianceResult> follower_result = Status::Internal("not run");
+  std::thread follower([&] {
+    follower_result = session_->Run(kAggSqlOrdered, ConfigOptions(cfg, true));
+  });
+  bool follower_waited = WaitForRegistryEntry("executing", 1);
+  uint64_t follower_id = FindRunningQuery("order by c_nationkey");
+  Status cancel_status = session_->Cancel(follower_id);
+  follower.join();
+  leader.join();
+  faults.Disarm(slow_token);
+
+  EXPECT_TRUE(leader_executing) << "leader never registered a shared step";
+  EXPECT_TRUE(follower_waited) << "follower never blocked on the leader";
+  ASSERT_NE(follower_id, 0u) << "follower request not visible in the registry";
+  ASSERT_TRUE(cancel_status.ok()) << cancel_status.ToString();
+  EXPECT_EQ(follower_result.status().code(), StatusCode::kCancelled)
+      << follower_result.status().ToString();
+  ASSERT_TRUE(leader_result.ok()) << leader_result.status().ToString();
+  EXPECT_TRUE(SameRows(base_a->rows, leader_result->rows))
+      << "leader result diverged from isolated execution";
+  EXPECT_EQ(appliance_->shared_steps().stats().cancel_skips, skips_before + 1);
+  // TearDown checks the registry drained and no temp table leaked.
+}
+
 TEST_F(SharedStepTest, TransientLeaderRetryStillPublishes) {
   const EngineConfig& cfg = kConfigs[0];
   auto isolated = session_->Run(kUnionSql, ConfigOptions(cfg, false));

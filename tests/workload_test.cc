@@ -1,9 +1,10 @@
 // Workload-management tier: resource-class classification, bounded
 // admission (concurrency caps, FIFO-within-priority, fast-fail overload),
 // the keyed result cache with in-flight coalescing, cooperative
-// cancellation (queued and mid-DMS), and the Session API that fronts it
-// all. Unit tests drive WorkloadManager/ResultCache directly; the
-// appliance tests go through Session::Run end to end.
+// cancellation (queued, mid-DMS, and coalesced result-cache followers),
+// and the Session API that fronts it all. Unit tests drive
+// WorkloadManager/ResultCache directly; the appliance tests go through
+// Session::Run end to end.
 
 #include <gtest/gtest.h>
 
@@ -225,14 +226,16 @@ TEST(ResultCacheTest, FollowerCoalescesOntoLeader) {
   ResultCache cache(8);
   bool leader_coalesced = false;
   auto miss = cache.LookupOrJoin("SELECT 1", "fp", &leader_coalesced);
-  ASSERT_FALSE(miss.has_value());  // we are the leader
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->has_value());  // we are the leader
   EXPECT_FALSE(leader_coalesced);
 
   std::optional<CachedQueryResult> follower_result;
   bool follower_coalesced = false;
   std::thread follower([&] {
     follower_result =
-        cache.LookupOrJoin("SELECT 1", "fp", &follower_coalesced);
+        cache.LookupOrJoin("SELECT 1", "fp", &follower_coalesced)
+            .ValueOrDie();
   });
   // Publish after the follower has had a chance to join the flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -246,18 +249,19 @@ TEST(ResultCacheTest, FollowerCoalescesOntoLeader) {
   EXPECT_EQ(follower_result->rows[0][0].int_value(), 42);
   // Later lookups hit the LRU.
   auto hit = cache.LookupOrJoin("SELECT 1", "fp");
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_TRUE(hit.ok() && hit->has_value());
   EXPECT_GE(cache.stats().hits, 1u);
 }
 
 TEST(ResultCacheTest, FailedLeaderReleasesFollowerToRetry) {
   ResultCache cache(8);
   auto miss = cache.LookupOrJoin("SELECT 2", "fp");
-  ASSERT_FALSE(miss.has_value());
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->has_value());
   std::optional<CachedQueryResult> follower_result{
       CachedQueryResult{}};  // sentinel: must become nullopt (new leader)
   std::thread follower([&] {
-    follower_result = cache.LookupOrJoin("SELECT 2", "fp");
+    follower_result = cache.LookupOrJoin("SELECT 2", "fp").ValueOrDie();
     if (!follower_result.has_value()) {
       // We inherited the leadership; resolve it so nothing dangles.
       cache.FailFlight("SELECT 2", "fp");
@@ -274,7 +278,7 @@ TEST(ResultCacheTest, FailedLeaderReleasesFollowerToRetry) {
 TEST(ResultCacheTest, StaleStatisticsVersionInvalidates) {
   auto versions = std::make_shared<TableVersionTracker>();
   ResultCache cache(8, versions);
-  ASSERT_FALSE(cache.LookupOrJoin("SELECT * FROM t", "fp").has_value());
+  ASSERT_FALSE(cache.LookupOrJoin("SELECT * FROM t", "fp")->has_value());
   CachedQueryResult r;
   r.table_versions = {{"t", versions->Version("t")}};
   cache.Publish("SELECT * FROM t", "fp", r);
@@ -508,6 +512,78 @@ TEST(CancellationTest, CancelWhileQueuedForAdmission) {
   EXPECT_EQ(snap[0].cancelled_total, 1u);
   EXPECT_EQ(snap[0].queued, 0);
   EXPECT_EQ(snap[0].active, 0);
+}
+
+TEST(CancellationTest, CancelReachesResultCacheFollower) {
+  auto appliance = MakeLoadedAppliance(2, 0.02);
+  // Reference rows without the result cache (also warms the plan cache).
+  auto isolated = appliance->Connect().Run(kJoinSql);
+  ASSERT_TRUE(isolated.ok()) << isolated.status().ToString();
+  Session session = appliance->Connect(QueryOptions().WithResultCache());
+  uint64_t coalesced_before = appliance->result_cache().stats().coalesced;
+
+  // Slow every DMS transfer process-wide. While the follower waits on the
+  // result cache it moves no data, so only the leader is slowed.
+  FaultSpec slow;
+  slow.point = "dms.network";
+  slow.count = -1;
+  slow.kind = FaultKind::kDelay;
+  slow.delay_seconds = 0.2;
+  uint64_t slow_token = FaultRegistry::Global().Arm({slow});
+
+  Result<ApplianceResult> leader_result = Status::Internal("not run");
+  std::thread leader([&] { leader_result = session.Run(kJoinSql); });
+  // The leader owns the result-cache flight once it executes.
+  uint64_t leader_id = 0;
+  SpinUntil([&] {
+    for (const auto& req : appliance->requests().Snapshot()) {
+      if (!obs::IsTerminalPhase(req.phase) && req.total_steps > 0) {
+        leader_id = req.query_id;
+        return true;
+      }
+    }
+    return false;
+  });
+
+  Result<ApplianceResult> follower_result = Status::Internal("not run");
+  std::thread follower([&] { follower_result = session.Run(kJoinSql); });
+  uint64_t victim = 0;
+  SpinUntil([&] {
+    for (const auto& req : appliance->requests().Snapshot()) {
+      if (!obs::IsTerminalPhase(req.phase) && req.query_id != leader_id) {
+        victim = req.query_id;
+        return true;
+      }
+    }
+    return false;
+  });
+  Status cancel_status = session.Cancel(victim);
+  follower.join();
+  leader.join();
+  FaultRegistry::Global().Disarm(slow_token);
+
+  ASSERT_NE(leader_id, 0u) << "leader never started executing";
+  ASSERT_NE(victim, 0u) << "follower never became visible in the registry";
+  ASSERT_TRUE(cancel_status.ok()) << cancel_status.ToString();
+  EXPECT_EQ(follower_result.status().code(), StatusCode::kCancelled)
+      << "a cancelled follower must not wait for the leader's result: "
+      << follower_result.status().ToString();
+  ASSERT_TRUE(leader_result.ok()) << leader_result.status().ToString();
+  EXPECT_FALSE(leader_result->result_cache_hit);
+  EXPECT_TRUE(RowSetsEqual(isolated->rows, leader_result->rows));
+  EXPECT_EQ(appliance->result_cache().stats().coalesced, coalesced_before);
+  auto dmv = appliance->Run(
+      "SELECT status FROM sys.dm_pdw_exec_requests WHERE request_id = " +
+      std::to_string(victim));
+  ASSERT_TRUE(dmv.ok()) << dmv.status().ToString();
+  ASSERT_EQ(dmv->rows.size(), 1u);
+  EXPECT_EQ(dmv->rows[0][0].string_value(), "cancelled");
+  // The cancelled follower did not fail the leader's flight: the leader
+  // published, so the next identical query is an LRU hit.
+  auto again = session.Run(kJoinSql);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->result_cache_hit);
+  EXPECT_TRUE(RowSetsEqual(isolated->rows, again->rows));
 }
 
 // --- session API ---
