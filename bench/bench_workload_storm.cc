@@ -43,30 +43,6 @@ const char* kWorkload[] = {
     "WHERE s_nationkey = n_nationkey GROUP BY n_name",
 };
 
-// Overlapping-subquery mix: distinct statements (no result-cache hit is
-// possible) whose plans nevertheless contain fingerprint-equal DSQL steps —
-// the same customer⋈orders and supplier⋈nation shuffles under different
-// final ORDER BYs, plus a self-UNION whose two arms always rendezvous.
-// This is sub-plan sharing's target profile, as the repeated-identical-SQL
-// mix above is the result cache's.
-const char* kOverlapWorkload[] = {
-    "SELECT c_nationkey, COUNT(*) AS cnt FROM customer, orders "
-    "WHERE c_custkey = o_custkey GROUP BY c_nationkey",
-    "SELECT c_nationkey, COUNT(*) AS cnt FROM customer, orders "
-    "WHERE c_custkey = o_custkey GROUP BY c_nationkey ORDER BY c_nationkey",
-    "SELECT c_nationkey, COUNT(*) AS cnt FROM customer, orders "
-    "WHERE c_custkey = o_custkey GROUP BY c_nationkey ORDER BY cnt, "
-    "c_nationkey",
-    "SELECT n_name, COUNT(*) AS c FROM supplier, nation "
-    "WHERE s_nationkey = n_nationkey GROUP BY n_name",
-    "SELECT n_name, COUNT(*) AS c FROM supplier, nation "
-    "WHERE s_nationkey = n_nationkey GROUP BY n_name ORDER BY c, n_name",
-    "SELECT c_nationkey FROM customer, orders WHERE c_custkey = o_custkey "
-    "AND c_nationkey > 5 UNION ALL "
-    "SELECT c_nationkey FROM customer, orders WHERE c_custkey = o_custkey "
-    "AND c_nationkey > 5",
-};
-
 struct StormResult {
   std::string name;
   double seconds = 0;
@@ -77,8 +53,6 @@ struct StormResult {
   int overloaded = 0;
   int errors = 0;
   uint64_t result_cache_hits = 0;  ///< LRU hits + coalesced followers.
-  uint64_t shared_follows = 0;     ///< Steps adopted from another query.
-  double shared_saved_mb = 0;      ///< Network MB those adoptions skipped.
   double moved_mb = 0;             ///< Network MB actually moved.
 };
 
@@ -90,18 +64,10 @@ double Quantile(std::vector<double>* sorted_ms, double q) {
   return (*sorted_ms)[idx];
 }
 
-struct StormConfig {
-  bool use_result_cache = false;
-  bool share_steps = false;
-  const char* const* workload = kWorkload;
-  size_t workload_size = std::size(kWorkload);
-};
-
 StormResult RunStorm(Appliance* appliance, const std::string& name,
-                     const StormConfig& cfg) {
+                     bool use_result_cache) {
   appliance->result_cache().Clear();
   ResultCache::Stats cache_before = appliance->result_cache().stats();
-  SharedStepRegistry::Stats share_before = appliance->shared_steps().stats();
   StormResult out;
   out.name = name;
   std::mutex mu;
@@ -112,17 +78,15 @@ StormResult RunStorm(Appliance* appliance, const std::string& name,
   double t0 = bench::NowSeconds();
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      Session session = appliance->Connect(
-          QueryOptions()
-              .WithResultCache(cfg.use_result_cache)
-              .WithSharedSteps(cfg.share_steps));
+      Session session =
+          appliance->Connect(QueryOptions().WithResultCache(use_result_cache));
       std::vector<double> local_ms;
       local_ms.reserve(kRepsPerThread);
       double local_moved = 0;
       for (int rep = 0; rep < kRepsPerThread; ++rep) {
-        size_t qi = static_cast<size_t>(t * 7 + rep) % cfg.workload_size;
+        size_t qi = static_cast<size_t>(t * 7 + rep) % std::size(kWorkload);
         double q0 = bench::NowSeconds();
-        auto r = session.Run(cfg.workload[qi]);
+        auto r = session.Run(kWorkload[qi]);
         local_ms.push_back((bench::NowSeconds() - q0) * 1e3);
         if (r.ok()) {
           ok.fetch_add(1);
@@ -150,22 +114,17 @@ StormResult RunStorm(Appliance* appliance, const std::string& name,
   ResultCache::Stats cache_after = appliance->result_cache().stats();
   out.result_cache_hits = (cache_after.hits - cache_before.hits) +
                           (cache_after.coalesced - cache_before.coalesced);
-  SharedStepRegistry::Stats share_after = appliance->shared_steps().stats();
-  out.shared_follows = share_after.follows - share_before.follows;
-  out.shared_saved_mb =
-      (share_after.saved_bytes - share_before.saved_bytes) / 1e6;
   out.moved_mb = moved_bytes / 1e6;
   return out;
 }
 
 void PrintRow(const StormResult& r) {
   std::printf("%-26s | %8.3f %8.1f | %8.2f %8.2f | %4d %6d %4d | %6llu | "
-              "%7llu %8.2f %8.2f\n",
+              "%8.2f\n",
               r.name.c_str(), r.seconds, r.qps, r.p50_ms, r.p99_ms, r.ok,
               r.overloaded, r.errors,
               static_cast<unsigned long long>(r.result_cache_hits),
-              static_cast<unsigned long long>(r.shared_follows),
-              r.shared_saved_mb, r.moved_mb);
+              r.moved_mb);
 }
 
 std::string JsonRow(const StormResult& r) {
@@ -174,13 +133,10 @@ std::string JsonRow(const StormResult& r) {
       buf, sizeof(buf),
       "{\"name\":\"%s\",\"seconds\":%.4f,\"qps\":%.2f,\"p50_ms\":%.3f,"
       "\"p99_ms\":%.3f,\"ok\":%d,\"overloaded\":%d,\"errors\":%d,"
-      "\"result_cache_hits\":%llu,\"shared_follows\":%llu,"
-      "\"shared_saved_mb\":%.3f,\"moved_mb\":%.3f}",
+      "\"result_cache_hits\":%llu,\"moved_mb\":%.3f}",
       r.name.c_str(), r.seconds, r.qps, r.p50_ms, r.p99_ms, r.ok,
       r.overloaded, r.errors,
-      static_cast<unsigned long long>(r.result_cache_hits),
-      static_cast<unsigned long long>(r.shared_follows), r.shared_saved_mb,
-      r.moved_mb);
+      static_cast<unsigned long long>(r.result_cache_hits), r.moved_mb);
   return buf;
 }
 
@@ -211,32 +167,22 @@ int Main(int argc, char** argv) {
         return 1;
       }
     }
-    for (const char* sql : kOverlapWorkload) {
-      auto r = warmup.Run(sql);
-      if (!r.ok()) {
-        std::fprintf(stderr, "warmup: %s\n", r.status().ToString().c_str());
-        return 1;
-      }
-    }
   }
 
-  std::printf("\n%-26s | %8s %8s | %8s %8s | %4s %6s %4s | %6s | %7s %8s "
-              "%8s\n",
+  std::printf("\n%-26s | %8s %8s | %8s %8s | %4s %6s %4s | %6s | %8s\n",
               "config", "total s", "qps", "p50 ms", "p99 ms", "ok", "overld",
-              "err", "rchits", "follows", "saved MB", "moved MB");
+              "err", "rchits", "moved MB");
 
   std::vector<StormResult> results;
 
-  // The original three configurations pin sharing *off* so their numbers
-  // stay comparable with earlier runs of this bench; the shared-subquery
-  // phase below measures sharing against its own share-off control.
   // 1. Baseline: admission disabled, no result cache — every session runs
   //    unthrottled, all repeats re-execute.
   {
     WorkloadManagerConfig off;
     off.enabled = false;
     appliance->workload().SetConfig(off);
-    results.push_back(RunStorm(appliance.get(), "baseline (no wlm)", {}));
+    results.push_back(RunStorm(appliance.get(), "baseline (no wlm)",
+                               /*use_result_cache=*/false));
     PrintRow(results.back());
   }
 
@@ -251,7 +197,8 @@ int Main(int argc, char** argv) {
                /*max_parallel_nodes=*/0};
   {
     appliance->workload().SetConfig(wlm);
-    results.push_back(RunStorm(appliance.get(), "wlm", {}));
+    results.push_back(
+        RunStorm(appliance.get(), "wlm", /*use_result_cache=*/false));
     PrintRow(results.back());
   }
 
@@ -259,10 +206,8 @@ int Main(int argc, char** argv) {
   //    served without executing at all.
   {
     appliance->workload().SetConfig(wlm);
-    StormConfig cached_cfg;
-    cached_cfg.use_result_cache = true;
-    results.push_back(
-        RunStorm(appliance.get(), "wlm + result cache", cached_cfg));
+    results.push_back(RunStorm(appliance.get(), "wlm + result cache",
+                               /*use_result_cache=*/true));
     PrintRow(results.back());
   }
 
@@ -272,40 +217,6 @@ int Main(int argc, char** argv) {
               "%.2fx\n",
               cached.p99_ms > 0 ? baseline.p99_ms / cached.p99_ms : 0,
               baseline.qps > 0 ? cached.qps / baseline.qps : 0);
-
-  // --- sub-plan sharing: overlapping (non-identical) subqueries ---
-  // The result cache cannot help here — every statement is distinct — but
-  // their plans contain fingerprint-equal DSQL steps, so with sharing on,
-  // concurrent executions coalesce the common shuffles.
-  bench::Header("SHARED SUBPLANS: 16 sessions x overlapping subqueries, "
-                "PDW_WLM_SHARE on vs off");
-  std::printf("\n%-26s | %8s %8s | %8s %8s | %4s %6s %4s | %6s | %7s %8s "
-              "%8s\n",
-              "config", "total s", "qps", "p50 ms", "p99 ms", "ok", "overld",
-              "err", "rchits", "follows", "saved MB", "moved MB");
-  {
-    appliance->workload().SetConfig(wlm);
-    StormConfig isolated_cfg;
-    isolated_cfg.workload = kOverlapWorkload;
-    isolated_cfg.workload_size = std::size(kOverlapWorkload);
-    results.push_back(
-        RunStorm(appliance.get(), "overlap, share off", isolated_cfg));
-    PrintRow(results.back());
-
-    StormConfig share_cfg = isolated_cfg;
-    share_cfg.share_steps = true;
-    results.push_back(
-        RunStorm(appliance.get(), "overlap, share on", share_cfg));
-    PrintRow(results.back());
-
-    const StormResult& iso = results[results.size() - 2];
-    const StormResult& shr = results.back();
-    std::printf("\nshare on vs off: follows=%llu, network moved %.2f -> "
-                "%.2f MB (saved %.2f MB), p99 %.2fx\n",
-                static_cast<unsigned long long>(shr.shared_follows),
-                iso.moved_mb, shr.moved_mb, shr.shared_saved_mb,
-                shr.p99_ms > 0 ? iso.p99_ms / shr.p99_ms : 0);
-  }
 
   // --- overload: a deliberately tiny gate must fast-fail, not pile up ---
   bench::Header("OVERLOAD: slots=1 queue=2, 16 slow sessions -> kOverloaded "

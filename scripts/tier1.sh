@@ -19,7 +19,8 @@ python3 perfbench/run.py --self-test
 # (bounded queues + push-with-help backpressure + concurrent sessions
 # moving data through the same pool) are the racy surfaces; run their
 # tests instrumented. concurrency_test's session storm also compiles every
-# step on every node concurrently. TSAN_OPTIONS halts on the first report.
+# step on every node concurrently, and creates and drops every query's temp
+# tables concurrently. TSAN_OPTIONS halts on the first report.
 cmake -B build-tsan -S . -DPDW_SANITIZE=thread
 cmake --build build-tsan -j --target concurrency_test dms_pipeline_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
@@ -66,17 +67,3 @@ PDW_CHAOS_SEED="$PDW_CHAOS_SEED" ASAN_OPTIONS="halt_on_error=1" \
 cmake --build build-tsan -j --target chaos_test
 PDW_CHAOS_SEED="$PDW_CHAOS_SEED" TSAN_OPTIONS="halt_on_error=1" \
   ./build-tsan/tests/chaos_test
-
-# Shared-step leg: the sub-plan sharing differential suite (leader/follower
-# rendezvous, faulted/cancelled leader release, refcounted temp lifetime,
-# seeded multi-thread storm byte-compared against isolated execution) is
-# wall-to-wall condvar + refcount surface; run it under both sanitizers.
-cmake --build build-asan -j --target shared_step_test
-ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/shared_step_test
-cmake --build build-tsan -j --target shared_step_test
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shared_step_test
-
-# Sharing-off differential leg: the whole random-query sweep must be
-# byte-identical with PDW_WLM_SHARE=0 — proving result correctness never
-# *depends* on the sharing tier being armed.
-PDW_WLM_SHARE=0 ./build/tests/random_query_test

@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pdw/step_fingerprint.h"
 #include "plan/distribution.h"
 #include "sql/parser.h"
 
@@ -235,7 +234,6 @@ void InstallObsHooks() {
     reg.DefineHistogram("optimizer.phase.pdw_optimize.seconds",
                         LatencyBuckets());
     reg.DefineHistogram("wlm.queue_wait.seconds", LatencyBuckets());
-    reg.DefineHistogram("wlm.shared_step.wait.seconds", LatencyBuckets());
     reg.DefineHistogram("dsql.step.seconds", LatencyBuckets());
     reg.DefineHistogram("dms.reader.seconds", LatencyBuckets());
     reg.DefineHistogram("dms.network.seconds", LatencyBuckets());
@@ -272,17 +270,11 @@ Appliance::Appliance(Topology topology)
     compute_.push_back(std::make_unique<LocalEngine>());
   }
   InstallObsHooks();
-  // Shared-move progress attribution: while a leader's DMS move runs, each
-  // blocked follower's exec_steps row advances with the same rows/bytes.
-  shared_steps_.set_progress_hook(
-      [this](uint64_t query_id, int step_index, double rows, double bytes) {
-        requests_.StepProgress(query_id, step_index, rows, bytes);
-      });
   // The control node's engine doubles as the DMV host: sys.dm_pdw_* view
   // names can never collide with user tables (the parser reserves the
   // sys. prefix for dotted names), so registration cannot fail.
   Status views = InstallSystemViews(&control_, &requests_, &plan_cache_,
-                                    &workload_, &result_cache_, &shared_steps_);
+                                    &workload_, &result_cache_);
   (void)views;
 }
 
@@ -407,7 +399,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
                                                int max_parallel_nodes,
                                                const ExecOptions& exec,
                                                const RetryPolicy& retry,
-                                               bool share_steps,
                                                const std::atomic<bool>* cancel) {
   ApplianceResult result;
   result.dsql = dsql;
@@ -416,41 +407,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   std::vector<std::string> temps;
   obs::TraceSpan dsql_span("appliance.execute_dsql");
   dsql_span.AddAttr("steps", static_cast<double>(dsql.steps.size()));
-
-  // Working copy of the plan for sub-plan sharing: a follower adopting a
-  // leader's temp table rewrites later steps' references to it. result.dsql
-  // doubles as that copy so the returned plan shows what actually ran.
-  DsqlPlan& plan = result.dsql;
-  // Step identities for the cross-query rendezvous (empty text = never
-  // shared). Computed against the appliance's shared stats-version tracker,
-  // so a load between two queries splits their fingerprints exactly as it
-  // invalidates their cached plans.
-  std::vector<StepFingerprint> fingerprints;
-  if (share_steps) {
-    StepFingerprintOptions fpo;
-    fpo.engine_label = EngineLabel(exec);
-    fingerprints =
-        ComputeStepFingerprints(plan, query_id, *table_versions_, fpo);
-  }
-  // Registry references this execution holds (one per led-and-published or
-  // followed step; a key may appear twice when a later step of this same
-  // query re-joins its own published step). Every exit path releases them;
-  // whoever drops a refcount to zero physically drops the shared temp.
-  std::vector<std::string> shared_refs;
-  auto release_shared = [&] {
-    std::vector<std::string> drops;
-    for (const std::string& key : shared_refs) {
-      std::string t = shared_steps_.Release(key);
-      if (!t.empty()) drops.push_back(t);
-    }
-    shared_refs.clear();
-    if (!drops.empty()) (void)DropTemps(drops);
-  };
-  // Share key of the DMS step this execution is currently *leading*; the
-  // DMS progress lambdas fan leader progress out to blocked followers
-  // through it. Only written between step dispatches (never concurrently
-  // with the pipeline's progress callbacks).
-  const std::string* active_share_key = nullptr;
 
   // Transition the registry entry to executing with the plan's step
   // skeleton, so DMV queries see every step (pending ones included) from
@@ -485,7 +441,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   // points, so a failed plan can never leak a TEMP_ID table — the appliance
   // stays serviceable for the next query.
   auto cleanup_and_fail = [&](Status s) -> Status {
-    release_shared();
     Status drop = DropTemps(temps);
     (void)drop;
     return s;
@@ -538,15 +493,9 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     DmsExecOptions dms_options;
     dms_options.cancel = cancel;
     dms_options.max_workers = max_parallel_nodes;
-    dms_options.progress = [this, query_id, idx = sp->index,
-                            &active_share_key](double rows_delta,
-                                               double bytes_delta) {
+    dms_options.progress = [this, query_id, idx = sp->index](
+                               double rows_delta, double bytes_delta) {
       requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
-      // Leading a shared step: attribute the same movement to every
-      // follower blocked on it, so their DMV rows advance live too.
-      if (active_share_key != nullptr) {
-        shared_steps_.Progress(*active_share_key, rows_delta, bytes_delta);
-      }
     };
     for (const ColumnDef& col : step.dest_schema.columns()) {
       dms_options.types.push_back(col.type);
@@ -654,100 +603,28 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   // other failure aborts the plan through cleanup_and_fail. The profile
   // keeps the successful attempt's numbers plus the retry count.
   int max_attempts = std::max(1, retry.max_attempts);
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const DsqlStep& step = plan.steps[i];
-    int step_index = static_cast<int>(i);
+  for (size_t i = 0; i < dsql.steps.size(); ++i) {
+    const DsqlStep& step = dsql.steps[i];
     bool is_dms = step.kind == DsqlStepKind::kDms;
-
-    // Sub-plan sharing rendezvous: before executing a shareable DMS step,
-    // look for (or become) a concurrent execution of the same fingerprint.
-    // An injected wlm.share.join fault skips sharing and runs the step
-    // privately — sharing faults degrade to isolation, never fail queries.
-    bool lead = false;
-    const std::string* share_key = nullptr;
-    if (is_dms && share_steps && fingerprints[i].shareable()) {
-      Status sf = fault::Check("wlm.share.join");
-      if (!sf.ok()) {
-        obs::MetricsRegistry::Global().Count("wlm.shared_step.fault_skip");
-      } else {
-        SharedStepRegistry::JoinOutcome join = shared_steps_.JoinOrLead(
-            fingerprints[i].text, fingerprints[i].hex, query_id, step_index,
-            cancel);
-        if (join.role == SharedStepRegistry::Role::kFollower) {
-          // Adopt the leader's materialized temp table: hold a registry
-          // reference until this query finishes and point every later
-          // step's SQL at the adopted name instead of our own (bracketed
-          // replacement, so TEMP_ID_Q7_1 can never corrupt TEMP_ID_Q7_10).
-          shared_refs.push_back(fingerprints[i].text);
-          const std::string own = "[" + step.dest_table + "]";
-          const std::string adopted = "[" + join.temp_table + "]";
-          for (size_t j = i + 1; j < plan.steps.size(); ++j) {
-            plan.steps[j].sql =
-                ReplaceAll(std::move(plan.steps[j].sql), own, adopted);
-          }
-          obs::StepProfile fsp;
-          fsp.index = step_index;
-          fsp.kind = "DMS";
-          fsp.move_kind = DmsOpKindToString(step.move_kind);
-          fsp.dest_table = join.temp_table;
-          fsp.sql = step.sql;
-          fsp.estimated_rows = step.estimated_rows;
-          fsp.estimated_cost = step.estimated_cost;
-          fsp.shared_role = "follower";
-          fsp.shared_saved_bytes = join.saved_bytes;
-          fsp.actual_rows = join.saved_rows;
-          fsp.measured_seconds = join.wait_seconds;
-          requests_.BeginStep(query_id, step_index, 0);
-          obs::RequestStepState fin;
-          fin.index = step_index;
-          fin.kind = fsp.kind;
-          fin.move_kind = fsp.move_kind;
-          fin.dest_table = fsp.dest_table;
-          fin.sql = fsp.sql;
-          fin.seconds = join.wait_seconds;
-          fin.shared_role = "follower";
-          fin.saved_bytes = join.saved_bytes;
-          requests_.EndStep(query_id, fin);
-          obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-          reg.Observe("wlm.shared_step.wait.seconds", join.wait_seconds);
-          reg.Observe("dsql.step.seconds", join.wait_seconds);
-          ++result.shared_steps_followed;
-          result.shared_saved_bytes += join.saved_bytes;
-          result.dms_metrics.saved_bytes += join.saved_bytes;
-          result.profile.steps.push_back(std::move(fsp));
-          continue;
-        }
-        if (join.role == SharedStepRegistry::Role::kLeader) {
-          lead = true;
-          share_key = &fingerprints[i].text;
-        }
-        // Role::kSkipped: cancelled while waiting on a leader — fall
-        // through; the step-boundary check below aborts cleanly.
-      }
-    }
-
     if (is_dms) temps.push_back(step.dest_table);
-    if (lead) active_share_key = share_key;
     obs::StepProfile sp;
     for (int attempt = 0;; ++attempt) {
       // Cooperative cancellation is observed at every step boundary and at
       // every retry re-entry; the abort goes through cleanup_and_fail so a
-      // cancelled query never leaks temp tables. A cancelled *leader* fails
-      // its flight first, releasing blocked followers to re-lead.
+      // cancelled query never leaks temp tables.
       if (cancel != nullptr && cancel->load()) {
-        if (lead) shared_steps_.FailFlight(*share_key);
         return cleanup_and_fail(
             Status::Cancelled("query cancelled at step boundary"));
       }
       sp = obs::StepProfile{};
-      sp.index = step_index;
+      sp.index = static_cast<int>(i);
       sp.sql = step.sql;
       sp.estimated_rows = step.estimated_rows;
       sp.estimated_cost = step.estimated_cost;
       sp.preagg = step.preagg;
       sp.preagg_rows_in = step.preagg_rows_in;
       sp.retries = attempt;
-      requests_.BeginStep(query_id, step_index, attempt);
+      requests_.BeginStep(query_id, sp.index, attempt);
       double step_start = NowSeconds();
       Status s = is_dms ? run_dms_step(step, &sp) : run_return_step(step, &sp);
       if (s.ok()) {
@@ -762,10 +639,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
         break;
       }
       if (!retry.IsRetryable(s) || attempt + 1 >= max_attempts) {
-        // A failed leader releases its followers to execute independently
-        // (the first one back through JoinOrLead becomes the new leader);
-        // its partial temp stays private and is dropped below.
-        if (lead) shared_steps_.FailFlight(*share_key);
         return cleanup_and_fail(std::move(s));
       }
       // The failed attempt may have materialized a partial dest temp on
@@ -775,26 +648,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
       obs::MetricsRegistry::Global().Count("retry.attempts");
       obs::MetricsRegistry::Global().Count("retry.backoff_seconds", backoff);
       retry.Sleep(backoff);
-    }
-    active_share_key = nullptr;
-    // Leader success: publish the materialized temp to the registry, which
-    // wakes blocked followers and takes over the temp's lifetime (ownership
-    // leaves `temps`; the last Release drops it). An injected
-    // wlm.share.publish fault fails the flight instead — followers re-lead
-    // and the temp stays private to this query's normal cleanup.
-    if (lead) {
-      Status pf = fault::Check("wlm.share.publish");
-      if (pf.ok()) {
-        int granted = shared_steps_.Publish(*share_key, step.dest_table,
-                                            sp.actual_rows, sp.network.bytes);
-        temps.pop_back();
-        shared_refs.push_back(*share_key);
-        sp.shared_role = "leader";
-        if (granted > 0) ++result.shared_steps_led;
-      } else {
-        shared_steps_.FailFlight(*share_key);
-        obs::MetricsRegistry::Global().Count("wlm.shared_step.fault_skip");
-      }
     }
     // Finalize the registry's step with the successful attempt's metered
     // totals (replacing live-progress counts, which double-count broadcast
@@ -818,8 +671,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
       fin.component_seconds[1] = sp.network.seconds;
       fin.component_seconds[2] = sp.writer.seconds;
       fin.component_seconds[3] = sp.bulkcopy.seconds;
-      fin.shared_role = sp.shared_role;
-      fin.saved_bytes = sp.shared_saved_bytes;
       requests_.EndStep(query_id, fin);
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       reg.Observe("dsql.step.seconds", sp.measured_seconds);
@@ -833,10 +684,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     result.profile.steps.push_back(std::move(sp));
   }
 
-  // Release this execution's shared-step references first: whoever drops a
-  // refcount to zero physically drops that shared temp (refcounted temp
-  // lifetime — a leader's published temp outlives it while followers read).
-  release_shared();
   // End-of-query temp cleanup passes through its own injection point under
   // the same retry policy; a permanently injected drop failure still cleans
   // up (DropTemps itself is fault-exempt) but surfaces the error.
@@ -892,11 +739,9 @@ Status Appliance::Cancel(uint64_t query_id) {
   flag->store(true);
   // Wake admission-queue waiters so a queued (not yet executing) query
   // observes the flag immediately instead of after getting a slot, and
-  // result-cache and shared-step followers so a cancelled one abandons its
-  // leader wait.
+  // result-cache followers so a cancelled one abandons its leader wait.
   workload_.Poke();
   result_cache_.Poke();
-  shared_steps_.Poke();
   return Status::OK();
 }
 
@@ -1192,8 +1037,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
         ApplianceResult result,
         ExecuteDsql(dsql, query_id, options.observe.collect_operator_actuals,
                     max_parallel, options.execute.engine,
-                    options.execute.retry, options.execute.share_steps,
-                    cancel));
+                    options.execute.retry, cancel));
     result.modeled_cost = modeled_cost;
     result.plan_text = plan_text;
     result.cache_hit = cache_hit;
@@ -1245,7 +1089,7 @@ Result<ApplianceResult> Appliance::ExecutePlan(
   Result<ApplianceResult> result =
       ExecuteDsql(dsql, query_id, /*profile_operators=*/false,
                   /*max_parallel_nodes=*/0, ExecOptions{}, RetryPolicy{},
-                  DefaultSharedSteps(), /*cancel=*/nullptr);
+                  /*cancel=*/nullptr);
   if (!result.ok()) {
     requests_.Fail(query_id, result.status().ToString());
     return result.status();

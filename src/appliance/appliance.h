@@ -5,11 +5,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "appliance/shared_step_registry.h"
 #include "appliance/workload_manager.h"
 #include "common/fault.h"
 #include "common/retry.h"
@@ -69,13 +69,6 @@ struct ExecutionOptions {
   /// Off by default: cached hits skip execution entirely, so profiles,
   /// step metrics, and fault points are not exercised on a hit.
   bool use_result_cache = false;
-  /// Share identical DSQL steps with concurrent queries through the
-  /// SharedStepRegistry: the first execution of a fingerprint-equal step
-  /// leads, others consume its materialized temp table (§ DESIGN.md 5j).
-  /// On by default; process-wide overridable via PDW_WLM_SHARE=0. The
-  /// resolved value is part of every step fingerprint, so only executions
-  /// that agree on the knob (and on the engine) ever rendezvous.
-  bool share_steps = DefaultSharedSteps();
 };
 
 /// Observability knobs of one query.
@@ -141,10 +134,6 @@ struct QueryOptions {
     execute.use_result_cache = on;
     return *this;
   }
-  QueryOptions& WithSharedSteps(bool on = true) {
-    execute.share_steps = on;
-    return *this;
-  }
   QueryOptions& WithOperatorActuals(bool on = true) {
     observe.collect_operator_actuals = on;
     return *this;
@@ -187,13 +176,9 @@ struct ApplianceResult {
   std::string resource_class;
   /// Seconds spent waiting in the admission queue before execution.
   double queue_seconds = 0;
-  /// Sub-plan sharing outcome of this run: steps consumed from another
-  /// query's leader instead of executing (followed), steps this run led
-  /// that fed at least one waiting follower (led), and the DMS bytes the
-  /// followed steps would otherwise have moved.
+  /// Always 0: every DMS step runs for its own query. Kept only because
+  /// perfbench reads it for its per-layer appliance.shared_follow_ratio.
   int shared_steps_followed = 0;
-  int shared_steps_led = 0;
-  double shared_saved_bytes = 0;
   /// Estimated-vs-actual profile: compile-phase timings, optimizer search
   /// counters, and one StepProfile per DSQL step (per-component DMS bytes,
   /// modeled cost vs measured seconds, estimated vs actual rows, per-node
@@ -318,10 +303,6 @@ class Appliance {
   /// query from another session thread observes queries mid-flight.
   const obs::RequestRegistry& requests() const { return requests_; }
   obs::RequestRegistry& requests() { return requests_; }
-  /// The sub-plan sharing rendezvous behind sys.dm_pdw_shared_steps:
-  /// concurrent queries coalesce fingerprint-equal DSQL steps here.
-  const SharedStepRegistry& shared_steps() const { return shared_steps_; }
-  SharedStepRegistry& shared_steps() { return shared_steps_; }
 
  private:
   friend class Session;
@@ -351,7 +332,6 @@ class Appliance {
                                       int max_parallel_nodes,
                                       const ExecOptions& exec,
                                       const RetryPolicy& retry,
-                                      bool share_steps,
                                       const std::atomic<bool>* cancel);
   /// Registers (and on destruction unregisters) a query's cancellation
   /// token so Appliance::Cancel can find it.
@@ -375,8 +355,6 @@ class Appliance {
   ResultCache result_cache_;
   WorkloadManager workload_;
   obs::RequestRegistry requests_;
-  /// Cross-query DSQL step rendezvous (sub-plan sharing, DESIGN.md §5j).
-  SharedStepRegistry shared_steps_;
   /// Per-execution id used to uniquify temp-table names so concurrent
   /// queries (and re-executions of one cached plan) never collide.
   std::atomic<uint64_t> next_query_id_{1};

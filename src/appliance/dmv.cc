@@ -130,12 +130,7 @@ Status InstallExecSteps(LocalEngine* engine,
                           {"rows_moved", TypeId::kDouble, false},
                           {"bytes_moved", TypeId::kDouble, false},
                           {"elapsed_ms", TypeId::kDouble, false},
-                          {"sql_text", TypeId::kVarchar, true},
-                          // Sub-plan sharing (new columns appended so
-                          // positional readers of the older shape keep
-                          // working): NULL role = executed privately.
-                          {"shared_role", TypeId::kVarchar, true},
-                          {"saved_bytes", TypeId::kDouble, false}});
+                          {"sql_text", TypeId::kVarchar, true}});
   return engine->RegisterVirtualTable(
       std::move(def), [requests]() -> Result<RowVector> {
         RowVector rows;
@@ -156,10 +151,6 @@ Status InstallExecSteps(LocalEngine* engine,
             row.push_back(Datum::Double(s.seconds * 1e3));
             row.push_back(s.sql.empty() ? Datum::Null()
                                         : Datum::Varchar(s.sql));
-            row.push_back(s.shared_role.empty()
-                              ? Datum::Null()
-                              : Datum::Varchar(s.shared_role));
-            row.push_back(Datum::Double(s.saved_bytes));
             rows.push_back(std::move(row));
           }
         }
@@ -332,48 +323,13 @@ Status InstallResultCache(LocalEngine* engine,
       });
 }
 
-Status InstallSharedSteps(LocalEngine* engine,
-                          const SharedStepRegistry* shared_steps) {
-  TableDef def = ViewDef("sys.dm_pdw_shared_steps",
-                         {{"fingerprint", TypeId::kVarchar, false},
-                          {"state", TypeId::kVarchar, false},
-                          {"leader_request_id", TypeId::kInt, false},
-                          {"temp_table", TypeId::kVarchar, true},
-                          {"refcount", TypeId::kInt, false},
-                          {"waiters", TypeId::kInt, false},
-                          {"follows", TypeId::kInt, false},
-                          {"rows_moved", TypeId::kDouble, false},
-                          {"bytes_moved", TypeId::kDouble, false}});
-  return engine->RegisterVirtualTable(
-      std::move(def), [shared_steps]() -> Result<RowVector> {
-        RowVector rows;
-        for (const SharedStepRegistry::EntryInfo& e :
-             shared_steps->ListEntries()) {
-          Row row;
-          row.push_back(Datum::Varchar(e.fingerprint_hex));
-          row.push_back(Datum::Varchar(e.state));
-          row.push_back(Datum::Int(static_cast<int64_t>(e.leader_query)));
-          row.push_back(e.temp_table.empty() ? Datum::Null()
-                                             : Datum::Varchar(e.temp_table));
-          row.push_back(Datum::Int(e.refcount));
-          row.push_back(Datum::Int(e.waiters));
-          row.push_back(Datum::Int(static_cast<int64_t>(e.follows)));
-          row.push_back(Datum::Double(e.rows_moved));
-          row.push_back(Datum::Double(e.bytes_moved));
-          rows.push_back(std::move(row));
-        }
-        return rows;
-      });
-}
-
 }  // namespace
 
 Status InstallSystemViews(LocalEngine* engine,
                           const obs::RequestRegistry* requests,
                           const PlanCache* plan_cache,
                           const WorkloadManager* workload,
-                          const ResultCache* result_cache,
-                          const SharedStepRegistry* shared_steps) {
+                          const ResultCache* result_cache) {
   PDW_RETURN_NOT_OK(InstallExecRequests(engine, requests));
   PDW_RETURN_NOT_OK(InstallExecSteps(engine, requests));
   PDW_RETURN_NOT_OK(InstallDmsWorkers(engine, requests));
@@ -381,7 +337,6 @@ Status InstallSystemViews(LocalEngine* engine,
   PDW_RETURN_NOT_OK(InstallPlanCache(engine, plan_cache));
   PDW_RETURN_NOT_OK(InstallWorkload(engine, workload));
   PDW_RETURN_NOT_OK(InstallResultCache(engine, result_cache));
-  PDW_RETURN_NOT_OK(InstallSharedSteps(engine, shared_steps));
   return Status::OK();
 }
 

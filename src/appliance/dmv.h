@@ -1,7 +1,6 @@
 #ifndef PDW_APPLIANCE_DMV_H_
 #define PDW_APPLIANCE_DMV_H_
 
-#include "appliance/shared_step_registry.h"
 #include "appliance/workload_manager.h"
 #include "common/status.h"
 #include "engine/local_engine.h"
@@ -29,10 +28,7 @@ namespace pdw {
 ///    class: slots, live active/queued occupancy, queue capacity, fan-out
 ///    cap, and admitted/rejected/cancelled totals with cumulative wait;
 ///  * sys.dm_pdw_result_cache  — the control node's keyed result cache,
-///    MRU first, with per-entry hit counts and invalidation anchors;
-///  * sys.dm_pdw_shared_steps  — live sub-plan sharing state: one row per
-///    DSQL step fingerprint currently executing or published, with its
-///    leader, refcount, blocked waiters, and rows/bytes moved.
+///    MRU first, with per-entry hit counts and invalidation anchors.
 ///
 /// Every SELECT touching a view materializes a fresh point-in-time snapshot
 /// (see LocalEngine::RegisterVirtualTable), so a DMV query issued from a
@@ -44,8 +40,7 @@ Status InstallSystemViews(LocalEngine* engine,
                           const obs::RequestRegistry* requests,
                           const PlanCache* plan_cache,
                           const WorkloadManager* workload,
-                          const ResultCache* result_cache,
-                          const SharedStepRegistry* shared_steps);
+                          const ResultCache* result_cache);
 
 }  // namespace pdw
 

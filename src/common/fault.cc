@@ -27,8 +27,6 @@ const char* const kFaultPointNames[] = {
     "plan_cache.fill",          ///< Control-node plan-cache insertion.
     "pool.task_start",          ///< Worker-pool task startup.
     "wlm.admit",                ///< Workload-manager admission decision.
-    "wlm.share.join",           ///< Shared-step rendezvous lookup.
-    "wlm.share.publish",        ///< Shared-step leader publish.
 };
 
 std::vector<std::string> SplitSpecs(const std::string& text) {

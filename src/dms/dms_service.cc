@@ -62,7 +62,6 @@ void DmsRunMetrics::Accumulate(const DmsRunMetrics& other) {
   bulkcopy.seconds += other.bulkcopy.seconds;
   rows_moved += other.rows_moved;
   wall_seconds += other.wall_seconds;
-  saved_bytes += other.saved_bytes;
 }
 
 std::string DmsRunMetrics::ToString() const {

@@ -31,11 +31,6 @@ struct DmsRunMetrics {
   DmsComponentMetrics bulkcopy;
   double rows_moved = 0;
   double wall_seconds = 0;
-  /// Network bytes this query did NOT move because a step was adopted from
-  /// another query's shared execution (sub-plan sharing): the leader's
-  /// metered movement, credited here by the appliance's follower path so
-  /// query-level accounting shows what isolation would have cost.
-  double saved_bytes = 0;
 
   /// Folds another run's per-component meters (and wall time) into this.
   void Accumulate(const DmsRunMetrics& other);
@@ -68,10 +63,7 @@ struct DmsExecOptions {
   /// Optional live progress feed: invoked as row chunks land on their
   /// destination with (rows, wire bytes) of that chunk, from concurrent
   /// pipeline workers mid-flight. Must be thread-safe and cheap;
-  /// feeds sys.dm_pdw_exec_requests' rows/bytes-moved-so-far columns. When
-  /// the step is a *shared* leader execution, the appliance's callback also
-  /// fans the same deltas out to every follower blocked on the step, so
-  /// their DMV rows advance with the one physical move.
+  /// feeds sys.dm_pdw_exec_requests' rows/bytes-moved-so-far columns.
   std::function<void(double rows_delta, double bytes_delta)> progress;
   /// Cooperative cancellation token (owned by the session that issued the
   /// query). Checked at every queue push — including inside the

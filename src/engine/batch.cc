@@ -317,19 +317,4 @@ void AppendRowsToBatch(const RowVector& rows, size_t begin, size_t end,
   out->rows += n;
 }
 
-ColumnBatch ConcatBatches(const ColumnTable& table) {
-  ColumnBatch out(table.types);
-  size_t total = table.total_rows();
-  for (ColumnVector& col : out.columns) col.Reserve(total);
-  for (const ColumnBatch& b : table.batches) {
-    for (size_t c = 0; c < b.columns.size(); ++c) {
-      for (size_t r = 0; r < b.rows; ++r) {
-        out.columns[c].AppendFrom(b.columns[c], r);
-      }
-    }
-    out.rows += b.rows;
-  }
-  return out;
-}
-
 }  // namespace pdw

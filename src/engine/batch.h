@@ -65,10 +65,6 @@ class ColumnVector {
     nulls_.push_back(0);
     f64_.push_back(v);
   }
-  void AppendString(std::string&& v) {
-    nulls_.push_back(0);
-    str_.push_back(std::move(v));
-  }
 
   /// Appends row `i` of `src` (same declared type) to this vector.
   void AppendFrom(const ColumnVector& src, size_t i);
@@ -146,12 +142,6 @@ struct ColumnBatch {
 struct ColumnTable {
   std::vector<TypeId> types;
   std::vector<ColumnBatch> batches;
-
-  size_t total_rows() const {
-    size_t n = 0;
-    for (const ColumnBatch& b : batches) n += b.rows;
-    return n;
-  }
 };
 
 /// Batch size the engine slices inputs into: PDW_BATCH_SIZE when set
@@ -164,10 +154,6 @@ int DefaultBatchSize();
 /// to batch column c (a scan's projection).
 void AppendRowsToBatch(const RowVector& rows, size_t begin, size_t end,
                        const std::vector<int>& ordinals, ColumnBatch* out);
-
-/// Concatenates all batches of `table` into one contiguous batch (hash-join
-/// build sides gather from a single chunk).
-ColumnBatch ConcatBatches(const ColumnTable& table);
 
 }  // namespace pdw
 

@@ -55,13 +55,6 @@ std::string QueryProfile::ToText(double misestimate_threshold) const {
     if (!s.move_kind.empty()) out += " " + s.move_kind;
     if (!s.dest_table.empty()) out += " -> " + s.dest_table;
     if (s.retries > 0) out += StringFormat("  [retries=%d]", s.retries);
-    if (!s.shared_role.empty()) {
-      out += "  [shared: " + s.shared_role;
-      if (s.shared_saved_bytes > 0) {
-        out += StringFormat(" saved=%s", FormatBytes(s.shared_saved_bytes).c_str());
-      }
-      out += "]";
-    }
     out += "\n";
     out += StringFormat("  modeled cost %.6f   measured %s\n",
                         s.estimated_cost,
@@ -184,10 +177,6 @@ std::string QueryProfile::ToJson() const {
     out += ",\"estimated_cost\":" + JsonNumber(s.estimated_cost);
     out += ",\"measured_seconds\":" + JsonNumber(s.measured_seconds);
     out += ",\"retries\":" + JsonNumber(s.retries);
-    if (!s.shared_role.empty()) {
-      out += ",\"shared_role\":\"" + JsonEscape(s.shared_role) + "\"";
-      out += ",\"shared_saved_bytes\":" + JsonNumber(s.shared_saved_bytes);
-    }
     out += ",\"misestimate_factor\":" + JsonNumber(s.MisestimateFactor());
     out += ",\"rows_moved\":" + JsonNumber(s.rows_moved);
     out += ",\"dms\":{" + ComponentJson("reader", s.reader) + "," +

@@ -61,13 +61,6 @@ struct StepProfile {
   double preagg_rows_in = 0;         ///< Compile-time input-row estimate.
   double preagg_rows_in_actual = 0;  ///< Measured (when actuals collected).
 
-  /// Sub-plan sharing: "leader" (published to the shared-step registry),
-  /// "follower" (adopted another query's temp; measured_seconds is then the
-  /// rendezvous wait and shared_saved_bytes the skipped DMS movement), or
-  /// empty for a privately executed step.
-  std::string shared_role;
-  double shared_saved_bytes = 0;
-
   /// (node, seconds) wall time of the step's SQL on each node that ran it
   /// (control node = highest id). Under pooled execution these overlap, so
   /// their sum exceeds measured_seconds; the spread shows skew.

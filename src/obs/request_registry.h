@@ -51,13 +51,6 @@ struct RequestStepState {
   /// indexed by kDmsComponentNames order: reader, network, writer, bulkcopy.
   double component_bytes[4] = {0, 0, 0, 0};
   double component_seconds[4] = {0, 0, 0, 0};
-  /// Sub-plan sharing: "leader" (this step's temp was published to the
-  /// shared-step registry), "follower" (the step consumed another query's
-  /// temp instead of executing), or empty for a privately executed step.
-  std::string shared_role;
-  /// Follower only: DMS bytes the adopted step's leader moved — the
-  /// movement this request skipped.
-  double saved_bytes = 0;
 };
 
 inline constexpr const char* kDmsComponentNames[4] = {"reader", "network",

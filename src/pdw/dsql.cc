@@ -29,7 +29,6 @@ class DsqlSplitter {
     step.sql = gen.sql;
     step.source_distribution = source.distribution;
     step.dest_table = "TEMP_ID_" + std::to_string(++temp_counter_);
-    step.dest_distribution = node->distribution;
     step.estimated_rows = node->cardinality;
     step.estimated_cost = node->move_cost;
     if (source.kind == PhysOpKind::kHashAggregate &&

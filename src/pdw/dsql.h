@@ -34,7 +34,6 @@ struct DsqlStep {
   /// Ordinals (within the source SQL's output) of the hash columns for
   /// Shuffle/Trim routing.
   std::vector<int> hash_column_ordinals;
-  DistributionProperty dest_distribution;
   /// The step's source SQL is a partial (local-phase) aggregate, i.e. the
   /// move ships pre-aggregated rows — either the pushed-below-a-join
   /// partial of PR 9 or the classic two-phase local aggregate. Profiles

@@ -186,14 +186,14 @@ class DmsPipelineTest : public ::testing::Test {
 
 };
 
-TEST_F(DmsPipelineTest, AllKindsMatchRowCodecSerial) {
+TEST_F(DmsPipelineTest, AllKindsMatchPlacementOracleSerial) {
   uint32_t seed = 100;
   for (DmsOpKind kind : kAllKinds) {
     ExpectPlacement(kind, SlotsFor(kind, seed++, 300), 0, nullptr);
   }
 }
 
-TEST_F(DmsPipelineTest, AllKindsMatchRowCodecPooled) {
+TEST_F(DmsPipelineTest, AllKindsMatchPlacementOraclePooled) {
   uint32_t seed = 200;
   for (DmsOpKind kind : kAllKinds) {
     ExpectPlacement(kind, SlotsFor(kind, seed++, 300), 0,
@@ -293,7 +293,7 @@ const char* kDmsQueries[] = {
     "SELECT COUNT(*) AS c FROM lineitem, orders WHERE l_orderkey = o_orderkey",
 };
 
-TEST(DmsPipelineApplianceTest, QueriesMatchAcrossCodecs) {
+TEST(DmsPipelineApplianceTest, QueriesMatchReference) {
   auto appliance = MakeLoadedAppliance(4, 0.05);
   Session session = appliance->Connect();
   for (const char* sql : kDmsQueries) {

@@ -159,6 +159,13 @@ TEST(UnionApplianceTest, DistributedUnionMatchesReference) {
            "SELECT u.k, COUNT(*) AS c FROM (SELECT o_custkey AS k FROM "
            "orders UNION ALL SELECT c_custkey AS k FROM customer) AS u "
            "GROUP BY u.k",
+           // Two identical join arms: the plan holds two DMS steps with
+           // the same SQL, each materializing its own temp table.
+           "SELECT c_nationkey FROM customer, orders WHERE c_custkey = "
+           "o_custkey AND c_nationkey > 5 "
+           "UNION ALL "
+           "SELECT c_nationkey FROM customer, orders WHERE c_custkey = "
+           "o_custkey AND c_nationkey > 5",
        }) {
     SCOPED_TRACE(sql);
     auto dist = session.Run(sql);
