@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain build + full test suite, then the
-# concurrency tests again under ThreadSanitizer (-DPDW_SANITIZE=thread).
+# Tier-1 verification: the plain build + full test suite, the perfbench
+# self-test, the concurrency tests again under ThreadSanitizer
+# (-DPDW_SANITIZE=thread), and the whole suite under AddressSanitizer
+# (-DPDW_SANITIZE=address), followed by the preagg and chaos legs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,10 +11,11 @@ cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
 # Benchmark self-test: perfbench builds ../src in its own Release tree, so
-# a src/ API change that breaks that build, or a result that stops matching
-# the single-node reference inside it, fails here rather than in a
-# benchmark run. It also checks that the deterministic counts (DMS bytes
-# per query, DSQL steps, memo size, q-error) repeat exactly.
+# a src/ API change that breaks that build (LocalEngine::GetRows and the
+# DMS producers are what it calls), or a result that stops matching the
+# single-node reference inside it, fails here rather than in a benchmark
+# run. It also checks that the deterministic counts (DMS bytes per query,
+# DSQL steps, memo size, q-error) repeat exactly.
 python3 perfbench/run.py --self-test
 
 # The parallel execution engine, plan cache, and the pipelined DMS
@@ -41,15 +44,15 @@ cmake --build build-tsan -j --target workload_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test
 
 # The vectorized batch engine (the default) owns raw selection-vector /
-# hash-table indexing; run the whole suite through it under
-# AddressSanitizer.
+# hash-table indexing; run the whole suite under AddressSanitizer. Suites
+# that pick the row engine per query run it instrumented too.
 cmake -B build-asan -S . -DPDW_SANITIZE=address
 cmake --build build-asan -j
 (cd build-asan && ASAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -j)
 
 # Pre-aggregation leg: the pushdown differential sweep (preagg on/off x
-# row/batch engine, all byte-compared against the single-node row oracle)
-# under ASan. Partial-aggregate kernels index raw selection vectors and
+# row/batch engine, all byte-compared against the single-node reference,
+# which runs the batch engine on the reference node) under ASan. Partial-aggregate kernels index raw selection vectors and
 # group tables, so both plan shapes of every sweep query run instrumented;
 # the env-knob test inside also covers the PDW_OPT_PREAGG=0 kill switch.
 cmake --build build-asan -j --target preagg_test

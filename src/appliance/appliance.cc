@@ -123,36 +123,40 @@ struct NodeRuns {
   std::vector<std::vector<std::string>> names;
 };
 
-std::string ReplaceAll(std::string s, const std::string& from,
-                       const std::string& to) {
+/// Replaces every `from` in `sql` with `to`, except inside single-quoted
+/// string literals. sql_gen doubles a quote inside a literal, so toggling
+/// on every quote tracks the literal boundaries exactly.
+std::string ReplaceOutsideLiterals(const std::string& sql,
+                                   const std::string& from,
+                                   const std::string& to) {
   std::string out;
-  out.reserve(s.size());
-  size_t pos = 0;
-  for (;;) {
-    size_t hit = s.find(from, pos);
-    if (hit == std::string::npos) {
-      out.append(s, pos, std::string::npos);
-      return out;
+  out.reserve(sql.size());
+  bool in_literal = false;
+  size_t i = 0;
+  while (i < sql.size()) {
+    if (!in_literal && sql.compare(i, from.size(), from) == 0) {
+      out += to;
+      i += from.size();
+      continue;
     }
-    out.append(s, pos, hit - pos);
-    out += to;
-    pos = hit + from.size();
+    if (sql[i] == '\'') in_literal = !in_literal;
+    out += sql[i++];
   }
+  return out;
 }
 
 /// Rewrites every TEMP_ID_k name (dest tables and their references inside
 /// later steps' SQL) to TEMP_ID_Q<qid>_k, so concurrent executions — and
 /// repeated executions of one cached plan — never collide on a node's
-/// temp-table namespace. The TEMP_ID marker is preserved for cleanup
-/// checks.
+/// temp-table namespace. String literals are left alone: a literal that
+/// happens to spell TEMP_ID_k is data, not a temp name. The TEMP_ID marker
+/// is preserved for cleanup checks.
 void UniquifyTempNames(DsqlPlan* plan, uint64_t qid) {
   const std::string from = "TEMP_ID_";
   const std::string to = "TEMP_ID_Q" + std::to_string(qid) + "_";
   for (DsqlStep& step : plan->steps) {
-    step.sql = ReplaceAll(std::move(step.sql), from, to);
-    if (!step.dest_table.empty()) {
-      step.dest_table = ReplaceAll(std::move(step.dest_table), from, to);
-    }
+    step.sql = ReplaceOutsideLiterals(step.sql, from, to);
+    step.dest_table = ReplaceOutsideLiterals(step.dest_table, from, to);
   }
 }
 
@@ -319,7 +323,7 @@ Status Appliance::LoadRows(const std::string& table, const RowVector& rows) {
     }
     for (int i = 0; i < n; ++i) {
       PDW_RETURN_NOT_OK(compute_[static_cast<size_t>(i)]->InsertRows(
-          table, std::move(shards[static_cast<size_t>(i)])));
+          table, shards[static_cast<size_t>(i)]));
     }
   }
   PDW_RETURN_NOT_OK(reference_.InsertRows(table, rows));
@@ -525,9 +529,8 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
           Status ts = fault::Check("appliance.temp.create");
           if (ts.ok()) ts = engine.CreateTable(temp_def);
           if (ts.ok()) {
-            ts = engine.InsertRows(
-                step.dest_table,
-                std::move((*routed)[static_cast<size_t>(node)]));
+            ts = engine.InsertRows(step.dest_table,
+                                   (*routed)[static_cast<size_t>(node)]);
           }
           target_status[static_cast<size_t>(i)] = std::move(ts);
         },

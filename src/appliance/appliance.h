@@ -48,8 +48,8 @@ struct ExecutionOptions {
   /// class's own max_parallel_nodes.
   int max_parallel_nodes = 0;
   /// Which local execution engine every node-local plan runs on: the
-  /// vectorized batch engine (default, also overridable process-wide via
-  /// PDW_ENGINE=row|batch) or the row-at-a-time reference interpreter.
+  /// vectorized batch engine (default) or the row-at-a-time reference
+  /// interpreter, which differential tests pick per query.
   ExecOptions engine;
   /// Faults armed for this query only (on top of any process-wide
   /// PDW_FAULTS schedule). Specs with query# = 1 or '*' target this query.

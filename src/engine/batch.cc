@@ -1,7 +1,6 @@
 #include "engine/batch.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 
 namespace pdw {
@@ -196,10 +195,10 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, size_t begin,
   for (size_t i = begin; i < end; ++i) AppendFrom(src, i);
 }
 
-void ColumnVector::AppendRowsColumn(const RowVector& rows, size_t begin,
-                                    size_t end, size_t ordinal) {
-  Reserve(nulls_.size() + (end - begin));
-  for (size_t r = begin; r < end; ++r) {
+void ColumnVector::AppendRowsColumn(const RowVector& rows, size_t ordinal) {
+  size_t end = rows.size();
+  Reserve(nulls_.size() + end);
+  for (size_t r = 0; r < end; ++r) {
     const Datum& d = rows[r][ordinal];
     if (d.is_null()) {
       AppendNull();
@@ -295,26 +294,26 @@ int CompareAt(const ColumnVector& a, size_t ai, const ColumnVector& b,
   return a.GetDatum(ai).Compare(b.GetDatum(bi));
 }
 
-int DefaultBatchSize() {
-  static const int kSize = [] {
-    const char* env = std::getenv("PDW_BATCH_SIZE");
-    if (env != nullptr) {
-      int v = std::atoi(env);
-      if (v >= 1) return v;
-    }
-    return 1024;
-  }();
-  return kSize;
+void AppendRowsToBatch(const RowVector& rows, ColumnBatch* out) {
+  for (size_t c = 0; c < out->columns.size(); ++c) {
+    out->columns[c].AppendRowsColumn(rows, c);
+  }
+  out->rows += rows.size();
 }
 
-void AppendRowsToBatch(const RowVector& rows, size_t begin, size_t end,
-                       const std::vector<int>& ordinals, ColumnBatch* out) {
-  size_t n = end - begin;
-  for (size_t c = 0; c < ordinals.size(); ++c) {
-    out->columns[c].AppendRowsColumn(rows, begin, end,
-                                     static_cast<size_t>(ordinals[c]));
+RowVector BatchToRows(const ColumnBatch& batch,
+                      const std::vector<int>& ordinals) {
+  RowVector rows;
+  rows.reserve(batch.rows);
+  for (size_t r = 0; r < batch.rows; ++r) {
+    Row row;
+    row.reserve(ordinals.size());
+    for (int o : ordinals) {
+      row.push_back(batch.columns[static_cast<size_t>(o)].GetDatum(r));
+    }
+    rows.push_back(std::move(row));
   }
-  out->rows += n;
+  return rows;
 }
 
 }  // namespace pdw

@@ -74,12 +74,11 @@ class ColumnVector {
   /// AppendFrom otherwise.
   void AppendRangeFrom(const ColumnVector& src, size_t begin, size_t end);
 
-  /// Appends column `ordinal` of rows[begin, end) — the scan-boundary bulk
+  /// Appends column `ordinal` of every row — the storage-boundary bulk
   /// load. Equivalent to Append per cell but with the tag dispatch hoisted
   /// out of the loop; falls back to generic appends on the first cell whose
   /// runtime type disagrees with the declared type (variant promotion).
-  void AppendRowsColumn(const RowVector& rows, size_t begin, size_t end,
-                        size_t ordinal);
+  void AppendRowsColumn(const RowVector& rows, size_t ordinal);
 
   // Typed readers; valid only for the matching tag and non-null rows
   // (no checks — these are the kernels' inner-loop accessors).
@@ -121,8 +120,8 @@ int CompareAt(const ColumnVector& a, size_t ai, const ColumnVector& b,
               size_t bi);
 
 /// A horizontal slice of rows in columnar form — the unit that flows
-/// between pipeline stages of the batch engine. All columns have `rows`
-/// entries.
+/// between pipeline stages of the batch engine, and the one stored form of
+/// a LocalEngine table. All columns have `rows` entries.
 struct ColumnBatch {
   std::vector<ColumnVector> columns;
   size_t rows = 0;
@@ -136,24 +135,20 @@ struct ColumnBatch {
   size_t num_columns() const { return columns.size(); }
 };
 
-/// A fully materialized operator result: column types plus the batches in
-/// stream order. Batches keep their morsel boundaries so a downstream
-/// pipeline can re-parallelize without re-splitting.
-struct ColumnTable {
-  std::vector<TypeId> types;
-  std::vector<ColumnBatch> batches;
-};
+/// Rows per batch the engine slices inputs into unless
+/// ExecOptions::batch_size says otherwise.
+inline constexpr int kDefaultBatchSize = 1024;
 
-/// Batch size the engine slices inputs into: PDW_BATCH_SIZE when set
-/// (minimum 1), else 1024 — read once per process.
-int DefaultBatchSize();
+// --- row <-> batch converters (the storage boundary) ---
 
-// --- row -> batch converter (the scan boundary) ---
+/// Appends every row of `rows` to `out`, row column c to batch column c.
+void AppendRowsToBatch(const RowVector& rows, ColumnBatch* out);
 
-/// Appends rows[begin, end) to `out`, mapping stored column `ordinals[c]`
-/// to batch column c (a scan's projection).
-void AppendRowsToBatch(const RowVector& rows, size_t begin, size_t end,
-                       const std::vector<int>& ordinals, ColumnBatch* out);
+/// Every row of `batch` as Datum rows, with batch column `ordinals[c]` as
+/// row column c — the inverse of AppendRowsToBatch, exact for every value
+/// it appended.
+RowVector BatchToRows(const ColumnBatch& batch,
+                      const std::vector<int>& ordinals);
 
 }  // namespace pdw
 

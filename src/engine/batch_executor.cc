@@ -62,8 +62,7 @@ struct BatchResult {
 struct BatchExecCtx {
   const TableProvider& tables;
   ExecProfile* profile = nullptr;
-  int batch_size = 1024;
-  int max_parallelism = 0;
+  int batch_size = kDefaultBatchSize;
 };
 
 /// Batch/morsel counters one operator reports into its profile slot.
@@ -88,15 +87,13 @@ SelVector IdentitySel(size_t n) {
 /// Runs fn(0..n-1) as morsel tasks on the global pool; returns the
 /// lowest-index error so failures are deterministic regardless of task
 /// interleaving.
-Status ParallelMorsels(const BatchExecCtx& ctx, size_t n,
-                       const std::function<Status(size_t)>& fn) {
+Status ParallelMorsels(size_t n, const std::function<Status(size_t)>& fn) {
   if (n == 0) return Status::OK();
   if (n == 1) return fn(0);
   std::vector<Status> statuses(n);
-  ThreadPool::Global().ParallelFor(
-      static_cast<int>(n),
-      [&](int i) { statuses[static_cast<size_t>(i)] = fn(static_cast<size_t>(i)); },
-      ctx.max_parallelism);
+  ThreadPool::Global().ParallelFor(static_cast<int>(n), [&](int i) {
+    statuses[static_cast<size_t>(i)] = fn(static_cast<size_t>(i));
+  });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }
@@ -195,32 +192,21 @@ Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx,
   }
   BatchResult result;
   result.types = TypesOf(node.output);
-  size_t n = data.rows->size();
+  const ColumnBatch& stored = *data.columns;
+  size_t n = stored.rows;
   size_t bs = static_cast<size_t>(ctx.batch_size);
   size_t nb = (n + bs - 1) / bs;
   result.batches.resize(nb);
   for (PipelineBatch& pb : result.batches) pb.batch = ColumnBatch(result.types);
-  // Providers that maintain a columnar mirror (LocalEngine) let the scan
-  // slice column vectors directly; others fall back to row conversion.
-  const ColumnBatch* mirror = nullptr;
-  if (data.columns != nullptr && data.columns->batches.size() == 1 &&
-      data.columns->batches.front().rows == n) {
-    mirror = &data.columns->batches.front();
-  }
-  const RowVector& rows = *data.rows;
-  PDW_RETURN_NOT_OK(ParallelMorsels(ctx, nb, [&](size_t i) {
+  PDW_RETURN_NOT_OK(ParallelMorsels(nb, [&](size_t i) {
     size_t begin = i * bs;
     size_t end = std::min(n, begin + bs);
     ColumnBatch& out = result.batches[i].batch;
-    if (mirror != nullptr) {
-      for (size_t c = 0; c < ordinals.size(); ++c) {
-        out.columns[c].AppendRangeFrom(
-            mirror->columns[static_cast<size_t>(ordinals[c])], begin, end);
-      }
-      out.rows += end - begin;
-    } else {
-      AppendRowsToBatch(rows, begin, end, ordinals, &out);
+    for (size_t c = 0; c < ordinals.size(); ++c) {
+      out.columns[c].AppendRangeFrom(
+          stored.columns[static_cast<size_t>(ordinals[c])], begin, end);
     }
+    out.rows += end - begin;
     result.batches[i].sel = IdentitySel(end - begin);
     return Status::OK();
   }));
@@ -231,11 +217,11 @@ Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx,
 // --- filter ---
 
 Result<BatchResult> ExecFilter(const PlanNode& node, BatchResult input,
-                               const BatchExecCtx& ctx, OpStats* stats) {
+                               OpStats* stats) {
   PDW_ASSIGN_OR_RETURN(std::vector<ExprProgram> progs,
                        CompilePrograms(node.conjuncts, node.output));
   size_t rows_in = input.ActiveRows();
-  PDW_RETURN_NOT_OK(ParallelMorsels(ctx, input.batches.size(), [&](size_t i) {
+  PDW_RETURN_NOT_OK(ParallelMorsels(input.batches.size(), [&](size_t i) {
     PipelineBatch& pb = input.batches[i];
     // Conjuncts shrink the selection in order: each one only sees the
     // previous one's survivors, exactly like the interpreter's per-row
@@ -258,7 +244,7 @@ Result<BatchResult> ExecFilter(const PlanNode& node, BatchResult input,
 
 Result<BatchResult> ExecProject(const PlanNode& node, BatchResult input,
                                 const std::vector<ColumnBinding>& child_cols,
-                                const BatchExecCtx& ctx, OpStats* stats) {
+                                OpStats* stats) {
   std::vector<ExprProgram> progs;
   progs.reserve(node.items.size());
   for (const ProjectItem& item : node.items) {
@@ -269,7 +255,7 @@ Result<BatchResult> ExecProject(const PlanNode& node, BatchResult input,
   BatchResult result;
   result.types = TypesOf(node.output);
   result.batches.resize(input.batches.size());
-  PDW_RETURN_NOT_OK(ParallelMorsels(ctx, input.batches.size(), [&](size_t i) {
+  PDW_RETURN_NOT_OK(ParallelMorsels(input.batches.size(), [&](size_t i) {
     const PipelineBatch& pb = input.batches[i];
     PipelineBatch& ob = result.batches[i];
     ob.batch.columns.reserve(progs.size());
@@ -304,7 +290,7 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
                                  const BatchResult& right,
                                  const std::vector<ColumnBinding>& left_cols,
                                  const std::vector<ColumnBinding>& right_cols,
-                                 const BatchExecCtx& ctx, OpStats* stats) {
+                                 OpStats* stats) {
   LogicalJoinType jt = node.join_type;
   bool emit_right = jt == LogicalJoinType::kInner ||
                     jt == LogicalJoinType::kCross ||
@@ -345,7 +331,7 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
   result.batches.resize(left.batches.size());
   size_t left_in = left.ActiveRows();
 
-  PDW_RETURN_NOT_OK(ParallelMorsels(ctx, left.batches.size(), [&](size_t m) {
+  PDW_RETURN_NOT_OK(ParallelMorsels(left.batches.size(), [&](size_t m) {
     const PipelineBatch& pb = left.batches[m];
     std::vector<const ColumnVector*> probe_keys;
     probe_keys.reserve(l_key_ords.size());
@@ -554,9 +540,7 @@ Result<BatchResult> ExecNestedLoopJoin(
   if (!out.empty()) {
     PipelineBatch pb;
     pb.batch = ColumnBatch(result.types);
-    std::vector<int> identity(result.types.size());
-    for (size_t i = 0; i < identity.size(); ++i) identity[i] = static_cast<int>(i);
-    AppendRowsToBatch(out, 0, out.size(), identity, &pb.batch);
+    AppendRowsToBatch(out, &pb.batch);
     pb.sel = IdentitySel(out.size());
     result.batches.push_back(std::move(pb));
   }
@@ -606,7 +590,7 @@ void AccumulateValue(AggFunc func, const Datum& v, BatchAggState* state) {
 
 Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input,
                                   const std::vector<ColumnBinding>& child_cols,
-                                  const BatchExecCtx& ctx, OpStats* stats) {
+                                  OpStats* stats) {
   std::vector<int> group_ords;
   std::vector<TypeId> key_types;
   for (ColumnId g : node.group_by) {
@@ -635,7 +619,7 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
   morsels.reserve(input.batches.size());
   for (size_t i = 0; i < input.batches.size(); ++i) morsels.emplace_back(key_types);
 
-  PDW_RETURN_NOT_OK(ParallelMorsels(ctx, input.batches.size(), [&](size_t m) {
+  PDW_RETURN_NOT_OK(ParallelMorsels(input.batches.size(), [&](size_t m) {
     const PipelineBatch& pb = input.batches[m];
     MorselAgg& local = morsels[m];
     std::vector<const ColumnVector*> keys;
@@ -1042,12 +1026,12 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
     case PhysOpKind::kFilter: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecFilter(plan, std::move(input), ctx, stats);
+      return ExecFilter(plan, std::move(input), stats);
     }
     case PhysOpKind::kProject: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecProject(plan, std::move(input), plan.children[0]->output, ctx,
+      return ExecProject(plan, std::move(input), plan.children[0]->output,
                          stats);
     }
     case PhysOpKind::kHashJoin:
@@ -1059,7 +1043,7 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
       if (!plan.equi_keys.empty()) {
         return ExecHashJoin(plan, std::move(left), right,
                             plan.children[0]->output, plan.children[1]->output,
-                            ctx, stats);
+                            stats);
       }
       return ExecNestedLoopJoin(plan, left, right, plan.children[0]->output,
                                 plan.children[1]->output, stats);
@@ -1067,7 +1051,7 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
     case PhysOpKind::kHashAggregate: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecAggregate(plan, input, plan.children[0]->output, ctx, stats);
+      return ExecAggregate(plan, input, plan.children[0]->output, stats);
     }
     case PhysOpKind::kSort: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
@@ -1130,8 +1114,7 @@ Result<RowVector> ExecuteBatchPlan(const PlanNode& plan,
                                    const ExecOptions& options) {
   BatchExecCtx ctx{tables, profile,
                    options.batch_size >= 1 ? options.batch_size
-                                           : DefaultBatchSize(),
-                   options.max_morsel_parallelism};
+                                           : kDefaultBatchSize};
   PDW_ASSIGN_OR_RETURN(BatchResult result, ExecBatchNode(plan, ctx, 0));
   return RowsFromResult(result);
 }

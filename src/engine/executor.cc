@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 
 #include "algebra/scalar_eval.h"
 #include "common/string_util.h"
+#include "engine/batch.h"
 #include "obs/metrics.h"
 
 namespace pdw {
@@ -42,15 +42,7 @@ Result<RowVector> ExecuteScan(const PlanNode& node,
     }
     ordinals.push_back(pos);
   }
-  RowVector out;
-  out.reserve(data.rows->size());
-  for (const Row& r : *data.rows) {
-    Row projected;
-    projected.reserve(ordinals.size());
-    for (int o : ordinals) projected.push_back(r[static_cast<size_t>(o)]);
-    out.push_back(std::move(projected));
-  }
-  return out;
+  return BatchToRows(*data.columns, ordinals);
 }
 
 Result<RowVector> ExecuteFilter(const PlanNode& node, RowVector input) {
@@ -489,15 +481,6 @@ Result<RowVector> ExecuteNode(const PlanNode& plan, const TableProvider& tables,
 }
 
 }  // namespace
-
-EngineKind DefaultEngineKind() {
-  static const EngineKind kKind = [] {
-    const char* env = std::getenv("PDW_ENGINE");
-    if (env != nullptr && std::string(env) == "row") return EngineKind::kRow;
-    return EngineKind::kBatch;
-  }();
-  return kKind;
-}
 
 Result<RowVector> ExecutePlan(const PlanNode& plan,
                               const TableProvider& tables,

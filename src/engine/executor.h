@@ -11,21 +11,18 @@
 
 namespace pdw {
 
-struct ColumnTable;  // engine/batch.h
+struct ColumnBatch;  // engine/batch.h
 
-/// Storage for one table as seen by the executor. `rows` is always
-/// present (the row engine's input and the authoritative copy);
-/// `columns` is an optional columnar mirror maintained at load time so
-/// batch-engine scans slice vectors instead of converting rows per
-/// query. When present it holds the same rows in the same order.
+/// Storage for one table as seen by the executor: its schema and its rows
+/// as one column batch, the table's only stored form. Both engines scan
+/// it; the row engine converts the scanned columns to rows.
 struct TableData {
   const Schema* schema = nullptr;
-  const RowVector* rows = nullptr;
-  const ColumnTable* columns = nullptr;
+  const ColumnBatch* columns = nullptr;
 };
 
 /// Supplies table contents to the executor (implemented by LocalEngine's
-/// storage and by test fixtures).
+/// storage and its per-query system-view overlay).
 class TableProvider {
  public:
   virtual ~TableProvider() = default;
@@ -48,21 +45,15 @@ enum class EngineKind {
   kBatch,  ///< Vectorized batches + compiled expressions + morsels.
 };
 
-/// Process default, read once from PDW_ENGINE ("row" or "batch");
-/// unset/unrecognized means kBatch.
-EngineKind DefaultEngineKind();
-
 /// Per-execution knobs. The defaults run the batch engine with
-/// PDW_BATCH_SIZE-sized batches and unconstrained morsel parallelism.
+/// kDefaultBatchSize-row batches.
 struct ExecOptions {
-  EngineKind engine = DefaultEngineKind();
-  /// Rows per column batch; 0 = DefaultBatchSize().
+  EngineKind engine = EngineKind::kBatch;
+  /// Rows per column batch; 0 = kDefaultBatchSize.
   int batch_size = 0;
-  /// Cap on concurrent morsel tasks per operator; 0 = pool size.
-  int max_morsel_parallelism = 0;
 };
 
-/// Executes a physical plan (without Move nodes) over materialized rows:
+/// Executes a physical plan (without Move nodes) over stored tables:
 /// scans, filters, projections, hash/nested-loop joins of all logical join
 /// types, hash aggregation (full/local/global phases behave identically at
 /// this level — the phase difference is in which rows each node holds),

@@ -1,6 +1,7 @@
 #include "engine/local_engine.h"
 
 #include <mutex>
+#include <numeric>
 #include <shared_mutex>
 
 #include "algebra/scalar_eval.h"
@@ -13,15 +14,14 @@ namespace pdw {
 namespace {
 
 /// Per-query view over the engine's storage with virtual-table snapshots
-/// layered on top: scans of registered system views read the rows
+/// layered on top: scans of registered system views read the column batch
 /// materialized for *this* execution (stable for the query's duration),
 /// everything else falls through to the engine.
 class OverlayTableProvider : public TableProvider {
  public:
   struct Entry {
     const Schema* schema = nullptr;  ///< Points into the engine catalog.
-    RowVector rows;
-    ColumnTable columns;
+    ColumnBatch columns;
   };
 
   explicit OverlayTableProvider(const TableProvider& base) : base_(base) {}
@@ -33,8 +33,7 @@ class OverlayTableProvider : public TableProvider {
   Result<TableData> GetTableData(const std::string& name) const override {
     auto it = tables_.find(ToLower(name));
     if (it != tables_.end()) {
-      return TableData{it->second.schema, &it->second.rows,
-                       &it->second.columns};
+      return TableData{it->second.schema, &it->second.columns};
     }
     return base_.GetTableData(name);
   }
@@ -43,6 +42,13 @@ class OverlayTableProvider : public TableProvider {
   const TableProvider& base_;
   std::map<std::string, Entry> tables_;
 };
+
+/// An empty batch with one column per column of `schema`.
+ColumnBatch EmptyBatch(const Schema& schema) {
+  std::vector<TypeId> types;
+  for (const ColumnDef& col : schema.columns()) types.push_back(col.type);
+  return ColumnBatch(types);
+}
 
 /// Collects the (lowercased) names of every base table the plan scans.
 void CollectScanNames(const PlanNode& node, std::vector<std::string>* out) {
@@ -64,16 +70,10 @@ LocalEngine::LocalEngine() {
 
 Status LocalEngine::CreateTable(TableDef def) {
   std::string key = ToLower(def.name);
-  std::vector<TypeId> types;
-  for (int i = 0; i < def.schema.num_columns(); ++i) {
-    types.push_back(def.schema.column(i).type);
-  }
+  ColumnBatch empty = EmptyBatch(def.schema);
   PDW_RETURN_NOT_OK(catalog_.CreateTable(std::move(def)));
   std::unique_lock lock(mu_);
-  StoredTable& table = storage_[key];
-  table.rows.clear();
-  table.columns.types = types;
-  table.columns.batches.assign(1, ColumnBatch(types));
+  storage_[key] = std::move(empty);
   return Status::OK();
 }
 
@@ -97,7 +97,8 @@ Status LocalEngine::RegisterVirtualTable(TableDef def, VirtualTableFn fn) {
   return Status::OK();
 }
 
-Status LocalEngine::InsertRows(const std::string& name, RowVector rows) {
+Status LocalEngine::InsertRows(const std::string& name,
+                               const RowVector& rows) {
   PDW_ASSIGN_OR_RETURN(const TableDef* def, catalog_.GetTable(name));
   for (const Row& r : rows) {
     if (static_cast<int>(r.size()) != def->schema.num_columns()) {
@@ -107,31 +108,27 @@ Status LocalEngine::InsertRows(const std::string& name, RowVector rows) {
     }
   }
   // The shared lock protects the map lookup; appending to this table's
-  // storage is safe because no other thread touches *this* table (see the
+  // batch is safe because no other thread touches *this* table (see the
   // class thread-safety contract).
   std::shared_lock lock(mu_);
   auto it = storage_.find(ToLower(name));
   if (it == storage_.end()) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
-  StoredTable& dest = it->second;
-  // Keep the columnar mirror in sync before the rows are moved away.
-  ColumnBatch& mirror = dest.columns.batches.front();
-  std::vector<int> ordinals(mirror.columns.size());
-  for (size_t i = 0; i < ordinals.size(); ++i) ordinals[i] = static_cast<int>(i);
-  AppendRowsToBatch(rows, 0, rows.size(), ordinals, &mirror);
-  dest.rows.insert(dest.rows.end(), std::make_move_iterator(rows.begin()),
-                   std::make_move_iterator(rows.end()));
+  AppendRowsToBatch(rows, &it->second);
   return Status::OK();
 }
 
-Result<const RowVector*> LocalEngine::GetRows(const std::string& name) const {
+Result<std::unique_ptr<RowVector>> LocalEngine::GetRows(
+    const std::string& name) const {
   std::shared_lock lock(mu_);
   auto it = storage_.find(ToLower(name));
   if (it == storage_.end()) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
-  return &it->second.rows;
+  std::vector<int> all(it->second.num_columns());
+  std::iota(all.begin(), all.end(), 0);
+  return std::make_unique<RowVector>(BatchToRows(it->second, all));
 }
 
 Result<TableData> LocalEngine::GetTableData(const std::string& name) const {
@@ -141,24 +138,19 @@ Result<TableData> LocalEngine::GetTableData(const std::string& name) const {
   if (it == storage_.end()) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
-  return TableData{&def->schema, &it->second.rows, &it->second.columns};
+  return TableData{&def->schema, &it->second};
 }
 
 Result<TableStats> LocalEngine::ComputeLocalStats(const std::string& name,
                                                   int histogram_buckets) {
-  PDW_ASSIGN_OR_RETURN(const TableDef* def, catalog_.GetTable(name));
-  PDW_ASSIGN_OR_RETURN(const RowVector* rows, GetRows(name));
-  TableStats stats;
-  stats.row_count = static_cast<double>(rows->size());
-  double width = 0;
-  for (const Row& r : *rows) width += RowWidth(r);
-  stats.avg_row_width = rows->empty() ? 0 : width / stats.row_count;
-  for (int i = 0; i < def->schema.num_columns(); ++i) {
-    const ColumnDef& col = def->schema.column(i);
-    stats.columns[ToLower(col.name)] =
-        ColumnStats::FromRows(*rows, i, col.type, histogram_buckets);
-  }
-  return stats;
+  PDW_ASSIGN_OR_RETURN(TableData data, GetTableData(name));
+  const ColumnBatch& batch = *data.columns;
+  return TableStats::Build(
+      batch.rows, *data.schema,
+      [&batch](size_t row, int column) {
+        return batch.columns[static_cast<size_t>(column)].GetDatum(row);
+      },
+      histogram_buckets);
 }
 
 Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
@@ -220,7 +212,7 @@ Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
         }
         rows.push_back(std::move(row));
       }
-      PDW_RETURN_NOT_OK(InsertRows(stmt.insert->table, std::move(rows)));
+      PDW_RETURN_NOT_OK(InsertRows(stmt.insert->table, rows));
       return result;
     }
     case sql::StatementKind::kSelect:
@@ -233,9 +225,9 @@ Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
   PDW_ASSIGN_OR_RETURN(PlanNodePtr plan,
                        ExtractBestSerialPlan(comp.memo.get()));
   // Virtual-table scans (system views) read a snapshot materialized now,
-  // for this execution only: call each view's producer once, mirror the
-  // rows into one column batch so either engine can scan them, and layer
-  // the snapshots over the stored tables.
+  // for this execution only: call each view's producer once, convert its
+  // rows to one column batch, and layer the snapshots over the stored
+  // tables.
   std::vector<std::string> scans;
   CollectScanNames(*plan, &scans);
   OverlayTableProvider overlay(*this);
@@ -249,19 +241,9 @@ Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
       fn = vit->second;
     }
     PDW_ASSIGN_OR_RETURN(const TableDef* def, catalog_.GetTable(key));
-    OverlayTableProvider::Entry entry;
-    entry.schema = &def->schema;
-    PDW_ASSIGN_OR_RETURN(entry.rows, fn());
-    std::vector<TypeId> types;
-    std::vector<int> ordinals;
-    for (int i = 0; i < def->schema.num_columns(); ++i) {
-      types.push_back(def->schema.column(i).type);
-      ordinals.push_back(i);
-    }
-    entry.columns.types = types;
-    entry.columns.batches.assign(1, ColumnBatch(types));
-    AppendRowsToBatch(entry.rows, 0, entry.rows.size(), ordinals,
-                      &entry.columns.batches.front());
+    PDW_ASSIGN_OR_RETURN(RowVector rows, fn());
+    OverlayTableProvider::Entry entry{&def->schema, EmptyBatch(def->schema)};
+    AppendRowsToBatch(rows, &entry.columns);
     overlay.Add(key, std::move(entry));
     has_virtual = true;
   }

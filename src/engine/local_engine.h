@@ -29,20 +29,22 @@ struct SqlResult {
 /// invoke it simultaneously.
 using VirtualTableFn = std::function<Result<RowVector>()>;
 
-/// A complete single-node SQL engine: catalog + in-memory row storage +
+/// A complete single-node SQL engine: catalog + in-memory column storage +
 /// parse/bind/normalize/optimize/execute pipeline. One instance runs on
 /// each compute node (and on the control node) of the appliance simulator,
 /// standing in for the per-node SQL Server of Fig. 1. The DSQL executor
 /// feeds it the *generated SQL text*, so DSQL SQL generation is exercised
-/// on the real execution path.
+/// on the real execution path. Each table — user table or DMS temp table —
+/// is stored as one ColumnBatch and nothing else: both engines scan it,
+/// GetRows converts it to rows, and ComputeLocalStats reads it.
 ///
 /// Thread safety: concurrent ExecuteSql calls are safe, as is DDL on
 /// *distinct* tables concurrent with queries — the case parallel DSQL
 /// execution needs, where each in-flight query creates, fills and drops
 /// its own uniquely-named temp tables. The storage map's structure is
-/// guarded by a shared_mutex; row vectors of individual tables are not
-/// independently locked, so loading rows into a table while another thread
-/// queries that same table is not supported (loads are a setup-time
+/// guarded by a shared_mutex; the column batches of individual tables are
+/// not independently locked, so loading rows into a table while another
+/// thread queries that same table is not supported (loads are a setup-time
 /// operation, as on the real appliance which takes table locks).
 class LocalEngine : public TableProvider {
  public:
@@ -55,17 +57,19 @@ class LocalEngine : public TableProvider {
   Status DropTable(const std::string& name);
   /// Registers a virtual table: `def` enters the catalog (marked
   /// is_system_view) so binding and optimization see an ordinary leaf, but
-  /// no rows are stored — each SELECT touching it calls `fn` once and scans
-  /// the materialized snapshot (row vector + columnar mirror, so both
-  /// engines work). Registration is setup-time; queries afterwards are
-  /// fully concurrent.
+  /// no rows are stored — each SELECT touching it calls `fn` once, converts
+  /// the rows to one column batch for this execution, and scans that.
+  /// Registration is setup-time; queries afterwards are fully concurrent.
   Status RegisterVirtualTable(TableDef def, VirtualTableFn fn);
-  Status InsertRows(const std::string& name, RowVector rows);
+  /// Appends `rows` to the table's column batch.
+  Status InsertRows(const std::string& name, const RowVector& rows);
   bool HasTable(const std::string& name) const { return catalog_.HasTable(name); }
-  Result<const RowVector*> GetRows(const std::string& name) const;
+  /// A row copy of the table, converted from its column batch under the
+  /// shared lock.
+  Result<std::unique_ptr<RowVector>> GetRows(const std::string& name) const;
   const Catalog& catalog() const { return catalog_; }
 
-  /// Recomputes the local statistics of a table from its stored rows (the
+  /// Recomputes the local statistics of a table from its column batch (the
   /// per-node half of the shell database's global-statistics story, §2.2).
   Result<TableStats> ComputeLocalStats(const std::string& name,
                                        int histogram_buckets = 32);
@@ -74,7 +78,7 @@ class LocalEngine : public TableProvider {
   /// A non-null `profile` collects per-operator actual row counts and
   /// timings of the SELECT's plan (EXPLAIN ANALYZE support). `exec` picks
   /// the execution engine (row reference vs vectorized batch) and its
-  /// batch-size / parallelism knobs.
+  /// batch size.
   Result<SqlResult> ExecuteSql(const std::string& sql,
                                ExecProfile* profile = nullptr,
                                const ExecOptions& exec = {});
@@ -83,18 +87,9 @@ class LocalEngine : public TableProvider {
   Result<TableData> GetTableData(const std::string& name) const override;
 
  private:
-  /// One table's storage: the authoritative row vector plus a columnar
-  /// mirror of the same rows (one contiguous batch), maintained at load
-  /// time so batch-engine scans slice column vectors instead of
-  /// converting rows on every query.
-  struct StoredTable {
-    RowVector rows;
-    ColumnTable columns;
-  };
-
   mutable std::shared_mutex mu_;  ///< Guards the structure of storage_.
   Catalog catalog_;
-  std::map<std::string, StoredTable> storage_;  // keyed by lowercase name
+  std::map<std::string, ColumnBatch> storage_;  // keyed by lowercase name
   std::map<std::string, VirtualTableFn> virtual_;  // keyed by lowercase name
 };
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/string_util.h"
+
 namespace pdw {
 
 namespace {
@@ -28,22 +30,25 @@ bool NumericValue(const Datum& d, double* out) {
   }
 }
 
-}  // namespace
-
-ColumnStats ColumnStats::FromRows(const RowVector& rows, int column,
-                                  TypeId type, int histogram_buckets) {
+/// The one column-statistics builder behind FromRows and TableStats::Build.
+/// Adds the width of every cell, NULLs included, to `*cell_width_sum`.
+ColumnStats BuildColumnStats(size_t row_count, int column,
+                             const CellReader& cell, TypeId type,
+                             int histogram_buckets, double* cell_width_sum) {
   ColumnStats s;
-  s.row_count = static_cast<double>(rows.size());
+  s.row_count = static_cast<double>(row_count);
   std::unordered_set<size_t> distinct_hashes;
   std::vector<double> numeric;
   double width_sum = 0;
-  for (const Row& r : rows) {
-    const Datum& d = r[static_cast<size_t>(column)];
+  for (size_t r = 0; r < row_count; ++r) {
+    Datum d = cell(r, column);
+    int width = d.Width();
+    *cell_width_sum += width;
     if (d.is_null()) {
       s.null_count += 1;
       continue;
     }
-    width_sum += d.Width();
+    width_sum += width;
     distinct_hashes.insert(d.Hash());
     if (s.min_value.is_null() || d.Compare(s.min_value) < 0) s.min_value = d;
     if (s.max_value.is_null() || d.Compare(s.max_value) > 0) s.max_value = d;
@@ -58,6 +63,17 @@ ColumnStats ColumnStats::FromRows(const RowVector& rows, int column,
     s.histogram = Histogram::Build(std::move(numeric), histogram_buckets);
   }
   return s;
+}
+
+}  // namespace
+
+ColumnStats ColumnStats::FromRows(const RowVector& rows, int column,
+                                  TypeId type, int histogram_buckets) {
+  double cell_width_sum = 0;
+  return BuildColumnStats(
+      rows.size(), column,
+      [&rows](size_t r, int c) { return rows[r][static_cast<size_t>(c)]; },
+      type, histogram_buckets, &cell_width_sum);
 }
 
 ColumnStats ColumnStats::Merge(const std::vector<ColumnStats>& parts,
@@ -134,6 +150,22 @@ double ColumnStats::RangeSelectivity(const Datum& lo, bool lo_inclusive,
   if (!lo.is_null()) sel *= 1.0 / 3.0;
   if (!hi.is_null()) sel *= 1.0 / 3.0;
   return sel;
+}
+
+TableStats TableStats::Build(size_t row_count, const Schema& schema,
+                             const CellReader& cell, int histogram_buckets) {
+  TableStats stats;
+  stats.row_count = static_cast<double>(row_count);
+  // Cell widths are whole numbers, so this column-by-column sum is exact
+  // and equals the sum of the row widths.
+  double width = 0;
+  for (int i = 0; i < schema.num_columns(); ++i) {
+    const ColumnDef& col = schema.column(i);
+    stats.columns[ToLower(col.name)] = BuildColumnStats(
+        row_count, i, cell, col.type, histogram_buckets, &width);
+  }
+  stats.avg_row_width = row_count == 0 ? 0 : width / stats.row_count;
+  return stats;
 }
 
 TableStats TableStats::Merge(const std::vector<TableStats>& parts,

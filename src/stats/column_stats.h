@@ -1,15 +1,21 @@
 #ifndef PDW_STATS_COLUMN_STATS_H_
 #define PDW_STATS_COLUMN_STATS_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/datum.h"
 #include "common/row.h"
+#include "common/schema.h"
 #include "stats/histogram.h"
 
 namespace pdw {
+
+/// Reads the value at (row, column) of the table being summarized, so one
+/// statistics builder serves row and column storage alike.
+using CellReader = std::function<Datum(size_t row, int column)>;
 
 /// Statistics for one column: row/NDV/null counts, min/max, average width,
 /// and an optional equi-height histogram for numeric domains.
@@ -23,7 +29,8 @@ struct ColumnStats {
   Histogram histogram;  ///< Empty for VARCHAR columns.
 
   /// Computes stats for `column` over `rows`, with histograms for numeric
-  /// types. This is the per-node "standard SQL Server mechanism".
+  /// types: the per-node "standard SQL Server mechanism", which
+  /// TableStats::Build runs for every column.
   static ColumnStats FromRows(const RowVector& rows, int column,
                               TypeId type, int histogram_buckets = 32);
 
@@ -47,6 +54,12 @@ struct TableStats {
   double row_count = 0;
   double avg_row_width = 0;
   std::map<std::string, ColumnStats> columns;
+
+  /// Computes the statistics of a table of `row_count` rows laid out as
+  /// `schema`, reading each cell through `cell`: the average row width and,
+  /// per column (keyed by lowercase name), what FromRows computes.
+  static TableStats Build(size_t row_count, const Schema& schema,
+                          const CellReader& cell, int histogram_buckets = 32);
 
   static TableStats Merge(const std::vector<TableStats>& parts,
                           const std::string& distribution_column);

@@ -94,6 +94,10 @@ TEST_F(TpchApplianceTest, SimpleProjectionFilters) {
   ExpectMatchesReference(
       "SELECT o_orderkey FROM orders WHERE o_orderdate BETWEEN "
       "DATE '1994-01-01' AND DATE '1994-12-31' AND o_totalprice > 100000");
+  // A literal that spells a temp name is data: per-execution temp renaming
+  // must leave it alone.
+  ExpectMatchesReference(
+      "SELECT 'TEMP_ID_1' AS tag, COUNT(*) AS c FROM nation");
 }
 
 TEST_F(TpchApplianceTest, JoinShapes) {
@@ -107,6 +111,10 @@ TEST_F(TpchApplianceTest, JoinShapes) {
       "SELECT c_name, l_quantity FROM customer, orders, lineitem "
       "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
       "AND l_quantity > 49");
+  // The literal rides in the Return step after a SHUFFLE_MOVE.
+  ExpectMatchesReference(
+      "SELECT c_name, 'x TEMP_ID_0 y' AS tag FROM customer, orders "
+      "WHERE c_custkey = o_custkey AND o_orderkey < 10");
 }
 
 TEST_F(TpchApplianceTest, LeftOuterJoin) {

@@ -202,7 +202,7 @@ TEST_F(DmsPipelineTest, AllKindsMatchPlacementOraclePooled) {
 }
 
 TEST_F(DmsPipelineTest, SingleRowBatchesMatch) {
-  // batch_size=1 — the PDW_BATCH_SIZE=1 slicing, one wire message per row.
+  // DMS wire batch_size=1: one wire message per row.
   uint32_t seed = 300;
   for (DmsOpKind kind : kAllKinds) {
     ExpectPlacement(kind, SlotsFor(kind, seed++, 17), 1,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/local_engine.h"
+#include "stats/column_stats.h"
 
 namespace pdw {
 namespace {
@@ -201,6 +202,113 @@ TEST_F(EngineTest, LocalStatsComputation) {
   EXPECT_EQ(stats->row_count, 5);
   EXPECT_EQ(stats->columns.at("id").distinct_count, 5);
   EXPECT_EQ(stats->columns.at("v").null_count, 1);
+}
+
+/// Same row order, and per cell the same runtime type and value.
+void ExpectSameRows(const RowVector& got, const RowVector& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << what << " row " << r;
+    for (size_t c = 0; c < want[r].size(); ++c) {
+      EXPECT_EQ(got[r][c].type(), want[r][c].type())
+          << what << " row " << r << " col " << c;
+      EXPECT_EQ(got[r][c].Compare(want[r][c]), 0)
+          << what << " row " << r << " col " << c << ": "
+          << got[r][c].ToString() << " vs " << want[r][c].ToString();
+    }
+  }
+}
+
+void ExpectSameDatum(const Datum& got, const Datum& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.type(), want.type()) << what;
+  EXPECT_EQ(got.Compare(want), 0) << what;
+}
+
+void ExpectSameColumnStats(const ColumnStats& got, const ColumnStats& want,
+                           const std::string& col) {
+  EXPECT_EQ(got.row_count, want.row_count) << col;
+  EXPECT_EQ(got.distinct_count, want.distinct_count) << col;
+  EXPECT_EQ(got.null_count, want.null_count) << col;
+  EXPECT_EQ(got.avg_width, want.avg_width) << col;
+  ExpectSameDatum(got.min_value, want.min_value, col + " min");
+  ExpectSameDatum(got.max_value, want.max_value, col + " max");
+  const Histogram& gh = got.histogram;
+  const Histogram& wh = want.histogram;
+  EXPECT_EQ(gh.min(), wh.min()) << col;
+  EXPECT_EQ(gh.max(), wh.max()) << col;
+  EXPECT_EQ(gh.total_rows(), wh.total_rows()) << col;
+  ASSERT_EQ(gh.buckets().size(), wh.buckets().size()) << col;
+  for (size_t b = 0; b < wh.buckets().size(); ++b) {
+    EXPECT_EQ(gh.buckets()[b].upper_bound, wh.buckets()[b].upper_bound) << col;
+    EXPECT_EQ(gh.buckets()[b].row_count, wh.buckets()[b].row_count) << col;
+    EXPECT_EQ(gh.buckets()[b].distinct_count, wh.buckets()[b].distinct_count)
+        << col;
+  }
+}
+
+// Storage keeps each table as one column batch; what it hands back — to
+// GetRows, to either engine's scan, and to the statistics builder — must be
+// exactly what was inserted.
+TEST_F(EngineTest, StorageRoundTripsInsertedRows) {
+  Schema schema({{"i", TypeId::kInt, true},
+                 {"f", TypeId::kDouble, true},
+                 {"s", TypeId::kVarchar, true},
+                 {"d", TypeId::kDate, true},
+                 {"b", TypeId::kBool, true}});
+  RowVector rows = {
+      {Datum::Int(7), Datum::Double(0.1),
+       Datum::Varchar("longer than the small-string buffer"),
+       Datum::Date(8766), Datum::Bool(true)},
+      {Datum::Null(), Datum::Null(), Datum::Null(), Datum::Null(),
+       Datum::Null()},
+      // A DOUBLE in the INT column promotes that column's storage.
+      {Datum::Double(2.5), Datum::Double(-3), Datum::Varchar(""),
+       Datum::Date(-1), Datum::Bool(false)},
+      {Datum::Int(-7), Datum::Double(1e300), Datum::Varchar("it's"),
+       Datum::Date(0), Datum::Null()},
+      {Datum::Int(7), Datum::Null(), Datum::Varchar("b"), Datum::Null(),
+       Datum::Bool(true)},
+  };
+  for (bool empty : {false, true}) {
+    const std::string table = empty ? "rt_empty" : "rt";
+    SCOPED_TRACE(table);
+    const RowVector inserted = empty ? RowVector{} : rows;
+    TableDef def;
+    def.name = table;
+    def.schema = schema;
+    ASSERT_TRUE(engine_.CreateTable(def).ok());
+    ASSERT_TRUE(engine_.InsertRows(table, inserted).ok());
+
+    auto stored = engine_.GetRows(table);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    ExpectSameRows(**stored, inserted, "GetRows");
+
+    for (EngineKind kind : {EngineKind::kRow, EngineKind::kBatch}) {
+      ExecOptions exec;
+      exec.engine = kind;
+      auto scanned =
+          engine_.ExecuteSql("SELECT * FROM " + table, nullptr, exec);
+      ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+      ExpectSameRows(scanned->rows, inserted,
+                     kind == EngineKind::kRow ? "row scan" : "batch scan");
+    }
+
+    auto stats = engine_.ComputeLocalStats(table);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    TableStats want = TableStats::Build(
+        inserted.size(), schema, [&inserted](size_t r, int c) {
+          return inserted[r][static_cast<size_t>(c)];
+        });
+    EXPECT_EQ(stats->row_count, want.row_count);
+    EXPECT_EQ(stats->avg_row_width, want.avg_row_width);
+    ASSERT_EQ(stats->columns.size(), want.columns.size());
+    for (const auto& [name, col] : want.columns) {
+      ASSERT_EQ(stats->columns.count(name), 1u) << name;
+      ExpectSameColumnStats(stats->columns.at(name), col, name);
+    }
+  }
 }
 
 }  // namespace
