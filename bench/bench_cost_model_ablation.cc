@@ -20,9 +20,7 @@ void Run() {
   auto appliance = bench::MakeTpchAppliance(8, 0.2);
 
   PdwCompilerOptions dms_only;
-  dms_only.build_baseline = false;
   PdwCompilerOptions extended;
-  extended.build_baseline = false;
   extended.pdw.relational_costs = true;
 
   std::printf("\n%-5s | %6s %6s | %12s %12s | %8s %8s | %s\n", "query",

@@ -38,7 +38,7 @@ void Run() {
 
   // Re-run the PDW optimizer to show the augmented per-group option
   // tables (the Move/Shuffle/Replicate groups of Fig. 3(c)).
-  PdwOptimizer optimizer(comp->imported.memo.get(),
+  PdwOptimizer optimizer(comp->serial.memo.get(),
                          appliance->shell().topology());
   auto plan = optimizer.Optimize();
   if (!plan.ok()) {
@@ -47,7 +47,7 @@ void Run() {
   }
   std::printf("\n(c2) PDW augmentation: per-group distribution options "
               "(enforcers marked MOVE):\n");
-  for (int g = 0; g < comp->imported.memo->num_groups(); ++g) {
+  for (int g = 0; g < comp->serial.memo->num_groups(); ++g) {
     std::printf("  Group %d:\n", g);
     for (const auto& o : optimizer.group_options(g)) {
       if (o.is_enforcer) {

@@ -70,7 +70,6 @@ void RunCase(const Catalog& shell, const std::string& label,
     // depth; cap them so the ablation terminates (the cap itself is part
     // of the measurement: hitting it means the space exploded).
     opts.pdw.max_options_per_group = 512;
-    opts.build_baseline = false;
     double cost = 0;
     size_t considered = 0, kept = 0, groups = 0;
     double ms = bench::TimeMs([&]() {
@@ -110,11 +109,11 @@ void Run() {
   std::printf("\nper-group bound check (star-5): ");
   auto comp = CompilePdwQuery(shell, StarQuery(5));
   if (comp.ok()) {
-    PdwOptimizer opt(comp->imported.memo.get(), shell.topology());
+    PdwOptimizer opt(comp->serial.memo.get(), shell.topology());
     auto plan = opt.Optimize();
     size_t max_options = 0, max_interesting = 0;
     bool bound_holds = true;
-    for (int g = 0; g < comp->imported.memo->num_groups(); ++g) {
+    for (int g = 0; g < comp->serial.memo->num_groups(); ++g) {
       size_t interesting = 0;
       auto it = opt.interesting().interesting.find(g);
       if (it != opt.interesting().interesting.end()) {

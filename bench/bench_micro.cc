@@ -62,10 +62,8 @@ BENCHMARK(BM_CompileSerial);
 
 void BM_FullPdwCompilation(benchmark::State& state) {
   Appliance* a = SharedAppliance();
-  PdwCompilerOptions opts;
-  opts.build_baseline = false;
   for (auto _ : state) {
-    auto comp = CompilePdwQuery(a->shell(), kJoinQuery, opts);
+    auto comp = CompilePdwQuery(a->shell(), kJoinQuery);
     benchmark::DoNotOptimize(comp);
   }
 }
@@ -75,7 +73,7 @@ void BM_ParallelOptimizeOnly(benchmark::State& state) {
   Appliance* a = SharedAppliance();
   auto comp = CompilePdwQuery(a->shell(), kJoinQuery);
   for (auto _ : state) {
-    PdwOptimizer opt(comp->imported.memo.get(), a->shell().topology());
+    PdwOptimizer opt(comp->serial.memo.get(), a->shell().topology());
     auto plan = opt.Optimize();
     benchmark::DoNotOptimize(plan);
   }

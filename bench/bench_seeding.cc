@@ -84,7 +84,6 @@ void Run() {
     double full_cost = 0;
     for (int mode = 0; mode < 3; ++mode) {
       PdwCompilerOptions opts;
-      opts.build_baseline = false;
       const char* label;
       if (mode == 0) {
         label = "full budget";
@@ -121,7 +120,6 @@ void Run() {
   double full_cost = 0;
   for (int mode = 0; mode < 3; ++mode) {
     PdwCompilerOptions opts;
-    opts.build_baseline = false;
     const char* label;
     if (mode == 0) {
       label = "full budget";

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "pdw/baseline.h"
 #include "pdw/compiler.h"
 
 namespace pdw {
@@ -62,11 +63,18 @@ void RunSweep(const char* label, const char* query,
         std::printf("compile failed: %s\n", comp.status().ToString().c_str());
         continue;
       }
-      std::string serial_order = JoinGrouping(*comp->serial_plan);
+      auto baseline = BuildSerialBaseline(comp->serial.memo.get(),
+                                          appliance->shell().topology());
+      if (!baseline.ok()) {
+        std::printf("baseline failed: %s\n",
+                    baseline.status().ToString().c_str());
+        continue;
+      }
+      std::string serial_order = JoinGrouping(*baseline->serial_plan);
       std::string pdw_order = JoinGrouping(*comp->parallel.plan);
 
       auto base_run =
-          appliance->ExecutePlan(*comp->baseline_plan, comp->output_names);
+          appliance->ExecutePlan(*baseline->plan, comp->output_names);
       auto pdw_run =
           appliance->ExecutePlan(*comp->parallel.plan, comp->output_names);
       if (!base_run.ok() || !pdw_run.ok()) {
@@ -92,8 +100,8 @@ void RunSweep(const char* label, const char* query,
           "%-6d %-6.2f | %-34s %-34s | %12.5f %12.5f %7.2fx | %12.0f %12.0f "
           "%7.2fx\n",
           nodes, scale, serial_order.c_str(), pdw_order.c_str(),
-          comp->baseline_cost, comp->parallel.cost,
-          comp->parallel.cost > 0 ? comp->baseline_cost / comp->parallel.cost
+          baseline->cost, comp->parallel.cost,
+          comp->parallel.cost > 0 ? baseline->cost / comp->parallel.cost
                                   : 0.0,
           base_bytes, pdw_bytes,
           pdw_bytes > 0 ? base_bytes / pdw_bytes : 0.0);
@@ -151,11 +159,14 @@ void Run(bench::ProfileJsonSink* sink) {
   // Show the two plans once, for the report.
   auto appliance = bench::MakeTpchAppliance(8, 0.2);
   auto comp = CompilePdwQuery(appliance->shell(), kQuery);
-  if (comp.ok()) {
+  if (!comp.ok()) return;
+  auto baseline = BuildSerialBaseline(comp->serial.memo.get(),
+                                      appliance->shell().topology());
+  if (baseline.ok()) {
     std::printf("\nbest serial plan (single-node optimal):\n%s",
-                PlanTreeToString(*comp->serial_plan).c_str());
+                PlanTreeToString(*baseline->serial_plan).c_str());
     std::printf("\nparallelized serial plan (baseline):\n%s",
-                PlanTreeToString(*comp->baseline_plan).c_str());
+                PlanTreeToString(*baseline->plan).c_str());
     std::printf("\nPDW plan (search over the full space):\n%s",
                 PlanTreeToString(*comp->parallel.plan).c_str());
   }

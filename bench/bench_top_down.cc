@@ -23,9 +23,7 @@ void Run() {
               "bottom-up", "top-down", "agree", "bu ms", "td ms",
               "bu options", "td states");
   for (const auto& q : tpch::Queries()) {
-    PdwCompilerOptions opts;
-    opts.build_baseline = false;
-    auto comp = CompilePdwQuery(appliance->shell(), q.sql, opts);
+    auto comp = CompilePdwQuery(appliance->shell(), q.sql);
     if (!comp.ok()) {
       std::printf("%-5s compile failed\n", q.name.c_str());
       continue;
@@ -34,7 +32,7 @@ void Run() {
     double bu_cost = 0;
     size_t bu_options = 0;
     double bu_ms = bench::TimeMs([&]() {
-      PdwOptimizer opt(comp->imported.memo.get(), appliance->shell().topology());
+      PdwOptimizer opt(comp->serial.memo.get(), appliance->shell().topology());
       auto r = opt.Optimize();
       if (r.ok()) {
         bu_cost = r->cost;
@@ -45,7 +43,7 @@ void Run() {
     double td_cost = 0;
     size_t td_states = 0;
     double td_ms = bench::TimeMs([&]() {
-      TopDownPdwOptimizer opt(comp->imported.memo.get(),
+      TopDownPdwOptimizer opt(comp->serial.memo.get(),
                               appliance->shell().topology());
       auto r = opt.OptimalCost();
       if (r.ok()) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "pdw/baseline.h"
 #include "pdw/compiler.h"
 
 namespace pdw {
@@ -31,9 +32,16 @@ void Run(bench::ProfileJsonSink* sink) {
                   comp.status().ToString().c_str());
       continue;
     }
+    auto baseline = BuildSerialBaseline(comp->serial.memo.get(),
+                                        appliance->shell().topology());
+    if (!baseline.ok()) {
+      std::printf("%-5s baseline failed: %s\n", q.name.c_str(),
+                  baseline.status().ToString().c_str());
+      continue;
+    }
     auto pdw_run = appliance->ExecutePlan(*comp->parallel.plan,
                                           comp->output_names);
-    auto base_run = appliance->ExecutePlan(*comp->baseline_plan,
+    auto base_run = appliance->ExecutePlan(*baseline->plan,
                                            comp->output_names);
     auto ref = appliance->ExecuteReference(q.sql);
     if (!pdw_run.ok() || !base_run.ok() || !ref.ok()) {
@@ -70,7 +78,7 @@ void Run(bench::ProfileJsonSink* sink) {
     // the movement reduction the default (pushdown-enabled) plan owes to
     // the pre-aggregation enforcer on this query.
     PdwCompilerOptions no_preagg;
-    no_preagg.pdw.enable_preagg = 0;
+    no_preagg.pdw.enable_preagg = false;
     auto no_pa_run = session.Run(q.sql, QueryOptions()
                                             .WithCompilerOptions(no_preagg)
                                             .WithPlanCache(false));
@@ -86,9 +94,8 @@ void Run(bench::ProfileJsonSink* sink) {
         "%-5s %5zu | %11.6f %11.6f %6.2fx | %11.0f %11.0f %6.2fx | %8.3f "
         "%8.3f | %5s | %8.2fms %8.2fms %4s | %3s %11.0f %6.2fx\n",
         q.name.c_str(), pdw_run->dsql.steps.size(), comp->parallel.cost,
-        comp->baseline_cost,
-        comp->parallel.cost > 0 ? comp->baseline_cost / comp->parallel.cost
-                                : 1.0,
+        baseline->cost,
+        comp->parallel.cost > 0 ? baseline->cost / comp->parallel.cost : 1.0,
         pdw_bytes, base_bytes, pdw_bytes > 0 ? base_bytes / pdw_bytes : 1.0,
         pdw_run->measured_seconds, base_run->measured_seconds,
         match ? "YES" : "NO", compile1 * 1e3, compile2 * 1e3,

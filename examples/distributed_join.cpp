@@ -42,7 +42,7 @@ int main() {
               "compilation:\n%s\n", comp->serial.memo->ToString().c_str());
 
   // The alternatives the parallel optimizer weighed for the join group.
-  PdwOptimizer optimizer(comp->imported.memo.get(),
+  PdwOptimizer optimizer(comp->serial.memo.get(),
                          appliance.shell().topology());
   auto plan = optimizer.Optimize();
   if (!plan.ok()) {
@@ -51,7 +51,7 @@ int main() {
   }
   std::printf("data-movement alternatives per memo group "
               "(the paper's groups 5/6 are the MOVE entries):\n");
-  for (int g = 0; g < comp->imported.memo->num_groups(); ++g) {
+  for (int g = 0; g < comp->serial.memo->num_groups(); ++g) {
     for (const auto& o : optimizer.group_options(g)) {
       if (!o.is_enforcer) continue;
       std::printf("  group %d: MOVE %-22s -> %-16s cumulative cost %.6f\n", g,

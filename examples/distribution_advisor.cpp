@@ -67,9 +67,7 @@ int main() {
     double total = 0;
     std::printf("%-36s", d.label);
     for (const std::string& sql : workload) {
-      PdwCompilerOptions opts;
-      opts.build_baseline = false;
-      auto comp = CompilePdwQuery(shell, sql, opts);
+      auto comp = CompilePdwQuery(shell, sql);
       if (!comp.ok()) {
         std::printf(" %10s", "ERR");
         continue;

@@ -53,8 +53,7 @@ cmake --build build-asan -j
 # Pre-aggregation leg: the pushdown differential sweep (preagg on/off x
 # row/batch engine, all byte-compared against the single-node reference,
 # which runs the batch engine on the reference node) under ASan. Partial-aggregate kernels index raw selection vectors and
-# group tables, so both plan shapes of every sweep query run instrumented;
-# the env-knob test inside also covers the PDW_OPT_PREAGG=0 kill switch.
+# group tables, so both plan shapes of every sweep query run instrumented.
 cmake --build build-asan -j --target preagg_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/preagg_test
 

@@ -883,7 +883,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     profile.query_id = query_id;
 
     // 1. Obtain a DSQL plan: from the plan cache when allowed and fresh,
-    // else through the full parse→memo→XML→enumeration pipeline.
+    // else through the full parse→memo→enumeration pipeline.
     DsqlPlan dsql;
     std::string plan_text;
     double modeled_cost = 0;

@@ -1,5 +1,6 @@
 #include "engine/batch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -36,6 +37,12 @@ void ColumnVector::Reserve(size_t n) {
       var_.reserve(n);
       break;
   }
+}
+
+void ColumnVector::ReserveForAppend(size_t n) {
+  const size_t needed = nulls_.size() + n;
+  if (needed <= nulls_.capacity()) return;
+  Reserve(std::max(needed, 2 * nulls_.capacity()));
 }
 
 void ColumnVector::Clear() {
@@ -191,13 +198,13 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, size_t begin,
         return;
     }
   }
-  Reserve(nulls_.size() + (end - begin));
+  ReserveForAppend(end - begin);
   for (size_t i = begin; i < end; ++i) AppendFrom(src, i);
 }
 
 void ColumnVector::AppendRowsColumn(const RowVector& rows, size_t ordinal) {
   size_t end = rows.size();
-  Reserve(nulls_.size() + end);
+  ReserveForAppend(end);
   for (size_t r = 0; r < end; ++r) {
     const Datum& d = rows[r][ordinal];
     if (d.is_null()) {

@@ -103,6 +103,9 @@ class ColumnVector {
 
  private:
   void PromoteToVariant();
+  /// Makes room for `n` more rows, growing geometrically so that a run of
+  /// small appends (one-row INSERTs) stays linear overall.
+  void ReserveForAppend(size_t n);
 
   TypeId declared_;
   VecTag tag_;

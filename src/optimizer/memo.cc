@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/string_util.h"
 
 namespace pdw {
-
-int ResolveBeamWidth(int beam_width) {
-  if (beam_width >= 0) return beam_width;
-  if (const char* env = std::getenv("PDW_OPT_BEAM")) {
-    int n = std::atoi(env);
-    if (n >= 0) return n;
-  }
-  return 64;
-}
 
 namespace {
 
@@ -534,7 +524,7 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
     return order;
   };
 
-  const int beam = ResolveBeamWidth(options_.beam_width);
+  const int beam = options_.beam_width;
   if (options_.enumerate_joins && graph_connected && beam > 0 && n <= 32) {
     // Budget-bounded beam search over the DP levels: keep the top-k
     // cheapest connected subsets per level instead of abandoning

@@ -56,14 +56,10 @@ struct MemoOptions {
   bool enable_semijoin_to_join = true;
   bool enumerate_joins = true;  ///< false = keep the input join order only.
   /// Beam width of the degraded enumeration (top-K cheapest connected
-  /// subsets kept per DP level). -1 = PDW_OPT_BEAM env, else 64;
-  /// 0 = disable the beam (legacy left-deep cliff).
-  int beam_width = -1;
+  /// subsets kept per DP level); 0 = disable the beam (legacy left-deep
+  /// cliff).
+  int beam_width = 64;
 };
-
-/// Effective beam width: `beam_width` when >= 0, else PDW_OPT_BEAM when
-/// set, else 64.
-int ResolveBeamWidth(int beam_width);
 
 /// The optimizer search space: a DAG of groups. Construction inserts the
 /// normalized logical tree with full join-order enumeration inside each

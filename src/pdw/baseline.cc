@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "optimizer/serial_optimizer.h"
 
 namespace pdw {
 
@@ -359,6 +360,19 @@ Result<PlanNodePtr> ParallelizeSerialPlan(PlanNodePtr serial_plan,
                                           const DmsCostParameters& params) {
   Parallelizer p(topology, equivalence, params);
   return p.Run(std::move(serial_plan));
+}
+
+Result<SerialBaseline> BuildSerialBaseline(Memo* memo,
+                                           const Topology& topology,
+                                           const DmsCostParameters& params) {
+  SerialBaseline out;
+  PDW_ASSIGN_OR_RETURN(out.serial_plan, ExtractBestSerialPlan(memo));
+  const InterestingProperties props = DeriveInterestingProperties(*memo);
+  PDW_ASSIGN_OR_RETURN(out.plan,
+                       ParallelizeSerialPlan(out.serial_plan->Clone(), topology,
+                                             props.equivalence, params));
+  out.cost = TotalMoveCost(*out.plan);
+  return out;
 }
 
 }  // namespace pdw

@@ -54,31 +54,10 @@ Result<PdwCompilation> CompilePdwQuery(const Catalog& shell_catalog,
     obs::MetricsRegistry::Global().Count("optimizer.budget_exhausted");
   }
 
-  // Components 3-4a: XML export and PDW-side memo parse. The PDW optimizer
-  // always runs against the *imported* memo so the interface boundary is
-  // actually exercised.
-  Memo* pdw_memo = out.serial.memo.get();
-  if (options.use_xml_interface) {
-    t0 = NowSeconds();
-    {
-      obs::TraceSpan span("compile.xml_export");
-      out.memo_xml = MemoToXml(*out.serial.memo, *out.serial.stats);
-      span.AddAttr("bytes", static_cast<double>(out.memo_xml.size()));
-    }
-    out.phase_seconds.emplace_back("xml_export", NowSeconds() - t0);
-    t0 = NowSeconds();
-    {
-      obs::TraceSpan span("compile.xml_import");
-      PDW_ASSIGN_OR_RETURN(
-          out.imported, MemoFromXml(out.memo_xml, shell_catalog, options.memo));
-    }
-    out.phase_seconds.emplace_back("xml_import", NowSeconds() - t0);
-    pdw_memo = out.imported.memo.get();
-  }
-
-  // Component 4b: bottom-up parallel optimization.
+  // Component 4b: bottom-up parallel optimization of the serial memo.
   t0 = NowSeconds();
-  PdwOptimizer optimizer(pdw_memo, shell_catalog.topology(), effective.pdw);
+  PdwOptimizer optimizer(out.serial.memo.get(), shell_catalog.topology(),
+                         effective.pdw);
   {
     obs::TraceSpan span("compile.pdw_optimize");
     PDW_ASSIGN_OR_RETURN(out.parallel, optimizer.Optimize());
@@ -87,23 +66,6 @@ Result<PdwCompilation> CompilePdwQuery(const Catalog& shell_catalog,
                  static_cast<double>(out.parallel.options_considered));
   }
   out.phase_seconds.emplace_back("pdw_optimize", NowSeconds() - t0);
-
-  if (options.build_baseline) {
-    // §2.5 comparison: best serial plan, naively parallelized.
-    t0 = NowSeconds();
-    obs::TraceSpan span("compile.baseline");
-    PDW_ASSIGN_OR_RETURN(out.serial_plan,
-                         ExtractBestSerialPlan(out.serial.memo.get()));
-    PDW_ASSIGN_OR_RETURN(
-        out.baseline_plan,
-        ParallelizeSerialPlan(out.serial_plan->Clone(),
-                              shell_catalog.topology(),
-                              optimizer.interesting().equivalence,
-                              effective.pdw.cost_params));
-    out.baseline_cost = TotalMoveCost(*out.baseline_plan);
-    span.End();
-    out.phase_seconds.emplace_back("baseline", NowSeconds() - t0);
-  }
   return out;
 }
 

@@ -5,9 +5,7 @@
 #include <vector>
 
 #include "optimizer/serial_optimizer.h"
-#include "pdw/baseline.h"
 #include "pdw/pdw_optimizer.h"
-#include "xmlio/memo_xml.h"
 
 namespace pdw {
 
@@ -16,39 +14,32 @@ struct PdwCompilerOptions {
   MemoOptions memo;
   NormalizerOptions normalizer;
   PdwOptimizerOptions pdw;
-  /// Round-trip the memo through XML (the real Fig. 2 interface). Turning
-  /// this off skips serialization for micro-benchmarks.
-  bool use_xml_interface = true;
-  /// Also compute the best serial plan and its naive parallelization.
-  bool build_baseline = true;
 };
 
 /// Everything the control node produces for one query (Fig. 2): the serial
-/// compilation artifacts, the XML-encoded search space, the PDW parallel
-/// plan, and (optionally) the parallelized-serial baseline.
+/// compilation artifacts (whose memo the PDW optimizer searched) and the
+/// PDW parallel plan.
 struct PdwCompilation {
   std::vector<std::string> output_names;
   CompilationResult serial;
-  std::string memo_xml;
-  ImportedMemo imported;
   PdwPlanResult parallel;
-  PlanNodePtr serial_plan;    ///< Best serial plan (if build_baseline).
-  PlanNodePtr baseline_plan;  ///< Parallelized serial plan (if build_baseline).
-  double baseline_cost = 0;   ///< Total DMS cost of baseline_plan.
   /// Memo search-space stats, surfaced in DMVs and the profile JSON.
   int memo_groups = 0;
   size_t memo_exprs = 0;
   bool budget_exhausted = false;  ///< Join enumeration was degraded.
   bool beam_used = false;         ///< Degradation ran as a beam search.
   /// Wall seconds of every Fig. 2 component, in pipeline order (parse,
-  /// bind, normalize, memo, xml_export, xml_import, pdw_optimize,
-  /// baseline); the observability substrate of EXPLAIN ANALYZE.
+  /// bind, normalize, memo, pdw_optimize); the observability substrate of
+  /// EXPLAIN ANALYZE.
   std::vector<std::pair<std::string, double>> phase_seconds;
 };
 
 /// Runs the whole control-node compilation pipeline against the shell
-/// catalog: parse -> bind -> normalize -> serial memo -> XML export ->
-/// PDW memo import -> bottom-up parallel optimization -> plan.
+/// catalog: parse -> bind -> normalize -> serial memo -> bottom-up parallel
+/// optimization of that memo -> plan. The paper's XML boundary between the
+/// serial and PDW optimizers (Fig. 2 components 3-4a) is the codec in
+/// xmlio/memo_xml.h; one process needs no copy of the memo, so the pipeline
+/// hands it over directly.
 Result<PdwCompilation> CompilePdwQuery(const Catalog& shell_catalog,
                                        const std::string& sql,
                                        const PdwCompilerOptions& options = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -74,15 +73,6 @@ bool PlanUsesPreagg(const PlanNode& node) {
 }
 
 }  // namespace
-
-bool ResolvePreaggEnabled(int enable_preagg) {
-  if (enable_preagg >= 0) return enable_preagg != 0;
-  const char* env = std::getenv("PDW_OPT_PREAGG");
-  if (env == nullptr || *env == '\0') return true;
-  std::string v = env;
-  return !(v == "0" || EqualsIgnoreCase(v, "off") ||
-           EqualsIgnoreCase(v, "false"));
-}
 
 PdwOptimizer::PdwOptimizer(Memo* memo, const Topology& topology,
                            PdwOptimizerOptions options)
@@ -423,7 +413,7 @@ std::vector<int> PdwOptimizer::FrontierOptions(GroupId gid) const {
 }
 
 void PdwOptimizer::EnumeratePreagg(GroupId gid, int expr_index) {
-  if (!ResolvePreaggEnabled(opts_.enable_preagg)) return;
+  if (!opts_.enable_preagg) return;
   const Group& g = memo_->group(gid);
   const GroupExpr& e = g.exprs[static_cast<size_t>(expr_index)];
   const auto& agg = static_cast<const LogicalAggregate&>(*e.op);

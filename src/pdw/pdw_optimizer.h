@@ -90,15 +90,9 @@ struct PdwOptimizerOptions {
   bool relational_costs = false;
   /// Per-byte weight of relational work in the extended model.
   double relational_lambda = 0.4e-8;
-  /// Partial-aggregate pushdown below joins (PR 9): -1 = PDW_OPT_PREAGG
-  /// env (default on), 0 = off, 1 = on. Resolved before plan-cache
-  /// fingerprinting, like the beam width.
-  int enable_preagg = -1;
+  /// Partial-aggregate pushdown below joins (pre-aggregation enforcers).
+  bool enable_preagg = true;
 };
-
-/// Effective pushdown switch: `enable_preagg` when >= 0, else the
-/// PDW_OPT_PREAGG environment variable ("0"/"off" disables), else on.
-bool ResolvePreaggEnabled(int enable_preagg);
 
 /// Result of PDW optimization: the parallel plan (with Move nodes) plus
 /// search statistics used by the benches.

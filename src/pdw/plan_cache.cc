@@ -42,20 +42,14 @@ std::string NormalizeSqlForPlanCache(const std::string& sql) {
 
 std::string FingerprintCompilerOptions(const PdwCompilerOptions& o) {
   // %a renders doubles exactly (hex float), so two λ sets that differ in
-  // any bit fingerprint differently. The beam width is resolved before
-  // fingerprinting because the env default changes the plan shape just like
-  // an explicit option.
-  // The preagg switch is resolved like the beam width: the PDW_OPT_PREAGG
-  // env default changes the plan shape exactly as the explicit option does,
-  // so cached pushed-down plans never serve a pushdown-disabled query (or
-  // vice versa).
+  // any bit fingerprint differently.
   return StringFormat(
       "memo:%d,%d,%d,%d,%d,b%d|norm:%d,%d,%d,%d,%d,%d|"
-      "pdw:%a,%a,%a,%a,%a,%a,h%d,p%d,%zu,t%d,r%d,%a,pa%d|xml:%d|base:%d",
+      "pdw:%a,%a,%a,%a,%a,%a,h%d,p%d,%zu,t%d,r%d,%a,pa%d",
       o.memo.max_dp_relations, o.memo.expr_budget,
       o.memo.seed_distribution_aware ? 1 : 0,
       o.memo.enable_semijoin_to_join ? 1 : 0, o.memo.enumerate_joins ? 1 : 0,
-      ResolveBeamWidth(o.memo.beam_width),
+      o.memo.beam_width,
       o.normalizer.fold_constants ? 1 : 0, o.normalizer.push_predicates ? 1 : 0,
       o.normalizer.transitive_closure ? 1 : 0,
       o.normalizer.detect_contradictions ? 1 : 0,
@@ -67,8 +61,7 @@ std::string FingerprintCompilerOptions(const PdwCompilerOptions& o) {
       static_cast<int>(o.pdw.hint), o.pdw.prune ? 1 : 0,
       o.pdw.max_options_per_group, o.pdw.enable_trim_move ? 1 : 0,
       o.pdw.relational_costs ? 1 : 0, o.pdw.relational_lambda,
-      ResolvePreaggEnabled(o.pdw.enable_preagg) ? 1 : 0,
-      o.use_xml_interface ? 1 : 0, o.build_baseline ? 1 : 0);
+      o.pdw.enable_preagg ? 1 : 0);
 }
 
 uint64_t TableVersionTracker::Version(const std::string& table) const {

@@ -51,7 +51,7 @@ std::string NormalizeSqlForPlanCache(const std::string& sql);
 std::string FingerprintCompilerOptions(const PdwCompilerOptions& options);
 
 /// Everything the control node must retain to re-execute a compiled query
-/// without re-running the parse→memo→XML→enumeration pipeline.
+/// without re-running the parse→memo→enumeration pipeline.
 struct CachedDsqlPlan {
   DsqlPlan dsql;
   std::vector<std::string> output_names;

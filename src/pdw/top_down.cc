@@ -396,7 +396,7 @@ double TopDownPdwOptimizer::DirectCost(GroupId gid,
 
 double TopDownPdwOptimizer::PreaggCost(GroupId /*gid*/, const GroupExpr& e,
                                        const DistributionProperty& prop) {
-  if (!ResolvePreaggEnabled(opts_.enable_preagg)) return kInfiniteCost;
+  if (!opts_.enable_preagg) return kInfiniteCost;
   const auto& agg = static_cast<const LogicalAggregate&>(*e.op);
   // Same duplicate-sensitivity gates as the bottom-up enumerator: DISTINCT
   // aggregates are not decomposable and scalar aggregates keep the

@@ -35,9 +35,9 @@ class TopDownPdwOptimizer {
   struct Options {
     DmsCostParameters cost_params;
     bool enable_trim_move = true;
-    /// Partial-aggregate pushdown below joins (PR 9); same semantics as
-    /// PdwOptimizerOptions::enable_preagg (-1 = PDW_OPT_PREAGG env).
-    int enable_preagg = -1;
+    /// Partial-aggregate pushdown below joins; same semantics as
+    /// PdwOptimizerOptions::enable_preagg.
+    bool enable_preagg = true;
   };
 
   struct Stats {

@@ -248,6 +248,40 @@ void ExpectSameColumnStats(const ColumnStats& got, const ColumnStats& want,
   }
 }
 
+// Storage appends every INSERT to the table's column batch. A fill of
+// one-row INSERTs must grow each column geometrically instead of
+// reallocating and copying it on every append, on both append paths: the
+// row loader and the per-element path of a range copy between storage
+// classes.
+TEST(ColumnVectorTest, OneRowAppendsGrowGeometrically) {
+  constexpr int kAppends = 10000;
+  ColumnVector from_rows(TypeId::kInt);
+  ColumnVector from_range(TypeId::kInt);
+  ColumnVector variant_src(TypeId::kInvalid);  // forces per-element copies
+  size_t rows_changes = 0, range_changes = 0;
+  for (int i = 0; i < kAppends; ++i) {
+    size_t capacity = from_rows.nulls().capacity();
+    from_rows.AppendRowsColumn({{Datum::Int(i)}}, 0);
+    if (from_rows.nulls().capacity() != capacity) ++rows_changes;
+
+    variant_src.Append(Datum::Int(i));
+    capacity = from_range.nulls().capacity();
+    from_range.AppendRangeFrom(variant_src, variant_src.size() - 1,
+                               variant_src.size());
+    if (from_range.nulls().capacity() != capacity) ++range_changes;
+  }
+  EXPECT_LE(rows_changes, 64u);
+  EXPECT_LE(range_changes, 64u);
+  ASSERT_EQ(from_rows.size(), static_cast<size_t>(kAppends));
+  ASSERT_EQ(from_range.size(), static_cast<size_t>(kAppends));
+  EXPECT_EQ(from_rows.tag(), VecTag::kInt64);
+  EXPECT_EQ(from_range.tag(), VecTag::kInt64);
+  for (int i : {0, kAppends / 2, kAppends - 1}) {
+    EXPECT_EQ(from_rows.i64(static_cast<size_t>(i)), i);
+    EXPECT_EQ(from_range.i64(static_cast<size_t>(i)), i);
+  }
+}
+
 // Storage keeps each table as one column batch; what it hands back — to
 // GetRows, to either engine's scan, and to the statistics builder — must be
 // exactly what was inserted.

@@ -12,7 +12,6 @@
 // the high-reduction regime the pushdown targets. Grouping by the unique
 // column `f_uniq` instead gives the adversarial near-unique case the
 // cost model must decline.
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -121,6 +120,13 @@ TEST_F(PreaggTest, ChosenOnHighReductionGroups) {
   EXPECT_FALSE(off->parallel.preagg_chosen);
   // Pushdown was chosen because it is strictly cheaper, not by fiat.
   EXPECT_LT(on->parallel.cost, off->parallel.cost);
+
+  // Default options consider the pushdown too.
+  auto defaults = CompilePdwQuery(appliance_->shell(), kHighReduction,
+                                  PdwCompilerOptions{});
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_GT(defaults->parallel.preagg_considered, 0u);
+  EXPECT_TRUE(defaults->parallel.preagg_chosen);
 }
 
 TEST_F(PreaggTest, DeclinedOnNearUniqueGroups) {
@@ -153,18 +159,6 @@ TEST_F(PreaggTest, ScalarAggregateRefusesPushdown) {
   ASSERT_TRUE(on.ok());
   EXPECT_EQ(on->parallel.preagg_considered, 0u);
   EXPECT_FALSE(on->parallel.preagg_chosen);
-}
-
-TEST_F(PreaggTest, EnvKnobDisablesPushdown) {
-  setenv("PDW_OPT_PREAGG", "0", 1);
-  auto off = CompilePdwQuery(appliance_->shell(), kHighReduction, {});
-  unsetenv("PDW_OPT_PREAGG");
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->parallel.preagg_considered, 0u);
-
-  auto on = CompilePdwQuery(appliance_->shell(), kHighReduction, {});
-  ASSERT_TRUE(on.ok());
-  EXPECT_GT(on->parallel.preagg_considered, 0u);
 }
 
 TEST_F(PreaggTest, AvgMatchesRowOracleOverBothPlanShapes) {

@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "appliance/appliance.h"
+#include "pdw/baseline.h"
 #include "pdw/compiler.h"
 #include "tpch/tpch.h"
 
@@ -178,11 +179,14 @@ TEST_F(PlanValidityTest, SuitePlansAreDistributionValid) {
     SCOPED_TRACE(q.name);
     auto comp = CompilePdwQuery(appliance_->shell(), q.sql);
     ASSERT_TRUE(comp.ok()) << comp.status().ToString();
-    PdwOptimizer opt_probe(comp->imported.memo.get(),
+    PdwOptimizer opt_probe(comp->serial.memo.get(),
                            appliance_->shell().topology());
     ASSERT_TRUE(opt_probe.Optimize().ok());
+    auto baseline = BuildSerialBaseline(comp->serial.memo.get(),
+                                        appliance_->shell().topology());
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     ValidatePlan(*comp->parallel.plan, opt_probe.interesting().equivalence);
-    ValidatePlan(*comp->baseline_plan, opt_probe.interesting().equivalence);
+    ValidatePlan(*baseline->plan, opt_probe.interesting().equivalence);
   }
 }
 

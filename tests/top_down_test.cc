@@ -17,14 +17,11 @@ class TopDownTest : public ::testing::Test {
   TopDownTest() : catalog_(testing::MakeTpchShellCatalog()) {}
 
   void ExpectAgreement(const std::string& sql) {
-    PdwCompilerOptions opts;
-    opts.build_baseline = false;
-    auto comp = CompilePdwQuery(catalog_, sql, opts);
+    auto comp = CompilePdwQuery(catalog_, sql);
     ASSERT_TRUE(comp.ok()) << sql << "\n" << comp.status().ToString();
     double bottom_up = comp->parallel.cost;
 
-    TopDownPdwOptimizer top_down(comp->imported.memo.get(),
-                                 catalog_.topology());
+    TopDownPdwOptimizer top_down(comp->serial.memo.get(), catalog_.topology());
     auto td = top_down.OptimalCost();
     ASSERT_TRUE(td.ok()) << sql << "\n" << td.status().ToString();
     EXPECT_NEAR(*td, bottom_up, 1e-12 + bottom_up * 1e-9) << sql;
@@ -91,11 +88,9 @@ TEST(TopDownTpchTest, WholeTpchSuite) {
   ASSERT_TRUE(tpch::LoadTpch(&appliance, cfg).ok());
   for (const auto& q : tpch::Queries()) {
     SCOPED_TRACE(q.name);
-    PdwCompilerOptions opts;
-    opts.build_baseline = false;
-    auto comp = CompilePdwQuery(appliance.shell(), q.sql, opts);
+    auto comp = CompilePdwQuery(appliance.shell(), q.sql);
     ASSERT_TRUE(comp.ok()) << comp.status().ToString();
-    TopDownPdwOptimizer top_down(comp->imported.memo.get(),
+    TopDownPdwOptimizer top_down(comp->serial.memo.get(),
                                  appliance.shell().topology());
     auto td = top_down.OptimalCost();
     ASSERT_TRUE(td.ok()) << td.status().ToString();
