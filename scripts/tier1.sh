@@ -31,10 +31,16 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dms_pipeline_test
 
 # DMV leg: the live-introspection suite under TSan — a session thread
 # polls sys.dm_pdw_exec_requests / _steps while a storm of queries runs,
-# exercising the request registry, the DMS progress feed, and virtual-table
-# snapshot materialization against concurrent temp-table DDL.
-cmake --build build-tsan -j --target dmv_test
+# exercising the request registry (which stores each step's StepProfile:
+# written by the step runner and the DMS progress feed while DMV snapshots
+# copy it), the DMS progress feed, and virtual-table snapshot
+# materialization against concurrent temp-table DDL. obs_test's
+# ThreadSafetySmoke tests hammer the tracer and the metrics registry that
+# every DMS worker and step writes into; ASan cannot see a data race, so
+# they run instrumented here.
+cmake --build build-tsan -j --target dmv_test obs_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dmv_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test
 
 # Workload leg: admission control (slot handoff, priority queue, overload
 # fast-fail), result-cache coalescing (leader/follower wakeups, follower

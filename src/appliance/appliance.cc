@@ -86,6 +86,32 @@ double PreaggActualRowsIn(const std::vector<obs::OperatorProfile>& ops) {
   return 0;
 }
 
+/// The profile of DSQL step `index` before it runs: what the plan says about
+/// it, every measurement zero. It seeds the registry's pending steps and
+/// every attempt of the step.
+obs::StepProfile PlannedStepProfile(const DsqlStep& step, size_t index) {
+  obs::StepProfile sp;
+  sp.index = static_cast<int>(index);
+  sp.kind = step.kind == DsqlStepKind::kDms ? "DMS" : "RETURN";
+  if (step.kind == DsqlStepKind::kDms) {
+    sp.move_kind = DmsOpKindToString(step.move_kind);
+  }
+  sp.dest_table = step.dest_table;
+  sp.sql = step.sql;
+  sp.estimated_rows = step.estimated_rows;
+  sp.estimated_cost = step.estimated_cost;
+  sp.preagg = step.preagg;
+  sp.preagg_rows_in = step.preagg_rows_in;
+  return sp;
+}
+
+/// RunWithRetries' on_retry hook for the retry.* counters.
+void CountRetry(int /*retry_index*/, double backoff_seconds) {
+  obs::MetricsRegistry::Global().Count("retry.attempts");
+  obs::MetricsRegistry::Global().Count("retry.backoff_seconds",
+                                       backoff_seconds);
+}
+
 void FillComponents(const DmsRunMetrics& m, obs::StepProfile* sp) {
   sp->reader = {m.reader.bytes, m.reader.seconds};
   sp->network = {m.network.bytes, m.network.seconds};
@@ -174,6 +200,18 @@ void CollectScanTables(const PlanNode& node, const PlanCache& cache,
   for (const auto& child : node.children) {
     CollectScanTables(*child, cache, seen, out);
   }
+}
+
+/// EXPLAIN text of a compiled plan: a header with its modeled DMS cost,
+/// `warning`, the plan tree, then `details` — the DSQL steps under EXPLAIN,
+/// the profile under EXPLAIN ANALYZE.
+std::string ExplainText(const CachedDsqlPlan& plan, bool cache_hit,
+                        const std::string& warning,
+                        const std::string& details) {
+  return "-- parallel plan (modeled DMS cost " +
+         StringFormat("%.6f", plan.modeled_cost) + ")" +
+         (cache_hit ? "  [plan cache hit]" : "") + "\n" + warning +
+         plan.plan_text + "\n" + details;
 }
 
 const char* EngineLabel(const ExecOptions& exec) {
@@ -268,8 +306,7 @@ Appliance::Appliance(Topology topology)
       dms_(topology.num_compute_nodes),
       table_versions_(std::make_shared<TableVersionTracker>()),
       plan_cache_(/*capacity=*/128, table_versions_),
-      result_cache_(/*capacity=*/64, table_versions_),
-      workload_(WorkloadManagerConfig::FromEnv()) {
+      result_cache_(/*capacity=*/64, table_versions_) {
   for (int i = 0; i < topology.num_compute_nodes; ++i) {
     compute_.push_back(std::make_unique<LocalEngine>());
   }
@@ -397,88 +434,76 @@ Status Appliance::DropTemps(const std::vector<std::string>& temps) {
   return Status::OK();
 }
 
-Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
-                                               uint64_t query_id,
-                                               bool profile_operators,
-                                               int max_parallel_nodes,
-                                               const ExecOptions& exec,
-                                               const RetryPolicy& retry,
-                                               const std::atomic<bool>* cancel) {
-  ApplianceResult result;
-  result.dsql = dsql;
-  result.column_names = dsql.output_names;
-  double start = NowSeconds();
-  std::vector<std::string> temps;
-  obs::TraceSpan dsql_span("appliance.execute_dsql");
-  dsql_span.AddAttr("steps", static_cast<double>(dsql.steps.size()));
+/// One DSQL plan execution's step runner: what the plan's steps share (the
+/// appliance, the request id, the execution knobs, the result being
+/// assembled), the step attempt ExecuteDsql runs under RunWithRetries, and
+/// the DMS and Return step bodies an attempt dispatches to.
+struct Appliance::StepRunner {
+  Appliance& app;
+  const DsqlPlan& dsql;
+  uint64_t query_id;
+  bool profile_operators;
+  int max_parallel_nodes;
+  const ExecOptions& exec;
+  const std::atomic<bool>* cancel;
+  ApplianceResult& result;
 
-  // Transition the registry entry to executing with the plan's step
-  // skeleton, so DMV queries see every step (pending ones included) from
-  // the moment execution starts.
-  {
-    std::vector<obs::RequestStepState> skeleton;
-    for (size_t i = 0; i < dsql.steps.size(); ++i) {
-      const DsqlStep& step = dsql.steps[i];
-      obs::RequestStepState s;
-      s.index = static_cast<int>(i);
-      s.kind = step.kind == DsqlStepKind::kDms ? "DMS" : "RETURN";
-      if (step.kind == DsqlStepKind::kDms) {
-        s.move_kind = DmsOpKindToString(step.move_kind);
-      }
-      s.dest_table = step.dest_table;
-      s.sql = step.sql;
-      skeleton.push_back(std::move(s));
+  /// One attempt of step `index`, profiled into `sp`; `attempt` counts the
+  /// failed attempts before it. Cooperative cancellation is observed at
+  /// every step boundary and at every retry re-entry.
+  Status Attempt(size_t index, int attempt, obs::StepProfile* sp) {
+    if (cancel != nullptr && cancel->load()) {
+      return Status::Cancelled("query cancelled at step boundary");
     }
-    requests_.BeginExecute(query_id, std::move(skeleton));
+    const DsqlStep& step = dsql.steps[index];
+    *sp = PlannedStepProfile(step, index);
+    sp->retries = attempt;
+    app.requests_.BeginStep(query_id, *sp);
+    double start = NowSeconds();
+    PDW_RETURN_NOT_OK(step.kind == DsqlStepKind::kDms ? RunDms(step, sp)
+                                                      : RunReturn(step, sp));
+    sp->measured_seconds = NowSeconds() - start;
+    if (sp->preagg) {
+      sp->preagg_rows_in_actual = PreaggActualRowsIn(sp->operators);
+      obs::MetricsRegistry::Global().Count("dms.preagg.rows_in",
+                                           sp->preagg_rows_in_actual);
+      obs::MetricsRegistry::Global().Count("dms.preagg.rows_out",
+                                           sp->rows_moved);
+    }
+    return Status::OK();
   }
 
-  ThreadPool& pool = ThreadPool::Global();
-  bool parallel = max_parallel_nodes != 1;
-  double latency = dispatch_latency_seconds_;
+  LocalEngine& EngineOf(int node) {
+    return node == app.dms_.control_node()
+               ? app.control_
+               : *app.compute_[static_cast<size_t>(node)];
+  }
 
-  auto engine_of = [&](int node) -> LocalEngine& {
-    return node == dms_.control_node() ? control_
-                                       : *compute_[static_cast<size_t>(node)];
-  };
-
-  // Every abort funnels through here, and DropTemps traverses no fault
-  // points, so a failed plan can never leak a TEMP_ID table — the appliance
-  // stays serviceable for the next query.
-  auto cleanup_and_fail = [&](Status s) -> Status {
-    Status drop = DropTemps(temps);
-    (void)drop;
-    return s;
-  };
-
-  // The per-node body of every step: the control→compute RPC of shipping
-  // the step's SQL to runs->nodes[i] (fault point + modeled latency), then
-  // the timed node-local execution. The DMS producers and the Return step
-  // both run it; NodeRuns::FoldInto then adds what it measured to the step
-  // profile.
-  auto run_node = [&](const DsqlStep& step, NodeRuns* runs,
-                      size_t i) -> Result<RowVector> {
+  /// The per-node body of every step: the control→compute RPC of shipping
+  /// the step's SQL to runs->nodes[i] (fault point + modeled latency), then
+  /// the timed node-local execution. The DMS producers and the Return step
+  /// both run it; NodeRuns::FoldInto then adds what it measured to the step
+  /// profile.
+  Result<RowVector> RunNode(const DsqlStep& step, NodeRuns* runs, size_t i) {
     int node = runs->nodes[i];
     Status fs = fault::Check("appliance.step.dispatch");
     if (!fs.ok()) return WrapNodeStatus(node, fs, step.sql);
-    if (latency > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(latency));
+    if (app.dispatch_latency_seconds_ > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(app.dispatch_latency_seconds_));
     }
     double t0 = NowSeconds();
-    auto rows = engine_of(node).ExecuteSql(
+    auto rows = EngineOf(node).ExecuteSql(
         step.sql, runs->profiles.empty() ? nullptr : &runs->profiles[i], exec);
     runs->seconds[i] = NowSeconds() - t0;
     if (!rows.ok()) return WrapNodeStatus(node, rows.status(), step.sql);
     runs->names[i] = std::move(rows->column_names);
     return std::move(rows->rows);
-  };
+  }
 
-  // Runs one DMS step end-to-end: source SQL on every source node, rows
-  // through DMS, destination temp table materialized on every target node.
-  auto run_dms_step = [&](const DsqlStep& step,
-                          obs::StepProfile* sp) -> Status {
-    sp->kind = "DMS";
-    sp->move_kind = DmsOpKindToString(step.move_kind);
-    sp->dest_table = step.dest_table;
+  /// Runs one DMS step end-to-end: source SQL on every source node, rows
+  /// through DMS, destination temp table materialized on every target node.
+  Status RunDms(const DsqlStep& step, obs::StepProfile* sp) {
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", sp->move_kind);
     step_span.AddAttr("dest", step.dest_table);
@@ -486,28 +511,28 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     // production on one node overlaps pack/route/unpack of nodes that
     // finished earlier — no materialization barrier between step execution
     // and movement.
-    NodeRuns runs(SourceNodes(step), profile_operators);
+    NodeRuns runs(app.SourceNodes(step), profile_operators);
     std::vector<DmsProducer> producers(
-        static_cast<size_t>(dms_.num_compute_nodes() + 1));
+        static_cast<size_t>(app.dms_.num_compute_nodes() + 1));
     for (size_t i = 0; i < runs.nodes.size(); ++i) {
       producers[static_cast<size_t>(runs.nodes[i])] = [&, i] {
-        return run_node(step, &runs, i);
+        return RunNode(step, &runs, i);
       };
     }
     DmsExecOptions dms_options;
     dms_options.cancel = cancel;
     dms_options.max_workers = max_parallel_nodes;
-    dms_options.progress = [this, query_id, idx = sp->index](
-                               double rows_delta, double bytes_delta) {
-      requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
+    dms_options.progress = [this, idx = sp->index](double rows_delta,
+                                                   double bytes_delta) {
+      app.requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
     };
     for (const ColumnDef& col : step.dest_schema.columns()) {
       dms_options.types.push_back(col.type);
     }
     DmsRunMetrics metrics;
-    auto routed = dms_.ExecutePipelined(
+    auto routed = app.dms_.ExecutePipelined(
         step.move_kind, std::move(producers), step.hash_column_ordinals,
-        &metrics, parallel ? &pool : nullptr, dms_options);
+        &metrics, &ThreadPool::Global(), dms_options);
     if (!routed.ok()) return routed.status();
     runs.FoldInto(sp, &result.column_names);
     result.dms_metrics.Accumulate(metrics);
@@ -519,13 +544,13 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     TableDef temp_def;
     temp_def.name = step.dest_table;
     temp_def.schema = step.dest_schema;
-    const std::vector<int> targets = TargetNodes(step);
+    const std::vector<int> targets = app.TargetNodes(step);
     std::vector<Status> target_status(targets.size());
-    pool.ParallelFor(
+    ThreadPool::Global().ParallelFor(
         static_cast<int>(targets.size()),
         [&](int i) {
           int node = targets[static_cast<size_t>(i)];
-          LocalEngine& engine = engine_of(node);
+          LocalEngine& engine = EngineOf(node);
           Status ts = fault::Check("appliance.temp.create");
           if (ts.ok()) ts = engine.CreateTable(temp_def);
           if (ts.ok()) {
@@ -534,32 +559,30 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
           }
           target_status[static_cast<size_t>(i)] = std::move(ts);
         },
-        parallel ? max_parallel_nodes : 1);
+        max_parallel_nodes);
     for (Status& ts : target_status) {
       if (!ts.ok()) return std::move(ts);
     }
     return Status::OK();
-  };
+  }
 
-  // Runs the Return step: per-source-node SQL, deterministic assembly,
-  // merge sort, limit, visible-column trim.
-  auto run_return_step = [&](const DsqlStep& step,
-                             obs::StepProfile* sp) -> Status {
-    sp->kind = "RETURN";
+  /// Runs the Return step: per-source-node SQL, deterministic assembly,
+  /// merge sort, limit, visible-column trim.
+  Status RunReturn(const DsqlStep& step, obs::StepProfile* sp) {
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", std::string("Return"));
     // Every source node runs the SQL simultaneously (capped at
     // max_parallel_nodes; 1 = the serial node-by-node loop).
-    NodeRuns runs(SourceNodes(step), profile_operators);
+    NodeRuns runs(app.SourceNodes(step), profile_operators);
     std::vector<Result<RowVector>> per_node(
         runs.nodes.size(), Status::Internal("node not run"));
-    pool.ParallelFor(
+    ThreadPool::Global().ParallelFor(
         static_cast<int>(runs.nodes.size()),
         [&](int i) {
           per_node[static_cast<size_t>(i)] =
-              run_node(step, &runs, static_cast<size_t>(i));
+              RunNode(step, &runs, static_cast<size_t>(i));
         },
-        parallel ? max_parallel_nodes : 1);
+        max_parallel_nodes);
     for (const Result<RowVector>& rows : per_node) {
       if (!rows.ok()) return rows.status();
     }
@@ -598,91 +621,76 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     result.rows = std::move(assembled);
     sp->actual_rows = static_cast<double>(result.rows.size());
     return Status::OK();
+  }
+};
+
+Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
+                                               uint64_t query_id,
+                                               bool profile_operators,
+                                               int max_parallel_nodes,
+                                               const ExecOptions& exec,
+                                               const RetryPolicy& retry,
+                                               const std::atomic<bool>* cancel) {
+  ApplianceResult result;
+  result.dsql = dsql;
+  result.column_names = dsql.output_names;
+  double start = NowSeconds();
+  std::vector<std::string> temps;
+  obs::TraceSpan dsql_span("appliance.execute_dsql");
+  dsql_span.AddAttr("steps", static_cast<double>(dsql.steps.size()));
+
+  // Transition the registry entry to executing with the plan's steps, so
+  // DMV queries see every step (pending ones included) from the moment
+  // execution starts.
+  std::vector<obs::StepProfile> planned;
+  for (size_t i = 0; i < dsql.steps.size(); ++i) {
+    planned.push_back(PlannedStepProfile(dsql.steps[i], i));
+  }
+  requests_.BeginExecute(query_id, std::move(planned));
+
+  // Every abort funnels through here, and DropTemps traverses no fault
+  // points, so a failed plan can never leak a TEMP_ID table — the appliance
+  // stays serviceable for the next query.
+  auto cleanup_and_fail = [&](Status s) -> Status {
+    (void)DropTemps(temps);
+    return s;
   };
 
   // Each step runs under the retry policy: a transient failure (node
   // hiccup, injected fault) re-runs the whole step after its partial dest
   // temp is dropped everywhere, with exponential backoff in between; any
-  // other failure aborts the plan through cleanup_and_fail. The profile
-  // keeps the successful attempt's numbers plus the retry count.
-  int max_attempts = std::max(1, retry.max_attempts);
+  // other failure, cancellation included, aborts the plan through
+  // cleanup_and_fail. The profile keeps the successful attempt's numbers
+  // plus the retry count.
+  StepRunner runner{*this, dsql, query_id, profile_operators,
+                    max_parallel_nodes, exec, cancel, result};
   for (size_t i = 0; i < dsql.steps.size(); ++i) {
     const DsqlStep& step = dsql.steps[i];
     bool is_dms = step.kind == DsqlStepKind::kDms;
     if (is_dms) temps.push_back(step.dest_table);
     obs::StepProfile sp;
-    for (int attempt = 0;; ++attempt) {
-      // Cooperative cancellation is observed at every step boundary and at
-      // every retry re-entry; the abort goes through cleanup_and_fail so a
-      // cancelled query never leaks temp tables.
-      if (cancel != nullptr && cancel->load()) {
-        return cleanup_and_fail(
-            Status::Cancelled("query cancelled at step boundary"));
-      }
-      sp = obs::StepProfile{};
-      sp.index = static_cast<int>(i);
-      sp.sql = step.sql;
-      sp.estimated_rows = step.estimated_rows;
-      sp.estimated_cost = step.estimated_cost;
-      sp.preagg = step.preagg;
-      sp.preagg_rows_in = step.preagg_rows_in;
-      sp.retries = attempt;
-      requests_.BeginStep(query_id, sp.index, attempt);
-      double step_start = NowSeconds();
-      Status s = is_dms ? run_dms_step(step, &sp) : run_return_step(step, &sp);
-      if (s.ok()) {
-        sp.measured_seconds = NowSeconds() - step_start;
-        if (sp.preagg) {
-          sp.preagg_rows_in_actual = PreaggActualRowsIn(sp.operators);
-          obs::MetricsRegistry::Global().Count("dms.preagg.rows_in",
-                                               sp.preagg_rows_in_actual);
-          obs::MetricsRegistry::Global().Count("dms.preagg.rows_out",
-                                               sp.rows_moved);
-        }
-        break;
-      }
-      if (!retry.IsRetryable(s) || attempt + 1 >= max_attempts) {
-        return cleanup_and_fail(std::move(s));
-      }
-      // The failed attempt may have materialized a partial dest temp on
-      // some target nodes: drop it so the retry starts clean.
-      if (is_dms) (void)DropTemps({step.dest_table});
-      double backoff = retry.BackoffForAttempt(attempt + 1);
-      obs::MetricsRegistry::Global().Count("retry.attempts");
-      obs::MetricsRegistry::Global().Count("retry.backoff_seconds", backoff);
-      retry.Sleep(backoff);
-    }
-    // Finalize the registry's step with the successful attempt's metered
-    // totals (replacing live-progress counts, which double-count broadcast
-    // fan-out) and feed the latency histograms behind sys.dm_pdw_metrics.
-    {
-      obs::RequestStepState fin;
-      fin.index = sp.index;
-      fin.kind = sp.kind;
-      fin.move_kind = sp.move_kind;
-      fin.dest_table = sp.dest_table;
-      fin.sql = sp.sql;
-      fin.retries = sp.retries;
-      fin.rows_moved = sp.actual_rows;
-      fin.bytes_moved = sp.network.bytes;
-      fin.seconds = sp.measured_seconds;
-      fin.component_bytes[0] = sp.reader.bytes;
-      fin.component_bytes[1] = sp.network.bytes;
-      fin.component_bytes[2] = sp.writer.bytes;
-      fin.component_bytes[3] = sp.bulkcopy.bytes;
-      fin.component_seconds[0] = sp.reader.seconds;
-      fin.component_seconds[1] = sp.network.seconds;
-      fin.component_seconds[2] = sp.writer.seconds;
-      fin.component_seconds[3] = sp.bulkcopy.seconds;
-      requests_.EndStep(query_id, fin);
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      reg.Observe("dsql.step.seconds", sp.measured_seconds);
-      if (is_dms) {
-        reg.Observe("dms.reader.seconds", sp.reader.seconds);
-        reg.Observe("dms.network.seconds", sp.network.seconds);
-        reg.Observe("dms.writer.seconds", sp.writer.seconds);
-        reg.Observe("dms.bulkcopy.seconds", sp.bulkcopy.seconds);
-      }
+    int attempt = 0;
+    Status s = RunWithRetries(
+        retry, [&] { return runner.Attempt(i, attempt++, &sp); },
+        [&](int retry_index, double backoff) {
+          // The failed attempt may have materialized a partial dest temp on
+          // some target nodes: drop it so the retry starts clean.
+          if (is_dms) (void)DropTemps({step.dest_table});
+          CountRetry(retry_index, backoff);
+        });
+    if (!s.ok()) return cleanup_and_fail(std::move(s));
+    // Complete the registry's step with the successful attempt's profile,
+    // whose metered totals replace the live-progress counts (which
+    // double-count broadcast fan-out), and feed the latency histograms
+    // behind sys.dm_pdw_metrics.
+    requests_.EndStep(query_id, sp);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    reg.Observe("dsql.step.seconds", sp.measured_seconds);
+    if (is_dms) {
+      reg.Observe("dms.reader.seconds", sp.reader.seconds);
+      reg.Observe("dms.network.seconds", sp.network.seconds);
+      reg.Observe("dms.writer.seconds", sp.writer.seconds);
+      reg.Observe("dms.bulkcopy.seconds", sp.bulkcopy.seconds);
     }
     result.profile.steps.push_back(std::move(sp));
   }
@@ -696,14 +704,8 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
         PDW_FAULT_POINT("appliance.temp.drop");
         return DropTemps(temps);
       },
-      [&](int, double backoff) {
-        obs::MetricsRegistry::Global().Count("retry.attempts");
-        obs::MetricsRegistry::Global().Count("retry.backoff_seconds", backoff);
-      });
-  if (!drop.ok()) {
-    (void)DropTemps(temps);
-    return drop;
-  }
+      CountRetry);
+  if (!drop.ok()) return cleanup_and_fail(std::move(drop));
   result.measured_seconds = NowSeconds() - start;
   result.profile.measured_seconds = result.measured_seconds;
   result.profile.modeled_cost = dsql.total_move_cost;
@@ -883,15 +885,11 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     profile.query_id = query_id;
 
     // 1. Obtain a DSQL plan: from the plan cache when allowed and fresh,
-    // else through the full parse→memo→enumeration pipeline.
-    DsqlPlan dsql;
-    std::string plan_text;
-    double modeled_cost = 0;
-    std::vector<std::string> output_names;
+    // else through the full parse→memo→enumeration pipeline. Either way it
+    // is one CachedDsqlPlan, whose table versions anchor the invalidation
+    // of both the plan cache and the result cache.
+    CachedDsqlPlan plan;
     bool cache_hit = false;
-    // Base tables the plan scans with their stats versions: the
-    // invalidation anchor for both the plan cache and the result cache.
-    std::vector<std::pair<std::string, uint64_t>> scan_versions;
 
     requests_.BeginCompile(query_id);
     std::string normalized, fingerprint;
@@ -900,12 +898,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
       normalized = NormalizeSqlForPlanCache(sql);
       fingerprint = FingerprintCompilerOptions(options.compile.compiler);
       if (auto cached = plan_cache_.Lookup(normalized, fingerprint)) {
-        dsql = std::move(cached->dsql);
-        plan_text = std::move(cached->plan_text);
-        modeled_cost = cached->modeled_cost;
-        output_names = std::move(cached->output_names);
-        profile.optimizer = cached->optimizer;
-        scan_versions = std::move(cached->table_versions);
+        plan = std::move(*cached);
         cache_hit = true;
         double dt = NowSeconds() - t0;
         profile.compile_phases.push_back({"plan_cache_lookup", dt});
@@ -921,61 +914,45 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
       {
         obs::TraceSpan gen("compile.dsql_gen");
         PDW_ASSIGN_OR_RETURN(
-            dsql, GenerateDsql(*comp.parallel.plan, comp.output_names, "tpch",
-                               comp.serial.visible_columns));
+            plan.dsql,
+            GenerateDsql(*comp.parallel.plan, comp.output_names, "tpch",
+                         comp.serial.visible_columns));
       }
       comp.phase_seconds.emplace_back("dsql_gen", NowSeconds() - t0);
-      plan_text = PlanTreeToString(*comp.parallel.plan);
-      modeled_cost = comp.parallel.cost;
-      output_names = comp.output_names;
+      plan.plan_text = PlanTreeToString(*comp.parallel.plan);
+      plan.modeled_cost = comp.parallel.cost;
+      plan.output_names = comp.output_names;
       for (const auto& [name, seconds] : comp.phase_seconds) {
         profile.compile_phases.push_back({name, seconds});
         profile.compile_seconds += seconds;
       }
-      profile.optimizer.groups =
-          static_cast<double>(comp.parallel.groups_optimized);
-      profile.optimizer.options_considered =
+      const Memo& memo = *comp.serial.memo;
+      obs::OptimizerProfile& opt = plan.optimizer;
+      opt.groups = static_cast<double>(comp.parallel.groups_optimized);
+      opt.options_considered =
           static_cast<double>(comp.parallel.options_considered);
-      profile.optimizer.options_kept =
-          static_cast<double>(comp.parallel.options_kept);
-      profile.optimizer.options_pruned =
-          static_cast<double>(comp.parallel.options_pruned);
-      profile.optimizer.enforcers_inserted =
+      opt.options_kept = static_cast<double>(comp.parallel.options_kept);
+      opt.options_pruned = static_cast<double>(comp.parallel.options_pruned);
+      opt.enforcers_inserted =
           static_cast<double>(comp.parallel.enforcers_inserted);
-      profile.optimizer.memo_groups = static_cast<double>(comp.memo_groups);
-      profile.optimizer.memo_exprs = static_cast<double>(comp.memo_exprs);
-      profile.optimizer.budget_exhausted = comp.budget_exhausted;
-      profile.optimizer.beam_used = comp.beam_used;
+      opt.memo_groups = static_cast<double>(memo.num_groups());
+      opt.memo_exprs = static_cast<double>(memo.num_exprs());
+      opt.budget_exhausted = memo.budget_exhausted();
+      opt.beam_used = memo.beam_used();
 
       std::set<std::string> seen;
       CollectScanTables(*comp.parallel.plan, plan_cache_, &seen,
-                        &scan_versions);
+                        &plan.table_versions);
       if (options.compile.use_plan_cache) {
-        CachedDsqlPlan entry;
-        entry.dsql = dsql;
-        entry.output_names = output_names;
-        entry.plan_text = plan_text;
-        entry.modeled_cost = modeled_cost;
-        entry.optimizer = profile.optimizer;
-        entry.table_versions = scan_versions;
-        plan_cache_.Insert(normalized, fingerprint, std::move(entry));
+        plan_cache_.Insert(normalized, fingerprint, plan);
       }
     }
-    profile.modeled_cost = modeled_cost;
+    profile.optimizer = plan.optimizer;
+    profile.modeled_cost = plan.modeled_cost;
     profile.cache_hit = cache_hit;
     requests_.EndCompile(query_id, cache_hit);
-    // Cache hits restore the memo stats from the cached plan's profile, so
-    // the DMV columns are populated either way.
-    std::vector<std::pair<std::string, double>> phase_pairs;
-    phase_pairs.reserve(profile.compile_phases.size());
-    for (const obs::PhaseProfile& p : profile.compile_phases) {
-      phase_pairs.emplace_back(p.name, p.seconds);
-    }
-    requests_.SetCompileInfo(query_id, std::move(phase_pairs),
-                             profile.optimizer.memo_groups,
-                             profile.optimizer.memo_exprs,
-                             profile.optimizer.budget_exhausted,
-                             profile.optimizer.beam_used);
+    requests_.SetCompileInfo(query_id, profile.compile_phases,
+                             profile.optimizer);
     obs::MetricsRegistry::Global().Observe("optimizer.compile.seconds",
                                            profile.compile_seconds);
     for (const auto& [phase_name, phase_secs] : profile.compile_phases) {
@@ -986,23 +963,19 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     // 2. EXPLAIN only: render without executing (no admission needed).
     if (options.compile.explain_only) {
       ApplianceResult result;
-      result.dsql = std::move(dsql);
-      result.column_names = output_names;
-      result.modeled_cost = modeled_cost;
-      result.plan_text = plan_text;
+      result.column_names = plan.output_names;
+      result.modeled_cost = plan.modeled_cost;
+      result.plan_text = plan.plan_text;
       result.cache_hit = cache_hit;
       std::string warning;
-      if (profile.optimizer.budget_exhausted) {
+      if (plan.optimizer.budget_exhausted) {
         warning = std::string("-- WARNING: join enumeration degraded") +
-                  (profile.optimizer.beam_used
-                       ? " (beam search used)\n"
-                       : " (single seeded join order)\n");
+                  (plan.optimizer.beam_used ? " (beam search used)\n"
+                                            : " (single seeded join order)\n");
       }
       result.explain_text =
-          "-- parallel plan (modeled DMS cost " +
-          StringFormat("%.6f", modeled_cost) + ")" +
-          (cache_hit ? "  [plan cache hit]" : "") + "\n" + warning +
-          plan_text + "\n" + result.dsql.ToString();
+          ExplainText(plan, cache_hit, warning, plan.dsql.ToString());
+      result.dsql = std::move(plan.dsql);
       result.profile = std::move(profile);
       return result;
     }
@@ -1013,7 +986,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     // fast-failing with kOverloaded when the queue itself is full. The
     // ticket holds the slot for the whole execution.
     ResourceClass rc =
-        workload_.Classify(modeled_cost, options.execute.resource_class);
+        workload_.Classify(plan.modeled_cost, options.execute.resource_class);
     requests_.BeginQueue(query_id, ResourceClassName(rc));
     double queue_seconds = 0;
     PDW_ASSIGN_OR_RETURN(
@@ -1035,18 +1008,18 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
 
     // 4. Execute with per-execution-unique temp names — TEMP_ID_Q<id>_k,
     // where <id> is the same request id sys.dm_pdw_exec_requests shows.
-    UniquifyTempNames(&dsql, query_id);
+    UniquifyTempNames(&plan.dsql, query_id);
     PDW_ASSIGN_OR_RETURN(
         ApplianceResult result,
-        ExecuteDsql(dsql, query_id, options.observe.collect_operator_actuals,
-                    max_parallel, options.execute.engine,
-                    options.execute.retry, cancel));
-    result.modeled_cost = modeled_cost;
-    result.plan_text = plan_text;
+        ExecuteDsql(plan.dsql, query_id,
+                    options.observe.collect_operator_actuals, max_parallel,
+                    options.execute.engine, options.execute.retry, cancel));
+    result.modeled_cost = plan.modeled_cost;
+    result.plan_text = plan.plan_text;
     result.cache_hit = cache_hit;
     result.resource_class = ResourceClassName(rc);
     result.queue_seconds = queue_seconds;
-    if (result.column_names.empty()) result.column_names = output_names;
+    if (result.column_names.empty()) result.column_names = plan.output_names;
 
     // ExecuteDsql filled the per-step profile; graft the compile-side half
     // (phases, optimizer counters) in.
@@ -1054,11 +1027,8 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     profile.measured_seconds = result.profile.measured_seconds;
     profile.modeled_cost = result.profile.modeled_cost;
     result.profile = std::move(profile);
-
-    result.explain_text = "-- parallel plan (modeled DMS cost " +
-                          StringFormat("%.6f", result.modeled_cost) + ")" +
-                          (cache_hit ? "  [plan cache hit]" : "") + "\n" +
-                          result.plan_text + "\n" + result.profile.ToText();
+    result.explain_text =
+        ExplainText(plan, cache_hit, "", result.profile.ToText());
 
     if (use_result_cache) {
       CachedQueryResult cached;
@@ -1066,7 +1036,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
       cached.rows = result.rows;
       cached.plan_text = result.plan_text;
       cached.modeled_cost = result.modeled_cost;
-      cached.table_versions = std::move(scan_versions);
+      cached.table_versions = std::move(plan.table_versions);
       result_cache_.Publish(rc_normalized, rc_fingerprint, std::move(cached));
     }
     return result;

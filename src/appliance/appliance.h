@@ -294,7 +294,8 @@ class Appliance {
   const ResultCache& result_cache() const { return result_cache_; }
   ResultCache& result_cache() { return result_cache_; }
   /// The admission-control tier every executed query passes through;
-  /// backs sys.dm_pdw_workload. Constructed from the PDW_WLM_* env knobs.
+  /// backs sys.dm_pdw_workload. Starts from the WorkloadManagerConfig
+  /// defaults; WorkloadManager::SetConfig retunes it.
   const WorkloadManager& workload() const { return workload_; }
   WorkloadManager& workload() { return workload_; }
   /// The always-on request registry behind sys.dm_pdw_exec_requests: every
@@ -326,6 +327,10 @@ class Appliance {
   Result<ApplianceResult> RunDmvQuery(uint64_t query_id,
                                       const std::string& sql,
                                       const QueryOptions& options);
+  /// One plan execution's per-step runner (defined in appliance.cc).
+  struct StepRunner;
+  /// Runs the plan's steps in order, every attempt of a step through
+  /// StepRunner under `retry`, and drops its temp tables on every exit.
   Result<ApplianceResult> ExecuteDsql(const DsqlPlan& dsql,
                                       uint64_t query_id,
                                       bool profile_operators,

@@ -65,8 +65,8 @@ Status InstallExecRequests(LocalEngine* engine,
         // Phase wall time by name, in ms; NULL when the phase didn't run
         // (e.g. a plan-cache hit skips the whole pipeline).
         auto phase_ms = [](const obs::RequestState& r, const char* name) {
-          for (const auto& [phase, seconds] : r.compile_phases) {
-            if (phase == name) return Datum::Double(seconds * 1e3);
+          for (const obs::PhaseProfile& p : r.compile_phases) {
+            if (p.name == name) return Datum::Double(p.seconds * 1e3);
           }
           return Datum::Null();
         };
@@ -107,10 +107,10 @@ Status InstallExecRequests(LocalEngine* engine,
           row.push_back(phase_ms(r, "normalize"));
           row.push_back(phase_ms(r, "memo"));
           row.push_back(phase_ms(r, "pdw_optimize"));
-          row.push_back(Datum::Double(r.memo_groups));
-          row.push_back(Datum::Double(r.memo_exprs));
-          row.push_back(Datum::Bool(r.budget_exhausted));
-          row.push_back(Datum::Bool(r.beam_used));
+          row.push_back(Datum::Double(r.optimizer.memo_groups));
+          row.push_back(Datum::Double(r.optimizer.memo_exprs));
+          row.push_back(Datum::Bool(r.optimizer.budget_exhausted));
+          row.push_back(Datum::Bool(r.optimizer.beam_used));
           rows.push_back(std::move(row));
         }
         return rows;
@@ -136,21 +136,23 @@ Status InstallExecSteps(LocalEngine* engine,
         RowVector rows;
         for (const obs::RequestState& r : requests->Snapshot()) {
           for (const obs::RequestStepState& s : r.steps) {
+            const obs::StepProfile& p = s.profile;
             Row row;
             row.push_back(Datum::Int(static_cast<int64_t>(r.query_id)));
-            row.push_back(Datum::Int(s.index));
-            row.push_back(Datum::Varchar(s.kind));
-            row.push_back(s.move_kind.empty() ? Datum::Null()
-                                              : Datum::Varchar(s.move_kind));
-            row.push_back(s.dest_table.empty() ? Datum::Null()
-                                               : Datum::Varchar(s.dest_table));
+            row.push_back(Datum::Int(p.index));
+            row.push_back(Datum::Varchar(p.kind));
+            row.push_back(p.move_kind.empty() ? Datum::Null()
+                                              : Datum::Varchar(p.move_kind));
+            row.push_back(p.dest_table.empty() ? Datum::Null()
+                                               : Datum::Varchar(p.dest_table));
             row.push_back(Datum::Varchar(s.status));
-            row.push_back(Datum::Int(s.retries));
-            row.push_back(Datum::Double(s.rows_moved));
-            row.push_back(Datum::Double(s.bytes_moved));
-            row.push_back(Datum::Double(s.seconds * 1e3));
-            row.push_back(s.sql.empty() ? Datum::Null()
-                                        : Datum::Varchar(s.sql));
+            row.push_back(Datum::Int(p.retries));
+            // Rows moved by a DMS step, rows returned by the Return step.
+            row.push_back(Datum::Double(p.actual_rows));
+            row.push_back(Datum::Double(p.network.bytes));
+            row.push_back(Datum::Double(p.measured_seconds * 1e3));
+            row.push_back(p.sql.empty() ? Datum::Null()
+                                        : Datum::Varchar(p.sql));
             rows.push_back(std::move(row));
           }
         }
@@ -172,15 +174,21 @@ Status InstallDmsWorkers(LocalEngine* engine,
         RowVector rows;
         for (const obs::RequestState& r : requests->Snapshot()) {
           for (const obs::RequestStepState& s : r.steps) {
-            if (s.kind != "DMS") continue;
-            for (int c = 0; c < 4; ++c) {
+            const obs::StepProfile& p = s.profile;
+            if (p.kind != "DMS") continue;
+            const std::pair<const char*, const obs::ComponentProfile*>
+                workers[] = {{"reader", &p.reader},
+                             {"network", &p.network},
+                             {"writer", &p.writer},
+                             {"bulkcopy", &p.bulkcopy}};
+            for (const auto& [name, meter] : workers) {
               Row row;
               row.push_back(Datum::Int(static_cast<int64_t>(r.query_id)));
-              row.push_back(Datum::Int(s.index));
-              row.push_back(Datum::Varchar(obs::kDmsComponentNames[c]));
+              row.push_back(Datum::Int(p.index));
+              row.push_back(Datum::Varchar(name));
               row.push_back(Datum::Varchar(s.status));
-              row.push_back(Datum::Double(s.component_bytes[c]));
-              row.push_back(Datum::Double(s.component_seconds[c]));
+              row.push_back(Datum::Double(meter->bytes));
+              row.push_back(Datum::Double(meter->seconds));
               rows.push_back(std::move(row));
             }
           }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "common/fault.h"
 #include "obs/metrics.h"
@@ -15,27 +14,6 @@ double SteadySeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::atoi(value);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::atof(value);
-}
-
-void LoadClassFromEnv(const char* prefix_slots, const char* prefix_queue,
-                      const char* prefix_maxdop, WorkloadClassConfig* cfg) {
-  cfg->concurrency_slots =
-      std::max(1, EnvInt(prefix_slots, cfg->concurrency_slots));
-  cfg->queue_depth = std::max(0, EnvInt(prefix_queue, cfg->queue_depth));
-  cfg->max_parallel_nodes =
-      std::max(0, EnvInt(prefix_maxdop, cfg->max_parallel_nodes));
 }
 
 }  // namespace
@@ -52,22 +30,6 @@ const char* ResourceClassName(ResourceClass rc) {
       return "large";
   }
   return "unknown";
-}
-
-WorkloadManagerConfig WorkloadManagerConfig::FromEnv() {
-  WorkloadManagerConfig cfg;
-  cfg.enabled = EnvInt("PDW_WLM_DISABLE", 0) == 0;
-  cfg.medium_cost_threshold =
-      EnvDouble("PDW_WLM_MEDIUM_COST", cfg.medium_cost_threshold);
-  cfg.large_cost_threshold =
-      EnvDouble("PDW_WLM_LARGE_COST", cfg.large_cost_threshold);
-  LoadClassFromEnv("PDW_WLM_SMALL_SLOTS", "PDW_WLM_SMALL_QUEUE",
-                   "PDW_WLM_SMALL_MAXDOP", &cfg.small);
-  LoadClassFromEnv("PDW_WLM_MEDIUM_SLOTS", "PDW_WLM_MEDIUM_QUEUE",
-                   "PDW_WLM_MEDIUM_MAXDOP", &cfg.medium);
-  LoadClassFromEnv("PDW_WLM_LARGE_SLOTS", "PDW_WLM_LARGE_QUEUE",
-                   "PDW_WLM_LARGE_MAXDOP", &cfg.large);
-  return cfg;
 }
 
 void WorkloadManager::Ticket::Release() {

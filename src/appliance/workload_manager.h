@@ -37,14 +37,8 @@ struct WorkloadClassConfig {
   int max_parallel_nodes = 0;
 };
 
-/// Full workload-manager configuration. FromEnv() reads the PDW_WLM_*
-/// knobs so deployments (and the storm bench) can tune without recompiling:
-///   PDW_WLM_DISABLE=1              pass-through admission
-///   PDW_WLM_<CLASS>_SLOTS=<n>      concurrency slots (SMALL/MEDIUM/LARGE)
-///   PDW_WLM_<CLASS>_QUEUE=<n>      queue depth
-///   PDW_WLM_<CLASS>_MAXDOP=<n>     per-class parallelism cap
-///   PDW_WLM_MEDIUM_COST=<seconds>  modeled-cost threshold small -> medium
-///   PDW_WLM_LARGE_COST=<seconds>   modeled-cost threshold medium -> large
+/// Full workload-manager configuration; WorkloadManager::SetConfig applies
+/// a new one at runtime.
 struct WorkloadManagerConfig {
   bool enabled = true;
   /// Modeled-cost (seconds) boundaries for kAuto classification:
@@ -56,15 +50,13 @@ struct WorkloadManagerConfig {
   /// Defaults keep the appliance permissive: generous slots and queues,
   /// no fan-out caps, so single-user workloads behave exactly as without
   /// a workload manager. Deployments (and the storm bench) tighten these
-  /// via PDW_WLM_* or SetConfig.
+  /// via SetConfig.
   WorkloadClassConfig small{/*concurrency_slots=*/16, /*queue_depth=*/64,
                             /*max_parallel_nodes=*/0};
   WorkloadClassConfig medium{/*concurrency_slots=*/8, /*queue_depth=*/32,
                              /*max_parallel_nodes=*/0};
   WorkloadClassConfig large{/*concurrency_slots=*/4, /*queue_depth=*/16,
                             /*max_parallel_nodes=*/0};
-
-  static WorkloadManagerConfig FromEnv();
 };
 
 /// Point-in-time view of one resource class for sys.dm_pdw_workload.

@@ -42,19 +42,19 @@ bool IsTerminalPhase(RequestPhase phase) {
 
 int RequestState::TotalRetries() const {
   int total = 0;
-  for (const RequestStepState& s : steps) total += s.retries;
+  for (const RequestStepState& s : steps) total += s.profile.retries;
   return total;
 }
 
 double RequestState::RowsMoved() const {
   double total = 0;
-  for (const RequestStepState& s : steps) total += s.rows_moved;
+  for (const RequestStepState& s : steps) total += s.profile.actual_rows;
   return total;
 }
 
 double RequestState::BytesMoved() const {
   double total = 0;
-  for (const RequestStepState& s : steps) total += s.bytes_moved;
+  for (const RequestStepState& s : steps) total += s.profile.network.bytes;
   return total;
 }
 
@@ -93,19 +93,14 @@ void RequestRegistry::EndCompile(uint64_t query_id, bool cache_hit) {
   it->second.cache_hit = cache_hit;
 }
 
-void RequestRegistry::SetCompileInfo(
-    uint64_t query_id, std::vector<std::pair<std::string, double>> phases,
-    double memo_groups, double memo_exprs, bool budget_exhausted,
-    bool beam_used) {
+void RequestRegistry::SetCompileInfo(uint64_t query_id,
+                                     std::vector<PhaseProfile> phases,
+                                     const OptimizerProfile& optimizer) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(query_id);
   if (it == active_.end()) return;
-  RequestState& r = it->second;
-  r.compile_phases = std::move(phases);
-  r.memo_groups = memo_groups;
-  r.memo_exprs = memo_exprs;
-  r.budget_exhausted = budget_exhausted;
-  r.beam_used = beam_used;
+  it->second.compile_phases = std::move(phases);
+  it->second.optimizer = optimizer;
 }
 
 void RequestRegistry::BeginQueue(uint64_t query_id,
@@ -136,7 +131,7 @@ void RequestRegistry::MarkResultCacheHit(uint64_t query_id) {
 }
 
 void RequestRegistry::BeginExecute(uint64_t query_id,
-                                   std::vector<RequestStepState> steps) {
+                                   std::vector<StepProfile> steps) {
   double now = NowSeconds();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(query_id);
@@ -144,25 +139,21 @@ void RequestRegistry::BeginExecute(uint64_t query_id,
   RequestState& r = it->second;
   r.phase = RequestPhase::kExecuting;
   r.exec_start_seconds = now;
-  r.steps = std::move(steps);
+  r.steps.clear();
+  for (StepProfile& step : steps) r.steps.push_back({std::move(step)});
   r.total_steps = static_cast<int>(r.steps.size());
 }
 
-void RequestRegistry::BeginStep(uint64_t query_id, int step_index,
-                                int retries) {
+void RequestRegistry::BeginStep(uint64_t query_id,
+                                const StepProfile& attempt) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(query_id);
   if (it == active_.end()) return;
   RequestState& r = it->second;
-  if (step_index < 0 || step_index >= static_cast<int>(r.steps.size())) return;
-  RequestStepState& s = r.steps[static_cast<size_t>(step_index)];
-  s.status = "running";
-  s.retries = retries;
-  // A retry starts over: the partial temp table was dropped, so the live
-  // progress counts restart from zero too.
-  s.rows_moved = 0;
-  s.bytes_moved = 0;
-  r.current_step = step_index;
+  int index = attempt.index;
+  if (index < 0 || index >= static_cast<int>(r.steps.size())) return;
+  r.steps[static_cast<size_t>(index)] = {attempt, "running"};
+  r.current_step = index;
 }
 
 void RequestRegistry::StepProgress(uint64_t query_id, int step_index,
@@ -172,29 +163,20 @@ void RequestRegistry::StepProgress(uint64_t query_id, int step_index,
   if (it == active_.end()) return;
   RequestState& r = it->second;
   if (step_index < 0 || step_index >= static_cast<int>(r.steps.size())) return;
-  RequestStepState& s = r.steps[static_cast<size_t>(step_index)];
-  s.rows_moved += rows_delta;
-  s.bytes_moved += bytes_delta;
+  StepProfile& p = r.steps[static_cast<size_t>(step_index)].profile;
+  p.actual_rows += rows_delta;
+  p.network.bytes += bytes_delta;
 }
 
 void RequestRegistry::EndStep(uint64_t query_id,
-                              const RequestStepState& final_state) {
+                              const StepProfile& final_profile) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(query_id);
   if (it == active_.end()) return;
   RequestState& r = it->second;
-  int index = final_state.index;
+  int index = final_profile.index;
   if (index < 0 || index >= static_cast<int>(r.steps.size())) return;
-  RequestStepState& s = r.steps[static_cast<size_t>(index)];
-  std::string kind = s.kind, move_kind = s.move_kind;
-  std::string dest = s.dest_table, sql = s.sql;
-  s = final_state;
-  // Keep the skeleton's descriptive fields if the caller left them empty.
-  if (s.kind.empty()) s.kind = std::move(kind);
-  if (s.move_kind.empty()) s.move_kind = std::move(move_kind);
-  if (s.dest_table.empty()) s.dest_table = std::move(dest);
-  if (s.sql.empty()) s.sql = std::move(sql);
-  s.status = "complete";
+  r.steps[static_cast<size_t>(index)] = {final_profile, "complete"};
 }
 
 void RequestRegistry::Retire(uint64_t query_id, RequestPhase phase,

@@ -6,8 +6,9 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "obs/query_profile.h"
 
 namespace pdw::obs {
 
@@ -34,27 +35,15 @@ bool IsTerminalPhase(RequestPhase phase);
 const char* RequestPhaseName(RequestPhase phase);
 
 /// Live state of one DSQL step inside a request ("pending" -> "running" ->
-/// "complete"/"failed"). rows/bytes advance *during* a DMS move via the
-/// pipeline's progress feed, then snap to the metered totals on completion.
+/// "complete"/"failed"). `profile` is the StepProfile EXPLAIN ANALYZE
+/// renders: the plan's view of the step while pending, the running
+/// attempt's while running — its actual_rows and network.bytes advance
+/// *during* a DMS move via the pipeline's progress feed — and the
+/// successful attempt's metered totals once complete.
 struct RequestStepState {
-  int index = 0;
-  std::string kind;        ///< "DMS" or "RETURN".
-  std::string move_kind;   ///< DMS operation name (DMS steps only).
-  std::string dest_table;
-  std::string sql;
+  StepProfile profile;
   std::string status = "pending";
-  int retries = 0;
-  double rows_moved = 0;
-  double bytes_moved = 0;
-  double seconds = 0;      ///< Wall time of the successful attempt.
-  /// Per-component DMS meters of the successful attempt (bytes, seconds),
-  /// indexed by kDmsComponentNames order: reader, network, writer, bulkcopy.
-  double component_bytes[4] = {0, 0, 0, 0};
-  double component_seconds[4] = {0, 0, 0, 0};
 };
-
-inline constexpr const char* kDmsComponentNames[4] = {"reader", "network",
-                                                      "writer", "bulkcopy"};
 
 /// Everything sys.dm_pdw_exec_requests knows about one request. Timestamps
 /// are seconds since the owning registry's epoch (its construction);
@@ -90,13 +79,10 @@ struct RequestState {
   std::vector<RequestStepState> steps;
   /// Compile-phase wall seconds in pipeline order (bind, normalize, memo,
   /// pdw_optimize, ...; a single plan_cache_lookup entry on cache hits).
-  std::vector<std::pair<std::string, double>> compile_phases;
-  /// Serial-memo search-space stats (restored from the cached plan's
-  /// profile on cache hits, so they are populated either way).
-  double memo_groups = 0;
-  double memo_exprs = 0;
-  bool budget_exhausted = false;  ///< Join enumeration was degraded.
-  bool beam_used = false;         ///< Degradation ran as a beam search.
+  std::vector<PhaseProfile> compile_phases;
+  /// Optimizer search counters (restored from the cached plan on cache
+  /// hits, so they are populated either way).
+  OptimizerProfile optimizer;
 
   /// Sums over steps — the "so far" view while executing.
   int TotalRetries() const;
@@ -127,12 +113,10 @@ class RequestRegistry {
 
   void BeginCompile(uint64_t query_id);
   void EndCompile(uint64_t query_id, bool cache_hit);
-  /// Attaches the compile's phase timings and memo search-space stats (the
-  /// optimizer-observability columns of sys.dm_pdw_exec_requests).
-  void SetCompileInfo(uint64_t query_id,
-                      std::vector<std::pair<std::string, double>> phases,
-                      double memo_groups, double memo_exprs,
-                      bool budget_exhausted, bool beam_used);
+  /// Attaches the compile's phase timings and optimizer search counters
+  /// (the optimizer-observability columns of sys.dm_pdw_exec_requests).
+  void SetCompileInfo(uint64_t query_id, std::vector<PhaseProfile> phases,
+                      const OptimizerProfile& optimizer);
 
   /// Transition back to queued while the request waits in the workload
   /// manager's admission queue of `resource_class`.
@@ -143,20 +127,22 @@ class RequestRegistry {
   /// Complete follows); records the fact for the DMV's result_cache_hit.
   void MarkResultCacheHit(uint64_t query_id);
 
-  /// Transition to executing with the plan's step skeleton (index/kind/
-  /// move_kind/dest_table/sql filled, counters zero).
-  void BeginExecute(uint64_t query_id, std::vector<RequestStepState> steps);
+  /// Transition to executing with the plan's steps, every one pending
+  /// (descriptive fields and estimates filled, measurements zero).
+  void BeginExecute(uint64_t query_id, std::vector<StepProfile> steps);
 
-  /// Marks the step running and makes it the request's current step. Also
-  /// used on retry re-entry; `retries` is the attempt count so far.
-  void BeginStep(uint64_t query_id, int step_index, int retries);
+  /// Stores an attempt's fresh profile (its retries field counts the
+  /// attempts before it), marks the step running and makes it the
+  /// request's current step. A retry thereby restarts the live progress
+  /// counts from zero, as its partial temp table was dropped.
+  void BeginStep(uint64_t query_id, const StepProfile& attempt);
   /// Live progress feed from the DMS pipeline: adds rows/bytes moved so far
   /// to the running step.
   void StepProgress(uint64_t query_id, int step_index, double rows_delta,
                     double bytes_delta);
-  /// Finalizes a step with the metered totals of its successful attempt
-  /// (replacing any live progress counts).
-  void EndStep(uint64_t query_id, const RequestStepState& final_state);
+  /// Completes a step with its successful attempt's profile (replacing any
+  /// live progress counts with the metered totals).
+  void EndStep(uint64_t query_id, const StepProfile& final_profile);
 
   void Complete(uint64_t query_id);
   void Fail(uint64_t query_id, std::string error);

@@ -45,11 +45,7 @@ Result<PdwCompilation> CompilePdwQuery(const Catalog& shell_catalog,
   for (const auto& phase : out.serial.phase_seconds) {
     out.phase_seconds.push_back(phase);
   }
-  out.memo_groups = out.serial.memo->num_groups();
-  out.memo_exprs = out.serial.memo->num_exprs();
-  out.budget_exhausted = out.serial.memo->budget_exhausted();
-  out.beam_used = out.serial.memo->beam_used();
-  if (out.budget_exhausted) {
+  if (out.serial.memo->budget_exhausted()) {
     // The old cliff degraded plan quality silently; make it observable.
     obs::MetricsRegistry::Global().Count("optimizer.budget_exhausted");
   }

@@ -23,11 +23,6 @@ struct PdwCompilation {
   std::vector<std::string> output_names;
   CompilationResult serial;
   PdwPlanResult parallel;
-  /// Memo search-space stats, surfaced in DMVs and the profile JSON.
-  int memo_groups = 0;
-  size_t memo_exprs = 0;
-  bool budget_exhausted = false;  ///< Join enumeration was degraded.
-  bool beam_used = false;         ///< Degradation ran as a beam search.
   /// Wall seconds of every Fig. 2 component, in pipeline order (parse,
   /// bind, normalize, memo, pdw_optimize); the observability substrate of
   /// EXPLAIN ANALYZE.

@@ -96,6 +96,98 @@ TEST(DmvTest, FinishedRequestVisibleWithStepsAndWorkers) {
   }
 }
 
+// --- the DMVs and the profile report the same facts -----------------------
+
+// Every exec_steps, dms_workers and compile column of a finished request
+// equals the query's own profile, down to the last bit: a step that retried
+// after a transient fault, and the same statement again as a plan-cache hit.
+TEST(DmvTest, StepAndCompileViewsMatchProfile) {
+  auto appliance = MakeLoadedAppliance(3, 0.02);
+  Session session = appliance->Connect();
+  auto faults =
+      fault::ParseFaultSchedule("appliance.step.dispatch:1:1:transient");
+  ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+  RetryPolicy retry;
+  retry.sleep_fn = [](double) {};
+  auto retried = session.Run(
+      kJoinSql, QueryOptions().WithRetry(retry).WithFaults(*faults));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  auto hit = session.Run(kJoinSql);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_FALSE(retried->cache_hit);
+  EXPECT_TRUE(hit->cache_hit);
+  int retries = 0;
+  for (const auto& s : retried->profile.steps) retries += s.retries;
+  EXPECT_EQ(retries, 1);
+
+  for (const ApplianceResult* run : {&*retried, &*hit}) {
+    SCOPED_TRACE(run->cache_hit ? "plan-cache hit" : "retried compile");
+    const obs::QueryProfile& p = run->profile;
+    std::string by_id = " WHERE request_id = " + std::to_string(run->query_id);
+
+    RowVector steps = Dmv(appliance.get(),
+                          "SELECT step_index, retries, rows_moved, "
+                          "bytes_moved, elapsed_ms, sql_text, status "
+                          "FROM sys.dm_pdw_exec_steps" + by_id +
+                          " ORDER BY step_index");
+    ASSERT_EQ(steps.size(), p.steps.size());
+    int dms_steps = 0;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      const obs::StepProfile& s = p.steps[i];
+      if (s.kind == "DMS") ++dms_steps;
+      EXPECT_EQ(steps[i][0].int_value(), s.index);
+      EXPECT_EQ(steps[i][1].int_value(), s.retries);
+      EXPECT_EQ(steps[i][2].double_value(), s.actual_rows);
+      EXPECT_EQ(steps[i][3].double_value(), s.network.bytes);
+      EXPECT_EQ(steps[i][4].double_value(), s.measured_seconds * 1e3);
+      EXPECT_EQ(steps[i][5].string_value(), s.sql);
+      EXPECT_EQ(steps[i][6].string_value(), "complete");
+    }
+    ASSERT_GT(dms_steps, 0);
+
+    RowVector workers = Dmv(appliance.get(),
+                            "SELECT step_index, worker_type, "
+                            "bytes_processed, seconds "
+                            "FROM sys.dm_pdw_dms_workers" + by_id);
+    EXPECT_EQ(workers.size(), 4u * static_cast<size_t>(dms_steps));
+    for (const Row& w : workers) {
+      const obs::StepProfile& s =
+          p.steps.at(static_cast<size_t>(w[0].int_value()));
+      const std::string type = w[1].string_value();
+      const obs::ComponentProfile* meter = nullptr;
+      if (type == "reader") meter = &s.reader;
+      if (type == "network") meter = &s.network;
+      if (type == "writer") meter = &s.writer;
+      if (type == "bulkcopy") meter = &s.bulkcopy;
+      ASSERT_NE(meter, nullptr) << type;
+      EXPECT_EQ(w[2].double_value(), meter->bytes) << type;
+      EXPECT_EQ(w[3].double_value(), meter->seconds) << type;
+    }
+
+    RowVector req = Dmv(appliance.get(),
+                        "SELECT bind_ms, normalize_ms, memo_ms, enumerate_ms, "
+                        "memo_groups, memo_exprs, budget_exhausted, beam_used "
+                        "FROM sys.dm_pdw_exec_requests" + by_id);
+    ASSERT_EQ(req.size(), 1u);
+    const char* phases[] = {"bind", "normalize", "memo", "pdw_optimize"};
+    for (size_t k = 0; k < 4; ++k) {
+      const obs::PhaseProfile* phase = nullptr;
+      for (const obs::PhaseProfile& ph : p.compile_phases) {
+        if (ph.name == phases[k]) phase = &ph;
+      }
+      if (phase == nullptr) {
+        EXPECT_TRUE(req[0][k].is_null()) << phases[k];
+      } else {
+        EXPECT_EQ(req[0][k].double_value(), phase->seconds * 1e3) << phases[k];
+      }
+    }
+    EXPECT_EQ(req[0][4].double_value(), p.optimizer.memo_groups);
+    EXPECT_EQ(req[0][5].double_value(), p.optimizer.memo_exprs);
+    EXPECT_EQ(req[0][6].bool_value(), p.optimizer.budget_exhausted);
+    EXPECT_EQ(req[0][7].bool_value(), p.optimizer.beam_used);
+  }
+}
+
 TEST(DmvTest, QueryIdsAreMonotonicallyUnique) {
   auto appliance = MakeLoadedAppliance(2, 0.01);
   Session session = appliance->Connect();
