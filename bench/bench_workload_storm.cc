@@ -52,7 +52,7 @@ struct StormResult {
   int ok = 0;
   int overloaded = 0;
   int errors = 0;
-  uint64_t result_cache_hits = 0;  ///< LRU hits + coalesced followers.
+  uint64_t result_cache_hits = 0;
   double moved_mb = 0;             ///< Network MB actually moved.
 };
 
@@ -112,8 +112,7 @@ StormResult RunStorm(Appliance* appliance, const std::string& name,
   out.p99_ms = Quantile(&latencies_ms, 0.99);
   out.qps = out.seconds > 0 ? out.ok / out.seconds : 0;
   ResultCache::Stats cache_after = appliance->result_cache().stats();
-  out.result_cache_hits = (cache_after.hits - cache_before.hits) +
-                          (cache_after.coalesced - cache_before.coalesced);
+  out.result_cache_hits = cache_after.hits - cache_before.hits;
   out.moved_mb = moved_bytes / 1e6;
   return out;
 }

@@ -6,6 +6,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Env-knob census: src/ reads exactly these environment variables. A new
+# knob doubles the configurations tests and benchmarks must cover, so it
+# needs a measured reason and an edit here.
+knobs="$(grep -rhoE 'getenv\("[A-Z_]+"\)' src | sort -u | tr '\n' ' ')"
+expected='getenv("PDW_FAULTS") getenv("PDW_TRACE_OUT") '
+if [[ "$knobs" != "$expected" ]]; then
+  echo "env-knob census: src/ reads [$knobs], expected [$expected]" >&2
+  exit 1
+fi
+
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
@@ -43,9 +53,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dmv_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test
 
 # Workload leg: admission control (slot handoff, priority queue, overload
-# fast-fail), result-cache coalescing (leader/follower wakeups, follower
-# cancel), and cooperative cancellation racing queued and mid-DMS queries —
-# all lock/condvar surfaces, so they run instrumented.
+# fast-fail) and cooperative cancellation racing queued and mid-DMS
+# queries are lock/condvar surfaces, so they run instrumented. It also
+# runs sessions hitting and filling the plan and result caches at once;
+# each cache's only synchronization is its one mutex.
 cmake --build build-tsan -j --target workload_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test
 

@@ -187,18 +187,19 @@ void UniquifyTempNames(DsqlPlan* plan, uint64_t qid) {
 }
 
 /// Base tables the parallel plan scans, with their current statistics
-/// versions — the plan cache's invalidation anchor.
-void CollectScanTables(const PlanNode& node, const PlanCache& cache,
+/// versions — the invalidation anchor of both caches.
+void CollectScanTables(const PlanNode& node,
+                       const TableVersionTracker& versions,
                        std::set<std::string>* seen,
                        std::vector<std::pair<std::string, uint64_t>>* out) {
   if (node.kind == PhysOpKind::kTableScan) {
     std::string name = ToLower(node.table_name);
     if (seen->insert(name).second) {
-      out->emplace_back(name, cache.TableVersion(name));
+      out->emplace_back(name, versions.Version(name));
     }
   }
   for (const auto& child : node.children) {
-    CollectScanTables(*child, cache, seen, out);
+    CollectScanTables(*child, versions, seen, out);
   }
 }
 
@@ -387,7 +388,7 @@ Status Appliance::RefreshStatistics(const std::string& table) {
   // Fresh statistics can change distribution-dependent plan choices — and
   // fresh rows change answers. The bump goes through the tracker shared by
   // the plan cache and the result cache, so both invalidate at once.
-  plan_cache_.BumpTableVersion(table);
+  table_versions_->Bump(table);
   return Status::OK();
 }
 
@@ -448,10 +449,12 @@ struct Appliance::StepRunner {
   const std::atomic<bool>* cancel;
   ApplianceResult& result;
 
-  /// One attempt of step `index`, profiled into `sp`; `attempt` counts the
-  /// failed attempts before it. Cooperative cancellation is observed at
-  /// every step boundary and at every retry re-entry.
-  Status Attempt(size_t index, int attempt, obs::StepProfile* sp) {
+  /// One attempt of step `index`, profiled into `sp`, a DMS step's meters
+  /// into `moved`; `attempt` counts the failed attempts before it.
+  /// Cooperative cancellation is observed at every step boundary and at
+  /// every retry re-entry.
+  Status Attempt(size_t index, int attempt, obs::StepProfile* sp,
+                 DmsRunMetrics* moved) {
     if (cancel != nullptr && cancel->load()) {
       return Status::Cancelled("query cancelled at step boundary");
     }
@@ -460,8 +463,9 @@ struct Appliance::StepRunner {
     sp->retries = attempt;
     app.requests_.BeginStep(query_id, *sp);
     double start = NowSeconds();
-    PDW_RETURN_NOT_OK(step.kind == DsqlStepKind::kDms ? RunDms(step, sp)
-                                                      : RunReturn(step, sp));
+    PDW_RETURN_NOT_OK(step.kind == DsqlStepKind::kDms
+                          ? RunDms(step, sp, moved)
+                          : RunReturn(step, sp));
     sp->measured_seconds = NowSeconds() - start;
     if (sp->preagg) {
       sp->preagg_rows_in_actual = PreaggActualRowsIn(sp->operators);
@@ -503,7 +507,8 @@ struct Appliance::StepRunner {
 
   /// Runs one DMS step end-to-end: source SQL on every source node, rows
   /// through DMS, destination temp table materialized on every target node.
-  Status RunDms(const DsqlStep& step, obs::StepProfile* sp) {
+  Status RunDms(const DsqlStep& step, obs::StepProfile* sp,
+                DmsRunMetrics* moved) {
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", sp->move_kind);
     step_span.AddAttr("dest", step.dest_table);
@@ -535,7 +540,7 @@ struct Appliance::StepRunner {
         &metrics, &ThreadPool::Global(), dms_options);
     if (!routed.ok()) return routed.status();
     runs.FoldInto(sp, &result.column_names);
-    result.dms_metrics.Accumulate(metrics);
+    *moved = metrics;
     FillComponents(metrics, sp);
     sp->actual_rows = static_cast<double>(metrics.rows_moved);
     // Materialize the destination temp table on every target node, again
@@ -669,9 +674,10 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     bool is_dms = step.kind == DsqlStepKind::kDms;
     if (is_dms) temps.push_back(step.dest_table);
     obs::StepProfile sp;
+    DmsRunMetrics moved;
     int attempt = 0;
     Status s = RunWithRetries(
-        retry, [&] { return runner.Attempt(i, attempt++, &sp); },
+        retry, [&] { return runner.Attempt(i, attempt++, &sp, &moved); },
         [&](int retry_index, double backoff) {
           // The failed attempt may have materialized a partial dest temp on
           // some target nodes: drop it so the retry starts clean.
@@ -681,12 +687,14 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     if (!s.ok()) return cleanup_and_fail(std::move(s));
     // Complete the registry's step with the successful attempt's profile,
     // whose metered totals replace the live-progress counts (which
-    // double-count broadcast fan-out), and feed the latency histograms
-    // behind sys.dm_pdw_metrics.
+    // double-count broadcast fan-out), add only that attempt's DMS meters
+    // to the query's totals, and feed the latency histograms behind
+    // sys.dm_pdw_metrics.
     requests_.EndStep(query_id, sp);
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     reg.Observe("dsql.step.seconds", sp.measured_seconds);
     if (is_dms) {
+      result.dms_metrics.Accumulate(moved);
       reg.Observe("dms.reader.seconds", sp.reader.seconds);
       reg.Observe("dms.network.seconds", sp.network.seconds);
       reg.Observe("dms.writer.seconds", sp.writer.seconds);
@@ -708,7 +716,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   if (!drop.ok()) return cleanup_and_fail(std::move(drop));
   result.measured_seconds = NowSeconds() - start;
   result.profile.measured_seconds = result.measured_seconds;
-  result.profile.modeled_cost = dsql.total_move_cost;
   return result;
 }
 
@@ -743,10 +750,8 @@ Status Appliance::Cancel(uint64_t query_id) {
   }
   flag->store(true);
   // Wake admission-queue waiters so a queued (not yet executing) query
-  // observes the flag immediately instead of after getting a slot, and
-  // result-cache followers so a cancelled one abandons its leader wait.
+  // observes the flag immediately instead of after getting a slot.
   workload_.Poke();
-  result_cache_.Poke();
   return Status::OK();
 }
 
@@ -836,23 +841,18 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     }
   }
 
-  // Result cache: served entirely from the control node — no compile, no
-  // admission, no execution. A miss makes this call the *leader* of its
-  // key: identical queries arriving while it runs coalesce onto its
-  // result, so the Publish/FailFlight obligation below must cover every
-  // exit path of the body.
+  // Result cache: a hit is served entirely from the control node — no
+  // compile, no admission, no execution. A miss runs the full pipeline and
+  // inserts its rows only once the query has completed, so a failed or
+  // cancelled run leaves the cache untouched.
   const bool use_result_cache =
       options.execute.use_result_cache && !options.compile.explain_only;
   std::string rc_normalized, rc_fingerprint;
   if (use_result_cache) {
     rc_normalized = NormalizeSqlForPlanCache(sql);
     rc_fingerprint = FingerprintCompilerOptions(options.compile.compiler);
-    bool coalesced = false;
-    PDW_ASSIGN_OR_RETURN(std::optional<CachedQueryResult> hit,
-                         result_cache_.LookupOrJoin(rc_normalized,
-                                                    rc_fingerprint, &coalesced,
-                                                    cancel));
-    if (hit) {
+    if (std::optional<CachedQueryResult> hit =
+            result_cache_.Lookup(rc_normalized, rc_fingerprint)) {
       requests_.MarkResultCacheHit(query_id);
       ApplianceResult result;
       result.column_names = std::move(hit->column_names);
@@ -860,10 +860,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
       result.plan_text = std::move(hit->plan_text);
       result.modeled_cost = hit->modeled_cost;
       result.result_cache_hit = true;
-      result.explain_text =
-          std::string("-- served from result cache") +
-          (coalesced ? " (coalesced onto identical in-flight query)" : "") +
-          "\n" + result.plan_text;
+      result.explain_text = "-- served from result cache\n" + result.plan_text;
       result.profile.sql = sql;
       result.profile.query_id = query_id;
       result.profile.modeled_cost = result.modeled_cost;
@@ -871,182 +868,174 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     }
   }
 
-  auto body = [&]() -> Result<ApplianceResult> {
-    // Arm this query's fault schedule (if any) for the duration of the call
-    // and open a new query scope, so query#-scoped specs — '1' in
-    // ExecutionOptions::faults, the matching serial in PDW_FAULTS — target
-    // it.
-    fault::ScopedFaults scoped_faults(options.execute.faults);
-    if (fault::FaultRegistry::Armed()) {
-      fault::FaultRegistry::Global().BeginQuery();
+  // Arm this query's fault schedule (if any) for the duration of the call
+  // and open a new query scope, so query#-scoped specs — '1' in
+  // ExecutionOptions::faults, the matching serial in PDW_FAULTS — target
+  // it.
+  fault::ScopedFaults scoped_faults(options.execute.faults);
+  if (fault::FaultRegistry::Armed()) {
+    fault::FaultRegistry::Global().BeginQuery();
+  }
+  obs::QueryProfile profile;
+  profile.sql = sql;
+  profile.query_id = query_id;
+
+  // 1. Obtain a DSQL plan: from the plan cache when allowed and fresh,
+  // else through the full parse→memo→enumeration pipeline. Either way it
+  // is one CachedDsqlPlan, whose table versions anchor the invalidation
+  // of both the plan cache and the result cache.
+  CachedDsqlPlan plan;
+  bool cache_hit = false;
+
+  requests_.BeginCompile(query_id);
+  std::string normalized, fingerprint;
+  if (options.compile.use_plan_cache) {
+    double t0 = NowSeconds();
+    normalized = NormalizeSqlForPlanCache(sql);
+    fingerprint = FingerprintCompilerOptions(options.compile.compiler);
+    if (auto cached = plan_cache_.Lookup(normalized, fingerprint)) {
+      plan = std::move(*cached);
+      cache_hit = true;
+      double dt = NowSeconds() - t0;
+      profile.compile_phases.push_back({"plan_cache_lookup", dt});
+      profile.compile_seconds = dt;
     }
-    obs::QueryProfile profile;
-    profile.sql = sql;
-    profile.query_id = query_id;
+  }
 
-    // 1. Obtain a DSQL plan: from the plan cache when allowed and fresh,
-    // else through the full parse→memo→enumeration pipeline. Either way it
-    // is one CachedDsqlPlan, whose table versions anchor the invalidation
-    // of both the plan cache and the result cache.
-    CachedDsqlPlan plan;
-    bool cache_hit = false;
-
-    requests_.BeginCompile(query_id);
-    std::string normalized, fingerprint;
-    if (options.compile.use_plan_cache) {
-      double t0 = NowSeconds();
-      normalized = NormalizeSqlForPlanCache(sql);
-      fingerprint = FingerprintCompilerOptions(options.compile.compiler);
-      if (auto cached = plan_cache_.Lookup(normalized, fingerprint)) {
-        plan = std::move(*cached);
-        cache_hit = true;
-        double dt = NowSeconds() - t0;
-        profile.compile_phases.push_back({"plan_cache_lookup", dt});
-        profile.compile_seconds = dt;
-      }
-    }
-
-    if (!cache_hit) {
+  if (!cache_hit) {
+    PDW_ASSIGN_OR_RETURN(
+        PdwCompilation comp,
+        CompilePdwQuery(shell_, sql, options.compile.compiler));
+    double t0 = NowSeconds();
+    {
+      obs::TraceSpan gen("compile.dsql_gen");
       PDW_ASSIGN_OR_RETURN(
-          PdwCompilation comp,
-          CompilePdwQuery(shell_, sql, options.compile.compiler));
-      double t0 = NowSeconds();
-      {
-        obs::TraceSpan gen("compile.dsql_gen");
-        PDW_ASSIGN_OR_RETURN(
-            plan.dsql,
-            GenerateDsql(*comp.parallel.plan, comp.output_names, "tpch",
-                         comp.serial.visible_columns));
-      }
-      comp.phase_seconds.emplace_back("dsql_gen", NowSeconds() - t0);
-      plan.plan_text = PlanTreeToString(*comp.parallel.plan);
-      plan.modeled_cost = comp.parallel.cost;
-      plan.output_names = comp.output_names;
-      for (const auto& [name, seconds] : comp.phase_seconds) {
-        profile.compile_phases.push_back({name, seconds});
-        profile.compile_seconds += seconds;
-      }
-      const Memo& memo = *comp.serial.memo;
-      obs::OptimizerProfile& opt = plan.optimizer;
-      opt.groups = static_cast<double>(comp.parallel.groups_optimized);
-      opt.options_considered =
-          static_cast<double>(comp.parallel.options_considered);
-      opt.options_kept = static_cast<double>(comp.parallel.options_kept);
-      opt.options_pruned = static_cast<double>(comp.parallel.options_pruned);
-      opt.enforcers_inserted =
-          static_cast<double>(comp.parallel.enforcers_inserted);
-      opt.memo_groups = static_cast<double>(memo.num_groups());
-      opt.memo_exprs = static_cast<double>(memo.num_exprs());
-      opt.budget_exhausted = memo.budget_exhausted();
-      opt.beam_used = memo.beam_used();
+          plan.dsql,
+          GenerateDsql(*comp.parallel.plan, comp.output_names, "tpch",
+                       comp.serial.visible_columns));
+    }
+    comp.phase_seconds.emplace_back("dsql_gen", NowSeconds() - t0);
+    plan.plan_text = PlanTreeToString(*comp.parallel.plan);
+    plan.modeled_cost = comp.parallel.cost;
+    plan.output_names = comp.output_names;
+    for (const auto& [name, seconds] : comp.phase_seconds) {
+      profile.compile_phases.push_back({name, seconds});
+      profile.compile_seconds += seconds;
+    }
+    const Memo& memo = *comp.serial.memo;
+    obs::OptimizerProfile& opt = plan.optimizer;
+    opt.groups = static_cast<double>(comp.parallel.groups_optimized);
+    opt.options_considered =
+        static_cast<double>(comp.parallel.options_considered);
+    opt.options_kept = static_cast<double>(comp.parallel.options_kept);
+    opt.options_pruned = static_cast<double>(comp.parallel.options_pruned);
+    opt.enforcers_inserted =
+        static_cast<double>(comp.parallel.enforcers_inserted);
+    opt.memo_groups = static_cast<double>(memo.num_groups());
+    opt.memo_exprs = static_cast<double>(memo.num_exprs());
+    opt.budget_exhausted = memo.budget_exhausted();
+    opt.beam_used = memo.beam_used();
 
-      std::set<std::string> seen;
-      CollectScanTables(*comp.parallel.plan, plan_cache_, &seen,
-                        &plan.table_versions);
-      if (options.compile.use_plan_cache) {
-        plan_cache_.Insert(normalized, fingerprint, plan);
-      }
+    std::set<std::string> seen;
+    CollectScanTables(*comp.parallel.plan, *table_versions_, &seen,
+                      &plan.table_versions);
+    // An injected control-node failure while filling the cache degrades
+    // the query to uncached execution — it never fails the query itself.
+    if (options.compile.use_plan_cache &&
+        fault::Check("plan_cache.fill").ok()) {
+      plan_cache_.Insert(normalized, fingerprint, plan);
     }
-    profile.optimizer = plan.optimizer;
-    profile.modeled_cost = plan.modeled_cost;
-    profile.cache_hit = cache_hit;
-    requests_.EndCompile(query_id, cache_hit);
-    requests_.SetCompileInfo(query_id, profile.compile_phases,
-                             profile.optimizer);
-    obs::MetricsRegistry::Global().Observe("optimizer.compile.seconds",
-                                           profile.compile_seconds);
-    for (const auto& [phase_name, phase_secs] : profile.compile_phases) {
-      obs::MetricsRegistry::Global().Observe(
-          "optimizer.phase." + phase_name + ".seconds", phase_secs);
-    }
+  }
+  profile.optimizer = plan.optimizer;
+  profile.modeled_cost = plan.modeled_cost;
+  profile.cache_hit = cache_hit;
+  requests_.EndCompile(query_id, cache_hit);
+  requests_.SetCompileInfo(query_id, profile.compile_phases,
+                           profile.optimizer);
+  obs::MetricsRegistry::Global().Observe("optimizer.compile.seconds",
+                                         profile.compile_seconds);
+  for (const auto& [phase_name, phase_secs] : profile.compile_phases) {
+    obs::MetricsRegistry::Global().Observe(
+        "optimizer.phase." + phase_name + ".seconds", phase_secs);
+  }
 
-    // 2. EXPLAIN only: render without executing (no admission needed).
-    if (options.compile.explain_only) {
-      ApplianceResult result;
-      result.column_names = plan.output_names;
-      result.modeled_cost = plan.modeled_cost;
-      result.plan_text = plan.plan_text;
-      result.cache_hit = cache_hit;
-      std::string warning;
-      if (plan.optimizer.budget_exhausted) {
-        warning = std::string("-- WARNING: join enumeration degraded") +
-                  (plan.optimizer.beam_used ? " (beam search used)\n"
-                                            : " (single seeded join order)\n");
-      }
-      result.explain_text =
-          ExplainText(plan, cache_hit, warning, plan.dsql.ToString());
-      result.dsql = std::move(plan.dsql);
-      result.profile = std::move(profile);
-      return result;
-    }
-
-    // 3. Workload management: classify from the optimizer's modeled cost
-    // (unless the session pinned a class) and acquire a concurrency slot
-    // of that class — queueing behind the bounded admission gate, or
-    // fast-failing with kOverloaded when the queue itself is full. The
-    // ticket holds the slot for the whole execution.
-    ResourceClass rc =
-        workload_.Classify(plan.modeled_cost, options.execute.resource_class);
-    requests_.BeginQueue(query_id, ResourceClassName(rc));
-    double queue_seconds = 0;
-    PDW_ASSIGN_OR_RETURN(
-        WorkloadManager::Ticket ticket,
-        workload_.Admit(query_id, rc, options.execute.priority, cancel,
-                        &queue_seconds));
-    requests_.Admit(query_id);
-    if (cancel != nullptr && cancel->load()) {
-      return Status::Cancelled("query cancelled before execution");
-    }
-    // The admitted class's fan-out cap composes with the caller's own:
-    // the stricter one wins (0 = uncapped). It bounds both per-step node
-    // parallelism and DMS pipeline workers.
-    int max_parallel = options.execute.max_parallel_nodes;
-    int class_cap = ticket.max_parallel_nodes();
-    if (class_cap > 0 && (max_parallel == 0 || class_cap < max_parallel)) {
-      max_parallel = class_cap;
-    }
-
-    // 4. Execute with per-execution-unique temp names — TEMP_ID_Q<id>_k,
-    // where <id> is the same request id sys.dm_pdw_exec_requests shows.
-    UniquifyTempNames(&plan.dsql, query_id);
-    PDW_ASSIGN_OR_RETURN(
-        ApplianceResult result,
-        ExecuteDsql(plan.dsql, query_id,
-                    options.observe.collect_operator_actuals, max_parallel,
-                    options.execute.engine, options.execute.retry, cancel));
+  // 2. EXPLAIN only: render without executing (no admission needed).
+  if (options.compile.explain_only) {
+    ApplianceResult result;
+    result.column_names = plan.output_names;
     result.modeled_cost = plan.modeled_cost;
     result.plan_text = plan.plan_text;
     result.cache_hit = cache_hit;
-    result.resource_class = ResourceClassName(rc);
-    result.queue_seconds = queue_seconds;
-    if (result.column_names.empty()) result.column_names = plan.output_names;
-
-    // ExecuteDsql filled the per-step profile; graft the compile-side half
-    // (phases, optimizer counters) in.
-    profile.steps = std::move(result.profile.steps);
-    profile.measured_seconds = result.profile.measured_seconds;
-    profile.modeled_cost = result.profile.modeled_cost;
-    result.profile = std::move(profile);
-    result.explain_text =
-        ExplainText(plan, cache_hit, "", result.profile.ToText());
-
-    if (use_result_cache) {
-      CachedQueryResult cached;
-      cached.column_names = result.column_names;
-      cached.rows = result.rows;
-      cached.plan_text = result.plan_text;
-      cached.modeled_cost = result.modeled_cost;
-      cached.table_versions = std::move(plan.table_versions);
-      result_cache_.Publish(rc_normalized, rc_fingerprint, std::move(cached));
+    std::string warning;
+    if (plan.optimizer.budget_exhausted) {
+      warning = std::string("-- WARNING: join enumeration degraded") +
+                (plan.optimizer.beam_used ? " (beam search used)\n"
+                                          : " (single seeded join order)\n");
     }
+    result.explain_text =
+        ExplainText(plan, cache_hit, warning, plan.dsql.ToString());
+    result.dsql = std::move(plan.dsql);
+    result.profile = std::move(profile);
     return result;
-  };
+  }
 
-  Result<ApplianceResult> result = body();
-  if (use_result_cache && !result.ok()) {
-    // Leader failed (or was cancelled): release coalesced followers so one
-    // of them retries as the new leader instead of inheriting this error.
-    result_cache_.FailFlight(rc_normalized, rc_fingerprint);
+  // 3. Workload management: classify from the optimizer's modeled cost
+  // (unless the session pinned a class) and acquire a concurrency slot
+  // of that class — queueing behind the bounded admission gate, or
+  // fast-failing with kOverloaded when the queue itself is full. The
+  // ticket holds the slot for the whole execution.
+  ResourceClass rc =
+      workload_.Classify(plan.modeled_cost, options.execute.resource_class);
+  requests_.BeginQueue(query_id, ResourceClassName(rc));
+  double queue_seconds = 0;
+  PDW_ASSIGN_OR_RETURN(
+      WorkloadManager::Ticket ticket,
+      workload_.Admit(query_id, rc, options.execute.priority, cancel,
+                      &queue_seconds));
+  requests_.Admit(query_id);
+  if (cancel != nullptr && cancel->load()) {
+    return Status::Cancelled("query cancelled before execution");
+  }
+  // The admitted class's fan-out cap composes with the caller's own:
+  // the stricter one wins (0 = uncapped). It bounds both per-step node
+  // parallelism and DMS pipeline workers.
+  int max_parallel = options.execute.max_parallel_nodes;
+  int class_cap = ticket.max_parallel_nodes();
+  if (class_cap > 0 && (max_parallel == 0 || class_cap < max_parallel)) {
+    max_parallel = class_cap;
+  }
+
+  // 4. Execute with per-execution-unique temp names — TEMP_ID_Q<id>_k,
+  // where <id> is the same request id sys.dm_pdw_exec_requests shows.
+  UniquifyTempNames(&plan.dsql, query_id);
+  PDW_ASSIGN_OR_RETURN(
+      ApplianceResult result,
+      ExecuteDsql(plan.dsql, query_id,
+                  options.observe.collect_operator_actuals, max_parallel,
+                  options.execute.engine, options.execute.retry, cancel));
+  result.modeled_cost = plan.modeled_cost;
+  result.plan_text = plan.plan_text;
+  result.cache_hit = cache_hit;
+  result.resource_class = ResourceClassName(rc);
+  result.queue_seconds = queue_seconds;
+  if (result.column_names.empty()) result.column_names = plan.output_names;
+
+  // ExecuteDsql filled the per-step profile; graft the compile-side half
+  // (phases, optimizer counters, modeled cost) in.
+  profile.steps = std::move(result.profile.steps);
+  profile.measured_seconds = result.profile.measured_seconds;
+  result.profile = std::move(profile);
+  result.explain_text =
+      ExplainText(plan, cache_hit, "", result.profile.ToText());
+
+  if (use_result_cache) {
+    CachedQueryResult cached;
+    cached.column_names = result.column_names;
+    cached.rows = result.rows;
+    cached.plan_text = result.plan_text;
+    cached.modeled_cost = result.modeled_cost;
+    cached.table_versions = std::move(plan.table_versions);
+    result_cache_.Insert(rc_normalized, rc_fingerprint, std::move(cached));
   }
   return result;
 }
@@ -1071,6 +1060,7 @@ Result<ApplianceResult> Appliance::ExecutePlan(
   result->query_id = query_id;
   result->session_id = kDefaultSessionId;
   result->modeled_cost = TotalMoveCost(plan);
+  result->profile.modeled_cost = result->modeled_cost;
   result->plan_text = PlanTreeToString(plan);
   return result;
 }

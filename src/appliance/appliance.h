@@ -65,9 +65,9 @@ struct ExecutionOptions {
   /// dequeue first; equal priorities dequeue FIFO.
   int priority = 0;
   /// Serve byte-identical repeated queries from the control node's result
-  /// cache (and coalesce identical in-flight queries onto one execution).
-  /// Off by default: cached hits skip execution entirely, so profiles,
-  /// step metrics, and fault points are not exercised on a hit.
+  /// cache, and insert the rows of every completed miss. Off by default:
+  /// cached hits skip execution entirely, so profiles, step metrics, and
+  /// fault points are not exercised on a hit.
   bool use_result_cache = false;
 };
 
@@ -167,8 +167,8 @@ struct ApplianceResult {
   /// True when the DSQL plan was served from the plan cache and the
   /// compile pipeline was skipped entirely.
   bool cache_hit = false;
-  /// True when the rows came from the result cache (LRU hit or coalesced
-  /// onto an identical in-flight query) and nothing executed at all.
+  /// True when the rows came from the result cache and nothing executed
+  /// at all.
   bool result_cache_hit = false;
   /// Workload-manager class the query was admitted under ("small"/
   /// "medium"/"large"; empty for DMV / explain-only / cache-served runs

@@ -239,30 +239,39 @@ Status InstallMetrics(LocalEngine* engine) {
       });
 }
 
-Status InstallPlanCache(LocalEngine* engine, const PlanCache* plan_cache) {
-  TableDef def = ViewDef("sys.dm_pdw_plan_cache",
+/// sys.dm_pdw_plan_cache and sys.dm_pdw_result_cache: one row per entry of
+/// a control-node cache, most recently used first. The two views differ
+/// only in their name and their fourth column, `size_column`, which
+/// `size_of` fills from the cached value.
+template <typename Value, typename SizeOf>
+Status InstallCacheView(LocalEngine* engine, std::string name,
+                        std::string size_column,
+                        const StatsVersionedLru<Value>* cache,
+                        SizeOf size_of) {
+  TableDef def = ViewDef(std::move(name),
                          {{"sql_text", TypeId::kVarchar, false},
                           {"fingerprint", TypeId::kVarchar, false},
                           {"hits", TypeId::kInt, false},
-                          {"num_steps", TypeId::kInt, false},
+                          {std::move(size_column), TypeId::kInt, false},
                           {"modeled_cost", TypeId::kDouble, false},
                           {"base_tables", TypeId::kVarchar, false}});
   return engine->RegisterVirtualTable(
-      std::move(def), [plan_cache]() -> Result<RowVector> {
+      std::move(def), [cache, size_of]() -> Result<RowVector> {
         RowVector rows;
-        for (const PlanCache::EntryInfo& e : plan_cache->ListEntries()) {
+        cache->ForEachEntry([&](const std::string& sql,
+                                const std::string& fingerprint, uint64_t hits,
+                                const Value& value) {
           std::string tables;
-          for (const std::string& t : e.tables) {
+          for (const auto& [table, version] : value.table_versions) {
             if (!tables.empty()) tables += ",";
-            tables += t;
+            tables += table;
           }
-          rows.push_back({Datum::Varchar(e.normalized_sql),
-                          Datum::Varchar(e.options_fingerprint),
-                          Datum::Int(static_cast<int64_t>(e.hits)),
-                          Datum::Int(e.num_steps),
-                          Datum::Double(e.modeled_cost),
+          rows.push_back({Datum::Varchar(sql), Datum::Varchar(fingerprint),
+                          Datum::Int(static_cast<int64_t>(hits)),
+                          Datum::Int(size_of(value)),
+                          Datum::Double(value.modeled_cost),
                           Datum::Varchar(tables)});
-        }
+        });
         return rows;
       });
 }
@@ -302,35 +311,6 @@ Status InstallWorkload(LocalEngine* engine, const WorkloadManager* workload) {
       });
 }
 
-Status InstallResultCache(LocalEngine* engine,
-                          const ResultCache* result_cache) {
-  TableDef def = ViewDef("sys.dm_pdw_result_cache",
-                         {{"sql_text", TypeId::kVarchar, false},
-                          {"fingerprint", TypeId::kVarchar, false},
-                          {"hits", TypeId::kInt, false},
-                          {"result_rows", TypeId::kInt, false},
-                          {"modeled_cost", TypeId::kDouble, false},
-                          {"base_tables", TypeId::kVarchar, false}});
-  return engine->RegisterVirtualTable(
-      std::move(def), [result_cache]() -> Result<RowVector> {
-        RowVector rows;
-        for (const ResultCache::EntryInfo& e : result_cache->ListEntries()) {
-          std::string tables;
-          for (const std::string& t : e.tables) {
-            if (!tables.empty()) tables += ",";
-            tables += t;
-          }
-          rows.push_back({Datum::Varchar(e.normalized_sql),
-                          Datum::Varchar(e.options_fingerprint),
-                          Datum::Int(static_cast<int64_t>(e.hits)),
-                          Datum::Int(e.rows),
-                          Datum::Double(e.modeled_cost),
-                          Datum::Varchar(tables)});
-        }
-        return rows;
-      });
-}
-
 }  // namespace
 
 Status InstallSystemViews(LocalEngine* engine,
@@ -342,9 +322,17 @@ Status InstallSystemViews(LocalEngine* engine,
   PDW_RETURN_NOT_OK(InstallExecSteps(engine, requests));
   PDW_RETURN_NOT_OK(InstallDmsWorkers(engine, requests));
   PDW_RETURN_NOT_OK(InstallMetrics(engine));
-  PDW_RETURN_NOT_OK(InstallPlanCache(engine, plan_cache));
+  PDW_RETURN_NOT_OK(InstallCacheView(
+      engine, "sys.dm_pdw_plan_cache", "num_steps", plan_cache,
+      [](const CachedDsqlPlan& plan) {
+        return static_cast<int64_t>(plan.dsql.steps.size());
+      }));
   PDW_RETURN_NOT_OK(InstallWorkload(engine, workload));
-  PDW_RETURN_NOT_OK(InstallResultCache(engine, result_cache));
+  PDW_RETURN_NOT_OK(InstallCacheView(
+      engine, "sys.dm_pdw_result_cache", "result_rows", result_cache,
+      [](const CachedQueryResult& result) {
+        return static_cast<int64_t>(result.rows.size());
+      }));
   return Status::OK();
 }
 

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 
 #include "common/fault.h"
@@ -54,16 +53,8 @@ ThreadPool::~ThreadPool() {
 }
 
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool* pool = [] {
-    int n = 0;
-    if (const char* env = std::getenv("PDW_POOL_THREADS")) {
-      n = std::atoi(env);
-    }
-    if (n <= 0) {
-      n = std::max(16, static_cast<int>(std::thread::hardware_concurrency()));
-    }
-    return new ThreadPool(n);
-  }();
+  static ThreadPool* pool = new ThreadPool(
+      std::max(16, static_cast<int>(std::thread::hardware_concurrency())));
   return *pool;
 }
 

@@ -36,11 +36,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Process-wide pool. Sized from PDW_POOL_THREADS when set, otherwise
-  /// max(hardware_concurrency, 16): per-node work is frequently dominated
-  /// by the modeled dispatch latency (a blocked thread, not a busy core),
-  /// so the pool oversubscribes cores to overlap every node of a typical
-  /// appliance.
+  /// Process-wide pool of max(hardware_concurrency, 16) workers: per-node
+  /// work is frequently dominated by the modeled dispatch latency (a
+  /// blocked thread, not a busy core), so the pool oversubscribes cores to
+  /// overlap every node of a typical appliance.
   static ThreadPool& Global();
 
   int size() const { return static_cast<int>(workers_.size()); }

@@ -69,8 +69,7 @@ struct RequestState {
   double queue_start_seconds = -1;
   double admit_seconds = -1;
   bool cache_hit = false;
-  /// Served straight from the keyed result cache (no execution at all) —
-  /// either an LRU hit or a coalesced wait on an identical in-flight query.
+  /// Served straight from the keyed result cache (no execution at all).
   bool result_cache_hit = false;
   /// Index of the step currently running (-1 before execution starts).
   int current_step = -1;

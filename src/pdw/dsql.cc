@@ -79,7 +79,6 @@ Result<DsqlPlan> GenerateDsql(const PlanNode& plan,
   DsqlPlan out;
   out.output_names = std::move(output_names);
   out.visible_columns = visible_columns;
-  out.total_move_cost = TotalMoveCost(plan);
 
   DsqlSplitter splitter(&out.steps, database_prefix);
   PDW_ASSIGN_OR_RETURN(PlanNodePtr top, splitter.Split(plan.Clone()));

@@ -61,7 +61,6 @@ struct DsqlPlan {
   /// Client-visible leading columns of the final result (-1 = all); hidden
   /// trailing ORDER BY carriers are trimmed during result assembly.
   int visible_columns = -1;
-  double total_move_cost = 0;
 
   /// Paper-style rendering (cf. Fig. 3(e) / Fig. 7): one block per step.
   std::string ToString() const;

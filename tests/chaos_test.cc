@@ -154,6 +154,24 @@ FaultSchedule BuildRandomSchedule(uint64_t seed) {
   return schedule;
 }
 
+/// A query's DMS totals equal the sums over its step profiles, which hold
+/// each step's successful attempt: a retried step's traffic counts once.
+void ExpectDmsTotalsMatchSteps(const ApplianceResult& r) {
+  double reader = 0, network = 0, writer = 0, bulkcopy = 0, rows = 0;
+  for (const obs::StepProfile& step : r.profile.steps) {
+    reader += step.reader.bytes;
+    network += step.network.bytes;
+    writer += step.writer.bytes;
+    bulkcopy += step.bulkcopy.bytes;
+    rows += step.rows_moved;
+  }
+  EXPECT_EQ(r.dms_metrics.reader.bytes, reader);
+  EXPECT_EQ(r.dms_metrics.network.bytes, network);
+  EXPECT_EQ(r.dms_metrics.writer.bytes, writer);
+  EXPECT_EQ(r.dms_metrics.bulkcopy.bytes, bulkcopy);
+  EXPECT_EQ(r.dms_metrics.rows_moved, rows);
+}
+
 class ChaosTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -257,11 +275,13 @@ TEST_F(ChaosTest, SeededDifferentialSweep) {
     // Fault-free reference of the exact same configuration.
     auto reference = session_->Run(sql, options);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ExpectDmsTotalsMatchSteps(*reference);
 
     options.execute.faults = schedule;
     auto chaotic = session_->Run(sql, options);
     if (chaotic.ok()) {
       ++matches;
+      ExpectDmsTotalsMatchSteps(*chaotic);
       EXPECT_EQ(chaotic->rows.size(), reference->rows.size());
       EXPECT_TRUE(RowSetsEqual(chaotic->rows, reference->rows))
           << "rows diverged from the fault-free reference";
@@ -435,6 +455,28 @@ TEST_F(ChaosTest, TransientStepFailureRetriesVisibly) {
   EXPECT_EQ(req->rows[0][0].string_value(), "complete");
   EXPECT_EQ(static_cast<int>(req->rows[0][1].int_value()), total_retries);
   EXPECT_EQ(appliance_->requests().active_count(), 0u);
+
+  // A DMS step retried because its destination temp failed to materialize
+  // moved its rows twice, and the query's DMS totals count them once.
+  QueryOptions temp_fault;
+  temp_fault.execute.retry.max_attempts = 3;
+  temp_fault.execute.retry.sleep_fn = [](double) {};
+  auto schedule =
+      fault::ParseFaultSchedule("appliance.temp.create:1:1:transient");
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  temp_fault.execute.faults = *schedule;
+  auto moved = session_->Run(
+      "SELECT c_name, o_totalprice FROM customer, orders "
+      "WHERE c_custkey = o_custkey",
+      temp_fault);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  int dms_retries = 0;
+  for (const auto& step : moved->profile.steps) {
+    if (step.kind == "DMS") dms_retries += step.retries;
+  }
+  EXPECT_EQ(dms_retries, 1);
+  EXPECT_GT(moved->dms_metrics.network.bytes, 0);
+  ExpectDmsTotalsMatchSteps(*moved);
 }
 
 TEST_F(ChaosTest, PermanentFaultAbortsCleanlyAndApplianceStaysUp) {

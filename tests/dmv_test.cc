@@ -1,8 +1,8 @@
 // The live-introspection subsystem end to end: sys.dm_pdw_* system views
 // queried through ordinary SQL must observe requests *while they run* (from
 // a second session thread, during a concurrent storm), aggregate like any
-// other table on either execution engine, expose latency quantiles and the
-// plan cache, and export Chrome-trace JSON of a whole query.
+// other table on either execution engine, expose latency quantiles and
+// both control-node caches, and export Chrome-trace JSON of a whole query.
 
 #include <gtest/gtest.h>
 
@@ -359,6 +359,31 @@ TEST(DmvTest, PlanCacheViewShowsEntriesAndHits) {
   EXPECT_EQ(rows[0][1].int_value(), 2);  // two of the three runs hit
   EXPECT_GT(rows[0][2].int_value(), 0);
   EXPECT_NE(rows[0][3].string_value().find("supplier"), std::string::npos);
+}
+
+// --- result cache view -----------------------------------------------------
+
+TEST(DmvTest, ResultCacheViewShowsEntriesAndHits) {
+  auto appliance = MakeLoadedAppliance(2, 0.01);
+  Session session = appliance->Connect(QueryOptions().WithResultCache());
+  int64_t result_rows = -1;
+  for (int i = 0; i < 3; ++i) {
+    auto r = session.Run(kJoinSql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->result_cache_hit, i > 0);
+    result_rows = static_cast<int64_t>(r->rows.size());
+  }
+  ASSERT_GT(result_rows, 0);
+  RowVector rows = Dmv(appliance.get(),
+                       "SELECT sql_text, hits, result_rows, base_tables "
+                       "FROM sys.dm_pdw_result_cache");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].string_value(), NormalizeSqlForPlanCache(kJoinSql));
+  EXPECT_EQ(rows[0][1].int_value(), 2);  // two of the three runs hit
+  EXPECT_EQ(rows[0][2].int_value(), result_rows);
+  const std::string tables = rows[0][3].string_value();
+  EXPECT_NE(tables.find("customer"), std::string::npos) << tables;
+  EXPECT_NE(tables.find("orders"), std::string::npos) << tables;
 }
 
 // --- finished-request ring eviction ---------------------------------------

@@ -11,7 +11,8 @@
 // and fact's join key has only 50 distinct values against 12000 rows —
 // the high-reduction regime the pushdown targets. Grouping by the unique
 // column `f_uniq` instead gives the adversarial near-unique case the
-// cost model must decline.
+// cost model must decline. PreaggCostTest loads TPC-H at scale 0.2, where
+// Q10's plan carries a pre-aggregation cost term.
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "common/row.h"
 #include "pdw/compiler.h"
 #include "pdw/plan_cache.h"
+#include "tpch/tpch.h"
 
 namespace pdw {
 namespace {
@@ -264,6 +266,33 @@ TEST_F(PreaggTest, FingerprintAndPlanCacheSeparatePreaggPlans) {
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(other->cache_hit);
   EXPECT_TRUE(RowSetsEqual(other->rows, again->rows));
+}
+
+// One executed query reports one modeled cost: the optimizer's objective,
+// pre-aggregation CPU term included, in the result, the profile, the
+// EXPLAIN ANALYZE header and its total line.
+TEST(PreaggCostTest, ExplainAnalyzeReportsOneModeledCost) {
+  Appliance appliance(Topology{8});
+  ASSERT_TRUE(tpch::CreateTpchTables(&appliance).ok());
+  tpch::TpchConfig cfg;
+  cfg.scale = 0.2;
+  ASSERT_TRUE(tpch::LoadTpch(&appliance, cfg).ok());
+  const tpch::TpchQuery* q10 = tpch::FindQuery("Q10");
+  ASSERT_NE(q10, nullptr);
+  auto r = appliance.Run(q10->sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->modeled_cost, r->profile.modeled_cost);
+  const std::string& text = r->explain_text;
+  auto number_after = [&](const std::string& marker) {
+    size_t at = text.find(marker);
+    EXPECT_NE(at, std::string::npos) << marker << "\n" << text;
+    if (at == std::string::npos) return std::string();
+    size_t start = at + marker.size();
+    return text.substr(start, text.find_first_of(" )", start) - start);
+  };
+  EXPECT_EQ(number_after("modeled DMS cost "),
+            number_after("total: modeled cost "))
+      << text;
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Workload-management tier: resource-class classification, bounded
 // admission (concurrency caps, FIFO-within-priority, fast-fail overload),
-// the keyed result cache with in-flight coalescing, cooperative
-// cancellation (queued, mid-DMS, and coalesced result-cache followers),
-// and the Session API that fronts it all. Unit tests drive
-// WorkloadManager/ResultCache directly; the appliance tests go through
-// Session::Run end to end.
+// the keyed result cache, cooperative cancellation (queued, mid-DMS, and
+// a result-cache query that must insert nothing), and the Session API
+// that fronts it all. Unit tests drive WorkloadManager/ResultCache
+// directly; the appliance tests go through Session::Run end to end.
 
 #include <gtest/gtest.h>
 
@@ -220,68 +219,15 @@ TEST(WorkloadManagerTest, DisabledManagerIsPassThrough) {
   }
 }
 
-// --- result cache: unit-level coalescing ---
-
-TEST(ResultCacheTest, FollowerCoalescesOntoLeader) {
-  ResultCache cache(8);
-  bool leader_coalesced = false;
-  auto miss = cache.LookupOrJoin("SELECT 1", "fp", &leader_coalesced);
-  ASSERT_TRUE(miss.ok());
-  ASSERT_FALSE(miss->has_value());  // we are the leader
-  EXPECT_FALSE(leader_coalesced);
-
-  std::optional<CachedQueryResult> follower_result;
-  bool follower_coalesced = false;
-  std::thread follower([&] {
-    follower_result =
-        cache.LookupOrJoin("SELECT 1", "fp", &follower_coalesced)
-            .ValueOrDie();
-  });
-  // Publish after the follower has had a chance to join the flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  CachedQueryResult published;
-  published.column_names = {"c"};
-  published.rows = {{Datum::Int(42)}};
-  cache.Publish("SELECT 1", "fp", published);
-  follower.join();
-  ASSERT_TRUE(follower_result.has_value());
-  ASSERT_EQ(follower_result->rows.size(), 1u);
-  EXPECT_EQ(follower_result->rows[0][0].int_value(), 42);
-  // Later lookups hit the LRU.
-  auto hit = cache.LookupOrJoin("SELECT 1", "fp");
-  ASSERT_TRUE(hit.ok() && hit->has_value());
-  EXPECT_GE(cache.stats().hits, 1u);
-}
-
-TEST(ResultCacheTest, FailedLeaderReleasesFollowerToRetry) {
-  ResultCache cache(8);
-  auto miss = cache.LookupOrJoin("SELECT 2", "fp");
-  ASSERT_TRUE(miss.ok());
-  ASSERT_FALSE(miss->has_value());
-  std::optional<CachedQueryResult> follower_result{
-      CachedQueryResult{}};  // sentinel: must become nullopt (new leader)
-  std::thread follower([&] {
-    follower_result = cache.LookupOrJoin("SELECT 2", "fp").ValueOrDie();
-    if (!follower_result.has_value()) {
-      // We inherited the leadership; resolve it so nothing dangles.
-      cache.FailFlight("SELECT 2", "fp");
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  cache.FailFlight("SELECT 2", "fp");
-  follower.join();
-  EXPECT_FALSE(follower_result.has_value())
-      << "follower of a failed flight must retry as the new leader";
-  EXPECT_EQ(cache.size(), 0u);
-}
+// --- result cache: unit level ---
 
 TEST(ResultCacheTest, StaleStatisticsVersionInvalidates) {
   auto versions = std::make_shared<TableVersionTracker>();
   ResultCache cache(8, versions);
-  ASSERT_FALSE(cache.LookupOrJoin("SELECT * FROM t", "fp")->has_value());
+  ASSERT_FALSE(cache.Lookup("SELECT * FROM t", "fp").has_value());
   CachedQueryResult r;
   r.table_versions = {{"t", versions->Version("t")}};
-  cache.Publish("SELECT * FROM t", "fp", r);
+  cache.Insert("SELECT * FROM t", "fp", r);
   ASSERT_TRUE(cache.Lookup("SELECT * FROM t", "fp").has_value());
   versions->Bump("t");
   EXPECT_FALSE(cache.Lookup("SELECT * FROM t", "fp").has_value());
@@ -316,7 +262,7 @@ TEST(ResultCacheApplianceTest, RepeatIsServedFromCacheAndInvalidated) {
   EXPECT_GE(appliance->result_cache().stats().invalidations, 1u);
 }
 
-TEST(ResultCacheApplianceTest, ConcurrentIdenticalQueriesExecuteOnce) {
+TEST(ResultCacheApplianceTest, ConcurrentIdenticalQueriesMatch) {
   auto appliance = MakeLoadedAppliance(2, 0.02);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -336,14 +282,15 @@ TEST(ResultCacheApplianceTest, ConcurrentIdenticalQueriesExecuteOnce) {
   ASSERT_EQ(all_rows.size(), static_cast<size_t>(kThreads));
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_TRUE(RowSetsEqual(all_rows[0], all_rows[static_cast<size_t>(t)]))
-        << "coalesced/cached result diverged for thread " << t;
+        << "executed/cached result diverged for thread " << t;
   }
-  // Exactly one execution: the first miss becomes the leader; everyone
-  // else either coalesces onto that flight or hits the published entry.
+  // Every run either hit the cache or missed and executed; identical
+  // misses running at the same time each insert (the same rows).
   ResultCache::Stats stats = appliance->result_cache().stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits + stats.coalesced, static_cast<uint64_t>(kThreads - 1));
-  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_GE(stats.misses, 1u);
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(stats.insertions, stats.misses);
+  EXPECT_EQ(appliance->result_cache().size(), 1u);
 }
 
 // --- appliance-level: admission, overload, DMV visibility ---
@@ -514,16 +461,17 @@ TEST(CancellationTest, CancelWhileQueuedForAdmission) {
   EXPECT_EQ(snap[0].active, 0);
 }
 
-TEST(CancellationTest, CancelReachesResultCacheFollower) {
+TEST(CancellationTest, CancelledResultCacheQueryInsertsNothing) {
   auto appliance = MakeLoadedAppliance(2, 0.02);
   // Reference rows without the result cache (also warms the plan cache).
   auto isolated = appliance->Connect().Run(kJoinSql);
   ASSERT_TRUE(isolated.ok()) << isolated.status().ToString();
   Session session = appliance->Connect(QueryOptions().WithResultCache());
-  uint64_t coalesced_before = appliance->result_cache().stats().coalesced;
+  const uint64_t insertions_before =
+      appliance->result_cache().stats().insertions;
 
-  // Slow every DMS transfer process-wide. While the follower waits on the
-  // result cache it moves no data, so only the leader is slowed.
+  // Slow every DMS transfer process-wide, so the query is still moving
+  // data when the cancel arrives.
   FaultSpec slow;
   slow.point = "dms.network";
   slow.count = -1;
@@ -531,26 +479,12 @@ TEST(CancellationTest, CancelReachesResultCacheFollower) {
   slow.delay_seconds = 0.2;
   uint64_t slow_token = FaultRegistry::Global().Arm({slow});
 
-  Result<ApplianceResult> leader_result = Status::Internal("not run");
-  std::thread leader([&] { leader_result = session.Run(kJoinSql); });
-  // The leader owns the result-cache flight once it executes.
-  uint64_t leader_id = 0;
-  SpinUntil([&] {
-    for (const auto& req : appliance->requests().Snapshot()) {
-      if (!obs::IsTerminalPhase(req.phase) && req.total_steps > 0) {
-        leader_id = req.query_id;
-        return true;
-      }
-    }
-    return false;
-  });
-
-  Result<ApplianceResult> follower_result = Status::Internal("not run");
-  std::thread follower([&] { follower_result = session.Run(kJoinSql); });
+  Result<ApplianceResult> cancelled = Status::Internal("not run");
+  std::thread runner([&] { cancelled = session.Run(kJoinSql); });
   uint64_t victim = 0;
   SpinUntil([&] {
     for (const auto& req : appliance->requests().Snapshot()) {
-      if (!obs::IsTerminalPhase(req.phase) && req.query_id != leader_id) {
+      if (!obs::IsTerminalPhase(req.phase) && req.total_steps > 0) {
         victim = req.query_id;
         return true;
       }
@@ -558,28 +492,28 @@ TEST(CancellationTest, CancelReachesResultCacheFollower) {
     return false;
   });
   Status cancel_status = session.Cancel(victim);
-  follower.join();
-  leader.join();
+  runner.join();
   FaultRegistry::Global().Disarm(slow_token);
 
-  ASSERT_NE(leader_id, 0u) << "leader never started executing";
-  ASSERT_NE(victim, 0u) << "follower never became visible in the registry";
+  ASSERT_NE(victim, 0u) << "query never started executing";
   ASSERT_TRUE(cancel_status.ok()) << cancel_status.ToString();
-  EXPECT_EQ(follower_result.status().code(), StatusCode::kCancelled)
-      << "a cancelled follower must not wait for the leader's result: "
-      << follower_result.status().ToString();
-  ASSERT_TRUE(leader_result.ok()) << leader_result.status().ToString();
-  EXPECT_FALSE(leader_result->result_cache_hit);
-  EXPECT_TRUE(RowSetsEqual(isolated->rows, leader_result->rows));
-  EXPECT_EQ(appliance->result_cache().stats().coalesced, coalesced_before);
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+      << cancelled.status().ToString();
   auto dmv = appliance->Run(
       "SELECT status FROM sys.dm_pdw_exec_requests WHERE request_id = " +
       std::to_string(victim));
   ASSERT_TRUE(dmv.ok()) << dmv.status().ToString();
   ASSERT_EQ(dmv->rows.size(), 1u);
   EXPECT_EQ(dmv->rows[0][0].string_value(), "cancelled");
-  // The cancelled follower did not fail the leader's flight: the leader
-  // published, so the next identical query is an LRU hit.
+  // The cancelled run inserted nothing.
+  EXPECT_EQ(appliance->result_cache().stats().insertions, insertions_before);
+  EXPECT_EQ(appliance->result_cache().size(), 0u);
+
+  // So the next identical run executes, and the one after it hits.
+  auto fresh = session.Run(kJoinSql);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_FALSE(fresh->result_cache_hit);
+  EXPECT_TRUE(RowSetsEqual(isolated->rows, fresh->rows));
   auto again = session.Run(kJoinSql);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->result_cache_hit);
