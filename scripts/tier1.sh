@@ -2,7 +2,8 @@
 # Tier-1 verification: the plain build + full test suite, the perfbench
 # self-test, the concurrency tests again under ThreadSanitizer
 # (-DPDW_SANITIZE=thread), and the whole suite under AddressSanitizer
-# (-DPDW_SANITIZE=address), followed by the preagg and chaos legs.
+# (-DPDW_SANITIZE=address), followed by the preagg and chaos legs. A
+# compiler warning in any of the three builds fails the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,8 +17,17 @@ if [[ "$knobs" != "$expected" ]]; then
   exit 1
 fi
 
+# Warning gate, plain build: build/ is also the tier-1 verify command's
+# tree, so -Werror stays out of its cache and the build log is searched
+# instead. It holds the files this run compiles (every file on a fresh
+# tree). The sanitizer trees below are this script's own and build with
+# -Werror.
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j 2>&1 | tee build/tier1-build.log
+if grep 'warning:' build/tier1-build.log >&2; then
+  echo "the plain build printed the compiler warnings above" >&2
+  exit 1
+fi
 (cd build && ctest --output-on-failure -j)
 
 # Benchmark self-test: perfbench builds ../src in its own Release tree, so
@@ -31,10 +41,10 @@ python3 perfbench/run.py --self-test
 # The parallel execution engine, plan cache, and the pipelined DMS
 # (bounded queues + push-with-help backpressure + concurrent sessions
 # moving data through the same pool) are the racy surfaces; run their
-# tests instrumented. concurrency_test's session storm also compiles every
-# step on every node concurrently, and creates and drops every query's temp
-# tables concurrently. TSAN_OPTIONS halts on the first report.
-cmake -B build-tsan -S . -DPDW_SANITIZE=thread
+# tests instrumented. In concurrency_test's session storm each step's one
+# plan runs on every node concurrently, and every query's temp tables are
+# created and dropped concurrently. TSAN_OPTIONS halts on the first report.
+cmake -B build-tsan -S . -DPDW_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-tsan -j --target concurrency_test dms_pipeline_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dms_pipeline_test
@@ -63,7 +73,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test
 # The vectorized batch engine (the default) owns raw selection-vector /
 # hash-table indexing; run the whole suite under AddressSanitizer. Suites
 # that pick the row engine per query run it instrumented too.
-cmake -B build-asan -S . -DPDW_SANITIZE=address
+cmake -B build-asan -S . -DPDW_SANITIZE=address -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-asan -j
 (cd build-asan && ASAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -j)
 

@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "optimizer/serial_optimizer.h"
 #include "plan/distribution.h"
 #include "sql/parser.h"
 
@@ -27,19 +28,14 @@ double NowSeconds() {
       .count();
 }
 
-/// Sums one node's per-operator actuals into the step aggregate. Plans are
-/// compiled per node against local catalogs, so shapes could in principle
-/// diverge; aggregation only happens when every operator lines up, else the
-/// first node's profile is kept as-is.
+/// Sums one node's per-operator actuals into the step aggregate. Every
+/// source node runs the step's one plan, so the pre-order operator lists
+/// line up index by index.
 void MergeOperators(const std::vector<obs::OperatorProfile>& from,
                     std::vector<obs::OperatorProfile>* into) {
   if (into->empty()) {
     *into = from;
     return;
-  }
-  if (into->size() != from.size()) return;
-  for (size_t i = 0; i < from.size(); ++i) {
-    if ((*into)[i].name != from[i].name) return;
   }
   for (size_t i = 0; i < from.size(); ++i) {
     obs::OperatorProfile& dst = (*into)[i];
@@ -120,33 +116,29 @@ void FillComponents(const DmsRunMetrics& m, obs::StepProfile* sp) {
   sp->rows_moved = static_cast<double>(m.rows_moved);
 }
 
-/// What each source node's run of one DSQL step measured. Nodes run
-/// concurrently; the run of nodes[i] writes only index i.
+/// One DSQL step's plan and what each source node's run of it measured.
+/// Nodes run concurrently; the run of nodes[i] writes only index i.
 struct NodeRuns {
   NodeRuns(std::vector<int> source_nodes, bool profile_operators)
       : nodes(std::move(source_nodes)),
         profiles(profile_operators ? nodes.size() : 0),
-        seconds(nodes.size(), 0),
-        names(nodes.size()) {}
+        seconds(nodes.size(), 0) {}
 
-  /// Adds every node's wall time and operator actuals to `sp`, and fills
-  /// an empty `column_names` with the first node's non-empty names. Node
+  /// Adds every node's wall time and operator actuals to `sp`, in node
   /// order, so the aggregate does not depend on which node finished first.
-  void FoldInto(obs::StepProfile* sp,
-                std::vector<std::string>* column_names) const {
+  void FoldInto(obs::StepProfile* sp) const {
     for (size_t i = 0; i < nodes.size(); ++i) {
       sp->node_seconds.emplace_back(nodes[i], seconds[i]);
       if (!profiles.empty()) {
         MergeOperators(profiles[i].operators, &sp->operators);
       }
-      if (column_names->empty() && !names[i].empty()) *column_names = names[i];
     }
   }
 
   std::vector<int> nodes;
+  PlanNodePtr plan;  ///< The step SQL's plan, which every node executes.
   std::vector<ExecProfile> profiles;  ///< Empty unless actuals are collected.
   std::vector<double> seconds;
-  std::vector<std::vector<std::string>> names;
 };
 
 /// Replaces every `from` in `sql` with `to`, except inside single-quoted
@@ -483,11 +475,30 @@ struct Appliance::StepRunner {
                : *app.compute_[static_cast<size_t>(node)];
   }
 
+  /// Compiles the step's SQL once, parse to plan, into runs->plan against
+  /// the first source node's catalog: the nodes are homogeneous and hold no
+  /// statistics, so it is every source node's plan. A failure reports as
+  /// that node's.
+  Status CompileStep(const DsqlStep& step, NodeRuns* runs,
+                     obs::StepProfile* sp) {
+    int node = runs->nodes[0];
+    double t0 = NowSeconds();
+    auto comp = CompileQuery(EngineOf(node).catalog(), step.sql);
+    if (!comp.ok()) return WrapNodeStatus(node, comp.status(), step.sql);
+    // sql_gen's ORDER BY names only selected columns: no column to trim.
+    if (comp->visible_columns >= 0) return Status::Internal("hidden columns");
+    auto plan = ExtractBestSerialPlan(comp->memo.get());
+    if (!plan.ok()) return WrapNodeStatus(node, plan.status(), step.sql);
+    runs->plan = std::move(*plan);
+    sp->compile_seconds = NowSeconds() - t0;
+    return Status::OK();
+  }
+
   /// The per-node body of every step: the control→compute RPC of shipping
-  /// the step's SQL to runs->nodes[i] (fault point + modeled latency), then
-  /// the timed node-local execution. The DMS producers and the Return step
-  /// both run it; NodeRuns::FoldInto then adds what it measured to the step
-  /// profile.
+  /// the step to runs->nodes[i] (fault point + modeled latency), then the
+  /// timed execution of the step's plan on that node's storage. The DMS
+  /// producers and the Return step both run it; NodeRuns::FoldInto then
+  /// adds what it measured to the step profile.
   Result<RowVector> RunNode(const DsqlStep& step, NodeRuns* runs, size_t i) {
     int node = runs->nodes[i];
     Status fs = fault::Check("appliance.step.dispatch");
@@ -497,12 +508,12 @@ struct Appliance::StepRunner {
           std::chrono::duration<double>(app.dispatch_latency_seconds_));
     }
     double t0 = NowSeconds();
-    auto rows = EngineOf(node).ExecuteSql(
-        step.sql, runs->profiles.empty() ? nullptr : &runs->profiles[i], exec);
+    auto rows = pdw::ExecutePlan(
+        *runs->plan, EngineOf(node),
+        runs->profiles.empty() ? nullptr : &runs->profiles[i], exec);
     runs->seconds[i] = NowSeconds() - t0;
     if (!rows.ok()) return WrapNodeStatus(node, rows.status(), step.sql);
-    runs->names[i] = std::move(rows->column_names);
-    return std::move(rows->rows);
+    return rows;
   }
 
   /// Runs one DMS step end-to-end: source SQL on every source node, rows
@@ -512,11 +523,12 @@ struct Appliance::StepRunner {
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", sp->move_kind);
     step_span.AddAttr("dest", step.dest_table);
-    // Each source node's SQL runs inside its DMS producer, so row
-    // production on one node overlaps pack/route/unpack of nodes that
-    // finished earlier — no materialization barrier between step execution
-    // and movement.
+    // Each source node's run of the plan happens inside its DMS producer,
+    // so row production on one node overlaps pack/route/unpack of nodes
+    // that finished earlier — no materialization barrier between step
+    // execution and movement.
     NodeRuns runs(app.SourceNodes(step), profile_operators);
+    PDW_RETURN_NOT_OK(CompileStep(step, &runs, sp));
     std::vector<DmsProducer> producers(
         static_cast<size_t>(app.dms_.num_compute_nodes() + 1));
     for (size_t i = 0; i < runs.nodes.size(); ++i) {
@@ -539,7 +551,7 @@ struct Appliance::StepRunner {
         step.move_kind, std::move(producers), step.hash_column_ordinals,
         &metrics, &ThreadPool::Global(), dms_options);
     if (!routed.ok()) return routed.status();
-    runs.FoldInto(sp, &result.column_names);
+    runs.FoldInto(sp);
     *moved = metrics;
     FillComponents(metrics, sp);
     sp->actual_rows = static_cast<double>(metrics.rows_moved);
@@ -571,14 +583,15 @@ struct Appliance::StepRunner {
     return Status::OK();
   }
 
-  /// Runs the Return step: per-source-node SQL, deterministic assembly,
-  /// merge sort, limit, visible-column trim.
+  /// Runs the Return step: the plan on every source node, deterministic
+  /// assembly, merge sort, limit, visible-column trim.
   Status RunReturn(const DsqlStep& step, obs::StepProfile* sp) {
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", std::string("Return"));
-    // Every source node runs the SQL simultaneously (capped at
+    // Every source node runs the plan simultaneously (capped at
     // max_parallel_nodes; 1 = the serial node-by-node loop).
     NodeRuns runs(app.SourceNodes(step), profile_operators);
+    PDW_RETURN_NOT_OK(CompileStep(step, &runs, sp));
     std::vector<Result<RowVector>> per_node(
         runs.nodes.size(), Status::Internal("node not run"));
     ThreadPool::Global().ParallelFor(
@@ -591,7 +604,7 @@ struct Appliance::StepRunner {
     for (const Result<RowVector>& rows : per_node) {
       if (!rows.ok()) return rows.status();
     }
-    runs.FoldInto(sp, &result.column_names);
+    runs.FoldInto(sp);
     // Assemble in node order, keeping the serial loop's deterministic
     // stream order regardless of which node finished first.
     RowVector assembled;
@@ -990,8 +1003,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
   double queue_seconds = 0;
   PDW_ASSIGN_OR_RETURN(
       WorkloadManager::Ticket ticket,
-      workload_.Admit(query_id, rc, options.execute.priority, cancel,
-                      &queue_seconds));
+      workload_.Admit(rc, options.execute.priority, cancel, &queue_seconds));
   requests_.Admit(query_id);
   if (cancel != nullptr && cancel->load()) {
     return Status::Cancelled("query cancelled before execution");

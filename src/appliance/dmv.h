@@ -17,7 +17,8 @@ namespace pdw {
 ///  * sys.dm_pdw_exec_requests — one row per request the appliance has run
 ///    (or is running right now), from the always-on request registry;
 ///  * sys.dm_pdw_exec_steps    — one row per DSQL step of those requests,
-///    with live rows/bytes-moved counters while a DMS move is in flight;
+///    with live rows/bytes-moved counters while a DMS move is in flight
+///    and the step's one compile of its SQL (compile_ms);
 ///  * sys.dm_pdw_dms_workers   — one row per DMS component (reader,
 ///    network, writer, bulkcopy) of every DMS step;
 ///  * sys.dm_pdw_metrics       — the global metrics registry: counters,

@@ -40,9 +40,9 @@ void WorkloadManager::Ticket::Release() {
 
 WorkloadManager::WorkloadManager(WorkloadManagerConfig config)
     : config_(std::move(config)),
-      small_(std::make_unique<ClassState>(config_.small)),
-      medium_(std::make_unique<ClassState>(config_.medium)),
-      large_(std::make_unique<ClassState>(config_.large)) {}
+      small_(std::make_unique<ClassState>()),
+      medium_(std::make_unique<ClassState>()),
+      large_(std::make_unique<ClassState>()) {}
 
 ResourceClass WorkloadManager::Classify(double modeled_cost,
                                         ResourceClass requested) const {
@@ -81,8 +81,8 @@ const WorkloadClassConfig& WorkloadManager::ConfigFor(ResourceClass rc) const {
 }
 
 Result<WorkloadManager::Ticket> WorkloadManager::Admit(
-    uint64_t query_id, ResourceClass rc, int priority,
-    const std::atomic<bool>* cancel, double* queue_seconds) {
+    ResourceClass rc, int priority, const std::atomic<bool>* cancel,
+    double* queue_seconds) {
   if (queue_seconds != nullptr) *queue_seconds = 0;
   // The fault point fires before any slot or queue state changes, so an
   // injected admission failure can never leak a slot or a queue entry.
@@ -99,7 +99,8 @@ Result<WorkloadManager::Ticket> WorkloadManager::Admit(
   // Fast path: no one is waiting and a slot is free. Skipping the queue is
   // only fair when the queue is empty — otherwise the newcomer would jump
   // ahead of earlier arrivals.
-  if (cls.queue.empty() && cls.slots.TryAcquire()) {
+  if (cls.queue.empty() && cls.active < cfg.concurrency_slots) {
+    ++cls.active;
     ++cls.admitted_total;
     reg.Count("wlm.admitted");
     reg.Observe("wlm.queue_wait.seconds", 0);
@@ -116,9 +117,7 @@ Result<WorkloadManager::Ticket> WorkloadManager::Admit(
   // Queue FIFO-within-priority: behind every waiter of >= priority, ahead
   // of the first strictly lower one.
   auto waiter = std::make_shared<Waiter>();
-  waiter->query_id = query_id;
   waiter->priority = priority;
-  waiter->seq = next_seq_++;
   waiter->cancel = cancel;
   auto pos = std::find_if(cls.queue.begin(), cls.queue.end(),
                           [&](const std::shared_ptr<Waiter>& w) {
@@ -143,8 +142,8 @@ Result<WorkloadManager::Ticket> WorkloadManager::Admit(
     reg.Count("wlm.cancelled");
     return Status::Cancelled("query cancelled while queued for admission");
   }
-  // Granted: ReleaseSlot already acquired the slot on our behalf and
-  // removed us from the queue.
+  // Granted: ReleaseSlot already took the slot on our behalf and removed
+  // us from the queue.
   ++cls.admitted_total;
   reg.Count("wlm.admitted");
   return Ticket(this, rc, cfg.max_parallel_nodes);
@@ -155,19 +154,22 @@ void WorkloadManager::ReleaseSlot(ResourceClass rc) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ClassState& cls = StateFor(rc);
-    cls.slots.Release();
+    // Saturates at zero: a ticket held across SetConfig releases into the
+    // fresh class state.
+    if (cls.active > 0) --cls.active;
     // Promote waiters in queue order while slots remain: each promoted
-    // waiter gets the slot acquired *for* it here, so a newcomer's
-    // fast-path TryAcquire can never steal it.
-    while (!cls.queue.empty() && cls.slots.TryAcquire()) {
+    // waiter gets the slot taken *for* it here, so a newcomer's fast path
+    // can never steal it.
+    const int slots = ConfigFor(rc).concurrency_slots;
+    while (!cls.queue.empty() && cls.active < slots) {
       std::shared_ptr<Waiter> front = cls.queue.front();
       cls.queue.pop_front();
       if (front->cancel != nullptr && front->cancel->load()) {
-        // Already cancelled: give the slot back and keep promoting.
-        cls.slots.Release();
+        // Already cancelled: skip it and keep promoting.
         notify = true;  // Wake it so it can report kCancelled.
         continue;
       }
+      ++cls.active;
       front->granted = true;
       notify = true;
       break;
@@ -192,7 +194,7 @@ std::vector<WorkloadClassSnapshot> WorkloadManager::Snapshot() const {
     WorkloadClassSnapshot snap;
     snap.resource_class = classes[i];
     snap.concurrency_slots = cfg.concurrency_slots;
-    snap.active = cls.slots.in_use();
+    snap.active = cls.active;
     snap.queued = static_cast<int>(cls.queue.size());
     snap.queue_depth = cfg.queue_depth;
     snap.max_parallel_nodes = cfg.max_parallel_nodes;
@@ -209,9 +211,9 @@ std::vector<WorkloadClassSnapshot> WorkloadManager::Snapshot() const {
 void WorkloadManager::SetConfig(WorkloadManagerConfig config) {
   std::lock_guard<std::mutex> lock(mu_);
   config_ = std::move(config);
-  small_ = std::make_unique<ClassState>(config_.small);
-  medium_ = std::make_unique<ClassState>(config_.medium);
-  large_ = std::make_unique<ClassState>(config_.large);
+  small_ = std::make_unique<ClassState>();
+  medium_ = std::make_unique<ClassState>();
+  large_ = std::make_unique<ClassState>();
 }
 
 }  // namespace pdw

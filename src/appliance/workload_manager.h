@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/semaphore.h"
 #include "common/status.h"
 
 namespace pdw {
@@ -81,9 +80,9 @@ struct WorkloadClassSnapshot {
 /// ticket releases the slot on destruction, promoting the next waiter.
 ///
 /// Fairness: slot handoff is serialized through the waiter queue — a
-/// releasing query wakes exactly the front waiter (highest priority,
-/// earliest arrival), and new arrivals go behind existing waiters, so the
-/// raw semaphore's wake order never determines admission order.
+/// releasing query hands its slot to exactly the front waiter (highest
+/// priority, earliest arrival), and new arrivals go behind existing
+/// waiters.
 class WorkloadManager {
  public:
   /// RAII concurrency slot: releasing it (destruction or explicit
@@ -135,7 +134,7 @@ class WorkloadManager {
   /// When the manager is disabled every call is an immediate pass-through
   /// ticket with no cap. The "wlm.admit" fault point fires before any slot
   /// or queue state is touched, so injected faults cannot leak either.
-  Result<Ticket> Admit(uint64_t query_id, ResourceClass rc, int priority,
+  Result<Ticket> Admit(ResourceClass rc, int priority,
                        const std::atomic<bool>* cancel = nullptr,
                        double* queue_seconds = nullptr);
 
@@ -147,25 +146,26 @@ class WorkloadManager {
 
   const WorkloadManagerConfig& config() const { return config_; }
   /// Swaps the configuration. Only safe while no queries are in flight
-  /// (benches reconfigure between phases); slot counts reset.
+  /// (benches reconfigure between phases); slot counts reset, and a ticket
+  /// still held across the swap releases into the new count, which never
+  /// goes below zero.
   void SetConfig(WorkloadManagerConfig config);
 
  private:
   struct Waiter {
-    uint64_t query_id = 0;
     int priority = 0;
-    uint64_t seq = 0;  ///< Arrival order within equal priority.
     const std::atomic<bool>* cancel = nullptr;
     bool granted = false;
-    bool removed = false;
   };
 
-  /// One resource class's slots + FIFO-within-priority wait queue.
+  /// One resource class's held slots + FIFO-within-priority wait queue.
+  /// Guarded by mu_.
   struct ClassState {
-    explicit ClassState(const WorkloadClassConfig& cfg)
-        : slots(cfg.concurrency_slots) {}
-    CountingSemaphore slots;
-    std::deque<std::shared_ptr<Waiter>> queue;  ///< Priority-desc, seq-asc.
+    /// Slots held by admitted queries; admission needs it below the
+    /// class's concurrency_slots.
+    int active = 0;
+    /// Priority-desc, arrival order within equal priority.
+    std::deque<std::shared_ptr<Waiter>> queue;
     uint64_t admitted_total = 0;
     uint64_t rejected_total = 0;
     uint64_t cancelled_total = 0;
@@ -180,7 +180,6 @@ class WorkloadManager {
   WorkloadManagerConfig config_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  uint64_t next_seq_ = 0;
   std::unique_ptr<ClassState> small_;
   std::unique_ptr<ClassState> medium_;
   std::unique_ptr<ClassState> large_;

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -20,15 +22,15 @@ class Datum {
   Datum() = default;
 
   static Datum Null() { return Datum(); }
-  static Datum Bool(bool v) { return Datum(Value(v)); }
-  static Datum Int(int64_t v) { return Datum(Value(v)); }
-  static Datum Double(double v) { return Datum(Value(v)); }
-  static Datum Varchar(std::string v) { return Datum(Value(std::move(v))); }
+  static Datum Bool(bool v) { return Datum(std::in_place_type<bool>, v); }
+  static Datum Int(int64_t v) { return Datum(std::in_place_type<int64_t>, v); }
+  static Datum Double(double v) { return Datum(std::in_place_type<double>, v); }
+  static Datum Varchar(std::string v) {
+    return Datum(std::in_place_type<std::string>, std::move(v));
+  }
   /// `days` is days since 1970-01-01.
   static Datum Date(int32_t days) {
-    Datum d{Value(static_cast<int64_t>(days))};
-    d.is_date_ = true;
-    return d;
+    return Datum(std::in_place_type<int64_t>, days, /*is_date=*/true);
   }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(value_); }
@@ -84,7 +86,12 @@ class Datum {
 
  private:
   using Value = std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Datum(Value v) : value_(std::move(v)) {}
+  /// Builds the alternative in place. Moving a temporary Value in made GCC
+  /// report -Wmaybe-uninitialized wherever the factories were inlined.
+  template <typename T>
+  Datum(std::in_place_type_t<T> type, std::type_identity_t<T> v,
+        bool is_date = false)
+      : value_(type, std::move(v)), is_date_(is_date) {}
 
   Value value_;
   bool is_date_ = false;

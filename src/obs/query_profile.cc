@@ -56,9 +56,10 @@ std::string QueryProfile::ToText(double misestimate_threshold) const {
     if (!s.dest_table.empty()) out += " -> " + s.dest_table;
     if (s.retries > 0) out += StringFormat("  [retries=%d]", s.retries);
     out += "\n";
-    out += StringFormat("  modeled cost %.6f   measured %s\n",
+    out += StringFormat("  modeled cost %.6f   measured %s   compile %s\n",
                         s.estimated_cost,
-                        FormatSeconds(s.measured_seconds).c_str());
+                        FormatSeconds(s.measured_seconds).c_str(),
+                        FormatSeconds(s.compile_seconds).c_str());
     out += StringFormat("  est. rows %s   actual rows %s",
                         FormatCount(s.estimated_rows).c_str(),
                         FormatCount(s.actual_rows).c_str());
@@ -176,6 +177,7 @@ std::string QueryProfile::ToJson() const {
     out += ",\"actual_rows\":" + JsonNumber(s.actual_rows);
     out += ",\"estimated_cost\":" + JsonNumber(s.estimated_cost);
     out += ",\"measured_seconds\":" + JsonNumber(s.measured_seconds);
+    out += ",\"compile_seconds\":" + JsonNumber(s.compile_seconds);
     out += ",\"retries\":" + JsonNumber(s.retries);
     out += ",\"misestimate_factor\":" + JsonNumber(s.MisestimateFactor());
     out += ",\"rows_moved\":" + JsonNumber(s.rows_moved);

@@ -47,6 +47,9 @@ struct StepProfile {
   double actual_rows = 0;      ///< Rows moved (DMS) / returned (RETURN).
   double estimated_cost = 0;   ///< Modeled DMS cost of the move.
   double measured_seconds = 0; ///< Wall time of the successful attempt.
+  /// That attempt's one compile of the step SQL, parse to plan; part of
+  /// measured_seconds, before any node runs the plan.
+  double compile_seconds = 0;
   /// Transient-failure retries this step needed before succeeding (0 on
   /// the common path); retried attempts' partial temp tables were dropped.
   int retries = 0;

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "appliance/appliance.h"
+#include "obs/trace.h"
 #include "pdw/baseline.h"
 #include "tpch/tpch.h"
 
@@ -345,6 +346,36 @@ TEST_F(TpchApplianceTest, TempTablesAreCleanedUp) {
       EXPECT_EQ(t.find("TEMP_ID"), std::string::npos) << t;
     }
   }
+}
+
+// Each DSQL step compiles its SQL once and every source node runs that
+// plan. A plan-cache hit skips the control-node compile, so every
+// compile.memo span of the second run is a step compile.
+TEST_F(TpchApplianceTest, EachDsqlStepCompilesOnce) {
+  Appliance appliance(Topology{8});
+  ASSERT_TRUE(tpch::CreateTpchTables(&appliance).ok());
+  tpch::TpchConfig cfg;
+  cfg.scale = 0.02;
+  ASSERT_TRUE(tpch::LoadTpch(&appliance, cfg).ok());
+  Session session = appliance.Connect();
+  const std::string& sql = tpch::Queries()[2].sql;  // Q3
+  ASSERT_TRUE(session.Run(sql).ok());
+
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  auto r = session.Run(sql);
+  tracer.Disable();
+  std::vector<obs::TraceRecord> spans = tracer.Snapshot();
+  tracer.Clear();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->cache_hit);
+  ASSERT_GE(r->dsql.steps.size(), 2u);
+  size_t compiles = 0;
+  for (const obs::TraceRecord& span : spans) {
+    if (span.name == "compile.memo") ++compiles;
+  }
+  EXPECT_EQ(compiles, r->dsql.steps.size());
 }
 
 // --- the full query suite as a parameterized sweep ---

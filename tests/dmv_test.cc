@@ -127,7 +127,8 @@ TEST(DmvTest, StepAndCompileViewsMatchProfile) {
 
     RowVector steps = Dmv(appliance.get(),
                           "SELECT step_index, retries, rows_moved, "
-                          "bytes_moved, elapsed_ms, sql_text, status "
+                          "bytes_moved, elapsed_ms, sql_text, status, "
+                          "compile_ms "
                           "FROM sys.dm_pdw_exec_steps" + by_id +
                           " ORDER BY step_index");
     ASSERT_EQ(steps.size(), p.steps.size());
@@ -142,6 +143,10 @@ TEST(DmvTest, StepAndCompileViewsMatchProfile) {
       EXPECT_EQ(steps[i][4].double_value(), s.measured_seconds * 1e3);
       EXPECT_EQ(steps[i][5].string_value(), s.sql);
       EXPECT_EQ(steps[i][6].string_value(), "complete");
+      EXPECT_EQ(steps[i][7].double_value(), s.compile_seconds * 1e3);
+      // Each executed step compiled its SQL once, inside its wall time.
+      EXPECT_GT(s.compile_seconds, 0);
+      EXPECT_LE(s.compile_seconds, s.measured_seconds);
     }
     ASSERT_GT(dms_steps, 0);
 

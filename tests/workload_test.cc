@@ -18,7 +18,6 @@
 
 #include "appliance/appliance.h"
 #include "common/fault.h"
-#include "common/semaphore.h"
 #include "tpch/tpch.h"
 
 namespace pdw {
@@ -45,29 +44,6 @@ void SpinUntil(const std::function<bool()>& pred, double timeout_s = 5.0) {
   while (!pred() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-}
-
-// --- counting semaphore ---
-
-TEST(SemaphoreTest, AcquireReleaseAndResize) {
-  CountingSemaphore sem(2);
-  EXPECT_EQ(sem.permits(), 2);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_EQ(sem.in_use(), 2);
-  EXPECT_EQ(sem.available(), 0);
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-  sem.Release();
-  sem.Release();
-  // Growing adds headroom immediately; shrinking lets holders drain.
-  sem.SetPermits(3);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  for (int i = 0; i < 3; ++i) sem.Release();
 }
 
 // --- classification ---
@@ -98,8 +74,7 @@ TEST(WorkloadManagerTest, AdmissionCapsConcurrency) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
-      auto ticket = wlm.Admit(static_cast<uint64_t>(t + 1),
-                              ResourceClass::kSmall, /*priority=*/0);
+      auto ticket = wlm.Admit(ResourceClass::kSmall, /*priority=*/0);
       ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
       int now = active.fetch_add(1) + 1;
       int prev = peak.load();
@@ -123,7 +98,7 @@ TEST(WorkloadManagerTest, DequeueIsFifoWithinPriority) {
   cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/16,
                /*max_parallel_nodes=*/0};
   WorkloadManager wlm(cfg);
-  auto holder = wlm.Admit(1, ResourceClass::kSmall, 0);
+  auto holder = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_TRUE(holder.ok());
 
   std::mutex order_mu;
@@ -138,7 +113,7 @@ TEST(WorkloadManagerTest, DequeueIsFifoWithinPriority) {
   for (Arrival a : {Arrival{10, 0}, Arrival{20, 5}, Arrival{30, 0}}) {
     size_t queued_before = wlm.Snapshot()[0].queued;
     waiters.emplace_back([&wlm, &order_mu, &admit_order, a] {
-      auto t = wlm.Admit(a.id, ResourceClass::kSmall, a.priority);
+      auto t = wlm.Admit(ResourceClass::kSmall, a.priority);
       ASSERT_TRUE(t.ok()) << t.status().ToString();
       {
         std::lock_guard<std::mutex> lock(order_mu);
@@ -162,15 +137,15 @@ TEST(WorkloadManagerTest, FullQueueFastFailsWithOverloaded) {
   cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/1,
                /*max_parallel_nodes=*/0};
   WorkloadManager wlm(cfg);
-  auto holder = wlm.Admit(1, ResourceClass::kSmall, 0);
+  auto holder = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_TRUE(holder.ok());
   std::thread waiter([&] {
-    auto t = wlm.Admit(2, ResourceClass::kSmall, 0);
+    auto t = wlm.Admit(ResourceClass::kSmall, 0);
     EXPECT_TRUE(t.ok());
   });
   SpinUntil([&] { return wlm.Snapshot()[0].queued == 1; });
   // Slot held, queue full: the third arrival must not block.
-  auto overflow = wlm.Admit(3, ResourceClass::kSmall, 0);
+  auto overflow = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_FALSE(overflow.ok());
   EXPECT_EQ(overflow.status().code(), StatusCode::kOverloaded);
   EXPECT_EQ(wlm.Snapshot()[0].rejected_total, 1u);
@@ -183,12 +158,12 @@ TEST(WorkloadManagerTest, CancelWakesQueuedWaiter) {
   cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/8,
                /*max_parallel_nodes=*/0};
   WorkloadManager wlm(cfg);
-  auto holder = wlm.Admit(1, ResourceClass::kSmall, 0);
+  auto holder = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_TRUE(holder.ok());
   std::atomic<bool> cancel{false};
   Status waiter_status = Status::OK();
   std::thread waiter([&] {
-    auto t = wlm.Admit(2, ResourceClass::kSmall, 0, &cancel);
+    auto t = wlm.Admit(ResourceClass::kSmall, 0, &cancel);
     waiter_status = t.status();
   });
   SpinUntil([&] { return wlm.Snapshot()[0].queued == 1; });
@@ -201,7 +176,7 @@ TEST(WorkloadManagerTest, CancelWakesQueuedWaiter) {
   EXPECT_EQ(snap[0].queued, 0);
   // The cancelled waiter consumed nothing: the slot still promotes others.
   holder->Release();
-  auto next = wlm.Admit(3, ResourceClass::kSmall, 0);
+  auto next = wlm.Admit(ResourceClass::kSmall, 0);
   EXPECT_TRUE(next.ok());
 }
 
@@ -213,10 +188,30 @@ TEST(WorkloadManagerTest, DisabledManagerIsPassThrough) {
   WorkloadManager wlm(cfg);
   std::vector<WorkloadManager::Ticket> tickets;
   for (int i = 0; i < 10; ++i) {
-    auto t = wlm.Admit(static_cast<uint64_t>(i + 1), ResourceClass::kSmall, 0);
+    auto t = wlm.Admit(ResourceClass::kSmall, 0);
     ASSERT_TRUE(t.ok());
     tickets.push_back(std::move(*t));
   }
+}
+
+// SetConfig resets the slot counts under tickets still held; releasing one
+// afterwards must not free a slot the new count never granted.
+TEST(WorkloadManagerTest, ReleaseAfterSetConfigSaturatesAtZero) {
+  WorkloadManagerConfig cfg;
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/0,
+               /*max_parallel_nodes=*/0};
+  WorkloadManager wlm(cfg);
+  auto held = wlm.Admit(ResourceClass::kSmall, 0);
+  ASSERT_TRUE(held.ok());
+  wlm.SetConfig(cfg);
+  held->Release();
+  EXPECT_EQ(wlm.Snapshot()[0].active, 0);
+  auto first = wlm.Admit(ResourceClass::kSmall, 0);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(wlm.Snapshot()[0].active, 1);
+  auto second = wlm.Admit(ResourceClass::kSmall, 0);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kOverloaded);
 }
 
 // --- result cache: unit level ---
