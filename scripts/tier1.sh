@@ -38,6 +38,25 @@ fi
 # DSQL steps, memo size, q-error) repeat exactly.
 python3 perfbench/run.py --self-test
 
+# Scale-4 byte gate. plan_golden_test pins every suite step at scales 0.2
+# and 1, but Q5's plan cliff showed only at scale 4: with a transitivity-
+# derived join conjunct counted as independent and the first-found local
+# join order kept, Q5 moved 8.26 MB and built a 9.6M-row intermediate.
+# report_large runs the suite at scale 4, and its DMS bytes per query and
+# its largest step q-error (Q2's) are deterministic, so both are checked
+# exactly: a plan or estimate that moves fails here.
+counts="$(python3 perfbench/run.py --workload report_large --seed 7 \
+  --seconds 2 --trace 0 | sed -n 's/^counts //p')"
+python3 - "$counts" <<'EOF'
+import json
+import sys
+
+want = {"dms_mb_per_query": 0.48006358333333327, "optimizer.qerror_max": 155}
+got = json.loads(sys.argv[1])
+if any(got.get(key) != value for key, value in want.items()):
+    sys.exit(f"scale-4 byte gate: report_large counts {got}, expected {want}")
+EOF
+
 # The parallel execution engine, plan cache, and the pipelined DMS
 # (bounded queues + push-with-help backpressure + concurrent sessions
 # moving data through the same pool) are the racy surfaces; run their

@@ -701,11 +701,12 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     // Complete the registry's step with the successful attempt's profile,
     // whose metered totals replace the live-progress counts (which
     // double-count broadcast fan-out), add only that attempt's DMS meters
-    // to the query's totals, and feed the latency histograms behind
-    // sys.dm_pdw_metrics.
+    // to the query's totals, and feed the latency and q-error histograms
+    // behind sys.dm_pdw_metrics.
     requests_.EndStep(query_id, sp);
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     reg.Observe("dsql.step.seconds", sp.measured_seconds);
+    reg.Observe("optimizer.qerror", sp.MisestimateFactor());
     if (is_dms) {
       result.dms_metrics.Accumulate(moved);
       reg.Observe("dms.reader.seconds", sp.reader.seconds);

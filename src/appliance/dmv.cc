@@ -131,6 +131,8 @@ Status InstallExecSteps(LocalEngine* engine,
                           {"bytes_moved", TypeId::kDouble, false},
                           {"elapsed_ms", TypeId::kDouble, false},
                           {"compile_ms", TypeId::kDouble, false},
+                          {"estimated_rows", TypeId::kDouble, false},
+                          {"qerror", TypeId::kDouble, false},
                           {"sql_text", TypeId::kVarchar, true}});
   return engine->RegisterVirtualTable(
       std::move(def), [requests]() -> Result<RowVector> {
@@ -153,6 +155,8 @@ Status InstallExecSteps(LocalEngine* engine,
             row.push_back(Datum::Double(p.network.bytes));
             row.push_back(Datum::Double(p.measured_seconds * 1e3));
             row.push_back(Datum::Double(p.compile_seconds * 1e3));
+            row.push_back(Datum::Double(p.estimated_rows));
+            row.push_back(Datum::Double(p.MisestimateFactor()));
             row.push_back(p.sql.empty() ? Datum::Null()
                                         : Datum::Varchar(p.sql));
             rows.push_back(std::move(row));

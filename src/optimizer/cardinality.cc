@@ -1,7 +1,12 @@
 #include "optimizer/cardinality.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <memory_resource>
+#include <utility>
 
 namespace pdw {
 
@@ -127,8 +132,32 @@ double CardinalityEstimator::ConjunctSelectivity(
 
 double CardinalityEstimator::Selectivity(
     const std::vector<ScalarExprPtr>& conjuncts) const {
+  // Union-find over the columns the counted equalities name: (column,
+  // index of its parent). The join enumeration calls this once per DP
+  // subset, so the table lives in a stack buffer; only a call with more
+  // than 64 conjuncts spills to the heap.
+  std::array<std::byte, 1024> buffer;
+  std::pmr::monotonic_buffer_resource arena(buffer.data(), buffer.size());
+  std::pmr::vector<std::pair<ColumnId, uint32_t>> parent(&arena);
+  parent.reserve(2 * conjuncts.size());
+  auto root = [&parent](ColumnId col) {
+    size_t i = 0;
+    while (i < parent.size() && parent[i].first != col) ++i;
+    if (i == parent.size()) parent.emplace_back(col, static_cast<uint32_t>(i));
+    while (parent[i].second != i) i = parent[i].second;
+    return i;
+  };
   double s = 1.0;
-  for (const auto& c : conjuncts) s *= ConjunctSelectivity(c);
+  for (const auto& c : conjuncts) {
+    ColumnId a, b;
+    if (IsColumnEquality(c, &a, &b)) {
+      size_t ra = root(a);
+      size_t rb = root(b);
+      if (ra == rb) continue;  // an earlier equality already equated them
+      parent[ra].second = static_cast<uint32_t>(rb);
+    }
+    s *= ConjunctSelectivity(c);
+  }
   return s;
 }
 

@@ -16,14 +16,14 @@ class CardinalityEstimator {
  public:
   explicit CardinalityEstimator(const StatsContext* stats) : stats_(stats) {}
 
-  /// Selectivity in [0,1] of one predicate conjunct.
-  double ConjunctSelectivity(const ScalarExprPtr& conjunct) const;
-
-  /// Product of conjunct selectivities (independence assumption).
+  /// Product of conjunct selectivities (independence assumption), with one
+  /// exception: a column equality counts only when no earlier conjunct of
+  /// the same call has already equated its two columns. So an equivalence
+  /// class spanning k columns contributes k-1 equalities, in conjunct
+  /// order, and a transitivity-closure conjunct (a = c beside a = b and
+  /// b = c) is not multiplied in a second time. Every filter and join
+  /// estimate of the memo goes through here.
   double Selectivity(const std::vector<ScalarExprPtr>& conjuncts) const;
-
-  /// Selectivity of an equi-join predicate a = b: 1/max(ndv(a), ndv(b)).
-  double JoinEqualitySelectivity(ColumnId a, ColumnId b) const;
 
   /// Output cardinality of GROUP BY `group_cols` over `input_rows` rows:
   /// min(input, product of NDVs).
@@ -36,6 +36,12 @@ class CardinalityEstimator {
   const StatsContext& stats() const { return *stats_; }
 
  private:
+  /// Selectivity in [0,1] of one predicate conjunct.
+  double ConjunctSelectivity(const ScalarExprPtr& conjunct) const;
+
+  /// Selectivity of an equi-join predicate a = b: 1/max(ndv(a), ndv(b)).
+  double JoinEqualitySelectivity(ColumnId a, ColumnId b) const;
+
   const StatsContext* stats_;
 };
 

@@ -110,15 +110,7 @@ void Memo::ComputeGroupProperties(Group* g, const GroupExpr& e) {
       break;
     case LogicalOpKind::kJoin: {
       const auto& j = static_cast<const LogicalJoin&>(*e.op);
-      double sel = 1.0;
-      for (const auto& c : j.conditions()) {
-        ColumnId a, b;
-        if (IsColumnEquality(c, &a, &b)) {
-          sel *= est.JoinEqualitySelectivity(a, b);
-        } else {
-          sel *= est.ConjunctSelectivity(c);
-        }
-      }
+      double sel = est.Selectivity(j.conditions());
       switch (j.join_type()) {
         case LogicalJoinType::kInner:
         case LogicalJoinType::kCross:
@@ -289,22 +281,22 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
     return reached == mask;
   };
 
+  // The join conjuncts inside one subset, refilled per call: its capacity
+  // is reused, so the estimate allocates nothing per DP subset.
+  std::vector<ScalarExprPtr> subset_conjuncts;
+  subset_conjuncts.reserve(conjuncts.size());
   auto subset_cardinality = [&](uint32_t mask) {
     double card = 1;
     for (int i = 0; i < n; ++i) {
       if (mask & (1u << i)) card *= leaves[static_cast<size_t>(i)].card;
     }
+    subset_conjuncts.clear();
     for (size_t k = 0; k < conjuncts.size(); ++k) {
       uint32_t cm = conjunct_masks[k];
       if (cm == 0 || Popcount(cm) < 2 || (cm & mask) != cm) continue;
-      ColumnId a, b;
-      if (IsColumnEquality(conjuncts[k], &a, &b)) {
-        card *= estimator_->JoinEqualitySelectivity(a, b);
-      } else {
-        card *= estimator_->ConjunctSelectivity(conjuncts[k]);
-      }
+      subset_conjuncts.push_back(conjuncts[k]);
     }
-    return std::max(0.0, card);
+    return std::max(0.0, card * estimator_->Selectivity(subset_conjuncts));
   };
 
   auto subset_output = [&](uint32_t mask) {

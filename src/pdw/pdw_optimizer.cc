@@ -11,8 +11,6 @@ namespace pdw {
 
 namespace {
 
-constexpr double kInfiniteCost = 1e300;
-
 /// Maps a partial-aggregate item to the matching global aggregate over the
 /// partial column (SUM->SUM, COUNT->SUM of partial counts, MIN/MAX
 /// idempotent). The binder splits AVG into SUM/COUNT before optimization;
@@ -99,7 +97,7 @@ bool PdwOptimizer::Consider(GroupId gid, PdwOption option) {
   if (opts_.prune) {
     for (size_t i = 0; i < opts.size(); ++i) {
       if (opts[i].prop == option.prop) {
-        if (option.cost < opts[i].cost) {
+        if (CheaperOption(option, opts[i])) {
           opts[i] = std::move(option);
           if (is_enforcer) ++enforcers_kept_;
           if (is_preagg) ++preagg_kept_;
@@ -122,18 +120,18 @@ bool PdwOptimizer::Consider(GroupId gid, PdwOption option) {
   return true;
 }
 
-double PdwOptimizer::RelationalCost(const Group& g, const GroupExpr& e,
-                                    bool distributed) const {
-  if (!opts_.relational_costs) return 0;
+double PdwOptimizer::LocalWork(const Group& g, const GroupExpr& e,
+                               bool distributed) const {
   double bytes = g.cardinality * std::max(1.0, g.row_width);
   for (GroupId c : e.children) {
     const Group& cg = memo_->group(c);
     bytes += cg.cardinality * std::max(1.0, cg.row_width);
   }
-  double per_node = distributed
-                        ? bytes / cost_model_.num_nodes()
-                        : bytes;
-  return per_node * opts_.relational_lambda;
+  return distributed ? bytes / cost_model_.num_nodes() : bytes;
+}
+
+double PdwOptimizer::RelationalCost(double work) const {
+  return opts_.relational_costs ? opts_.relational_lambda * work : 0;
 }
 
 void PdwOptimizer::OptimizeGroup(GroupId gid) {
@@ -173,7 +171,8 @@ void PdwOptimizer::EnumerateExpr(GroupId gid, int expr_index) {
         }
         o.prop = DistributionProperty::Distributed(std::move(cols));
       }
-      o.cost = RelationalCost(g, e, !o.prop.is_replicated());
+      o.local = LocalWork(g, e, !o.prop.is_replicated());
+      o.cost = RelationalCost(o.local);
       Consider(gid, std::move(o));
       return;
     }
@@ -194,6 +193,8 @@ void PdwOptimizer::EnumerateExpr(GroupId gid, int expr_index) {
     case LogicalOpKind::kProject: {
       GroupId child = e.children[0];
       const auto& child_opts = options_.at(child);
+      const double serial_work = LocalWork(g, e, false);
+      const double node_work = LocalWork(g, e, true);
       for (size_t ci = 0; ci < child_opts.size(); ++ci) {
         PdwOption o;
         o.expr_index = expr_index;
@@ -209,9 +210,11 @@ void PdwOptimizer::EnumerateExpr(GroupId gid, int expr_index) {
             }
           }
         }
-        o.cost = child_opts[ci].cost +
-                 RelationalCost(g, e, !o.prop.is_replicated() &&
-                                          !o.prop.is_control());
+        double work = !o.prop.is_replicated() && !o.prop.is_control()
+                          ? node_work
+                          : serial_work;
+        o.cost = child_opts[ci].cost + RelationalCost(work);
+        o.local = child_opts[ci].local + work;
         Consider(gid, std::move(o));
       }
       return;
@@ -248,6 +251,8 @@ void PdwOptimizer::EnumerateJoin(GroupId gid, int expr_index) {
 
   const auto& lopts = options_.at(lg);
   const auto& ropts = options_.at(rg);
+  const double serial_work = LocalWork(g, e, false);
+  const double node_work = LocalWork(g, e, true);
   for (size_t li = 0; li < lopts.size(); ++li) {
     for (size_t ri = 0; ri < ropts.size(); ++ri) {
       const DistributionProperty& L = lopts[li].prop;
@@ -298,8 +303,10 @@ void PdwOptimizer::EnumerateJoin(GroupId gid, int expr_index) {
       o.expr_index = expr_index;
       o.child_options = {static_cast<int>(li), static_cast<int>(ri)};
       o.prop = out;
-      o.cost = lopts[li].cost + ropts[ri].cost +
-               RelationalCost(g, e, !out.is_replicated() && !out.is_control());
+      double work =
+          !out.is_replicated() && !out.is_control() ? node_work : serial_work;
+      o.cost = lopts[li].cost + ropts[ri].cost + RelationalCost(work);
+      o.local = lopts[li].local + ropts[ri].local + work;
       Consider(gid, std::move(o));
     }
   }
@@ -324,16 +331,20 @@ void PdwOptimizer::EnumerateAggregate(GroupId gid, int expr_index) {
   double local_rows = std::min(cg.cardinality, n * std::max(1.0, g.cardinality));
 
   const auto& child_opts = options_.at(child);
+  const double serial_work = LocalWork(g, e, false);
+  const double node_work = LocalWork(g, e, true);
   for (size_t ci = 0; ci < child_opts.size(); ++ci) {
     const DistributionProperty& C = child_opts[ci].prop;
     double base = child_opts[ci].cost;
+    double base_local = child_opts[ci].local;
 
     if (C.is_replicated() || C.is_control()) {
       PdwOption o;
       o.expr_index = expr_index;
       o.child_options = {static_cast<int>(ci)};
       o.prop = C;
-      o.cost = base + RelationalCost(g, e, false);
+      o.cost = base + RelationalCost(serial_work);
+      o.local = base_local + serial_work;
       Consider(gid, std::move(o));
       continue;
     }
@@ -350,7 +361,8 @@ void PdwOptimizer::EnumerateAggregate(GroupId gid, int expr_index) {
         o.expr_index = expr_index;
         o.child_options = {static_cast<int>(ci)};
         o.prop = C;
-        o.cost = base + RelationalCost(g, e, true);
+        o.cost = base + RelationalCost(node_work);
+        o.local = base_local + node_work;
         Consider(gid, std::move(o));
       }
     }
@@ -369,7 +381,8 @@ void PdwOptimizer::EnumerateAggregate(GroupId gid, int expr_index) {
       o.move_cost =
           cost_model_.Cost(DmsOpKind::kShuffle, local_rows, g.row_width);
       o.prop = DistributionProperty::Distributed({rep});
-      o.cost = base + o.move_cost + RelationalCost(g, e, true);
+      o.cost = base + o.move_cost + RelationalCost(node_work);
+      o.local = base_local + node_work;
       Consider(gid, std::move(o));
     }
 
@@ -385,7 +398,8 @@ void PdwOptimizer::EnumerateAggregate(GroupId gid, int expr_index) {
       o.move_cost =
           cost_model_.Cost(DmsOpKind::kPartitionMove, moved, g.row_width);
       o.prop = DistributionProperty::Control();
-      o.cost = base + o.move_cost + RelationalCost(g, e, false);
+      o.cost = base + o.move_cost + RelationalCost(serial_work);
+      o.local = base_local + serial_work;
       Consider(gid, std::move(o));
     }
   }
@@ -401,7 +415,7 @@ std::vector<int> PdwOptimizer::FrontierOptions(GroupId gid) const {
     for (int& kept : out) {
       if (opts[static_cast<size_t>(kept)].prop == opts[i].prop) {
         seen = true;
-        if (opts[i].cost < opts[static_cast<size_t>(kept)].cost) {
+        if (CheaperOption(opts[i], opts[static_cast<size_t>(kept)])) {
           kept = static_cast<int>(i);
         }
         break;
@@ -432,6 +446,8 @@ void PdwOptimizer::EnumeratePreagg(GroupId gid, int expr_index) {
   for (ColumnId c : agg.group_by()) {
     group_reps.insert(props_.equivalence.Find(c));
   }
+  const double serial_work = LocalWork(g, e, false);
+  const double node_work = LocalWork(g, e, true);
 
   for (size_t je = 0; je < cg.exprs.size(); ++je) {
     const GroupExpr& jx = cg.exprs[je];
@@ -605,8 +621,10 @@ void PdwOptimizer::EnumeratePreagg(GroupId gid, int expr_index) {
             }
             if (!valid) continue;
 
+            double work = jdist.is_replicated() ? serial_work : node_work;
             double base_cost = sopt.cost + oopt.cost + cpu + pmove_cost +
-                               RelationalCost(g, e, !jdist.is_replicated());
+                               RelationalCost(work);
+            double local = sopt.local + oopt.local + work;
 
             auto emit = [&](bool has_gmove, DmsOpKind gkind, ColumnId gcol,
                             double gmove_cost, DistributionProperty final_prop,
@@ -635,6 +653,7 @@ void PdwOptimizer::EnumeratePreagg(GroupId gid, int expr_index) {
               o.move_cost = pmove_cost + gmove_cost;
               o.prop = final_prop;
               o.cost = base_cost + gmove_cost;
+              o.local = local;
               Consider(gid, std::move(o));
             };
 
@@ -699,6 +718,7 @@ void PdwOptimizer::EnumerateLimit(GroupId gid, int expr_index) {
       o.child_options = {static_cast<int>(ci)};
       o.prop = C;
       o.cost = child_opts[ci].cost;
+      o.local = child_opts[ci].local;
       Consider(gid, std::move(o));
       continue;
     }
@@ -714,6 +734,7 @@ void PdwOptimizer::EnumerateLimit(GroupId gid, int expr_index) {
         cost_model_.Cost(DmsOpKind::kPartitionMove, moved, g.row_width);
     o.prop = DistributionProperty::Control();
     o.cost = child_opts[ci].cost + o.move_cost;
+    o.local = child_opts[ci].local;
     Consider(gid, std::move(o));
   }
 }
@@ -731,14 +752,18 @@ void PdwOptimizer::EnumerateUnionAll(GroupId gid, int expr_index) {
   std::vector<const std::vector<PdwOption>*> tables;
   for (GroupId c : e.children) tables.push_back(&options_.at(c));
   std::vector<size_t> idx(n, 0);
+  const double serial_work = LocalWork(g, e, false);
+  const double node_work = LocalWork(g, e, true);
   size_t combos = 0;
   while (true) {
     if (++combos > 20000) break;  // safety valve for very wide unions
     bool all_repl = true, all_ctrl = true, all_dist = true;
     double cost = 0;
+    double local = 0;
     for (size_t i = 0; i < n; ++i) {
       const PdwOption& o = (*tables[i])[idx[i]];
       cost += o.cost;
+      local += o.local;
       all_repl &= o.prop.is_replicated();
       all_ctrl &= o.prop.is_control();
       all_dist &= o.prop.kind == DistributionKind::kDistributed;
@@ -775,8 +800,11 @@ void PdwOptimizer::EnumerateUnionAll(GroupId gid, int expr_index) {
           }
         }
       }
-      o.cost = cost + RelationalCost(g, e, !o.prop.is_replicated() &&
-                                              !o.prop.is_control());
+      double work = !o.prop.is_replicated() && !o.prop.is_control()
+                        ? node_work
+                        : serial_work;
+      o.cost = cost + RelationalCost(work);
+      o.local = local + work;
       Consider(gid, std::move(o));
     }
     // Advance the odometer.
@@ -864,6 +892,7 @@ void PdwOptimizer::EnforcerStep(GroupId gid) {
         o.shuffle_column = shuffle_col;
         o.move_cost = cost_model_.Cost(kind, g.cardinality, g.row_width);
         o.cost = src.cost + o.move_cost;
+        o.local = src.local;
         changed |= Consider(gid, std::move(o));
       }
     }
@@ -1134,21 +1163,19 @@ Result<PdwPlanResult> PdwOptimizer::Optimize() {
   // any distribution property; the engine's result assembly merges sorted
   // streams and deduplicates replicated ones.
   const auto& root_opts = options_[memo_->root()];
-  double best = kInfiniteCost;
-  int best_idx = -1;
-  for (size_t i = 0; i < root_opts.size(); ++i) {
-    if (root_opts[i].cost < best) {
-      best = root_opts[i].cost;
-      best_idx = static_cast<int>(i);
-    }
-  }
-  if (best_idx < 0) {
+  if (root_opts.empty()) {
     return Status::Internal("no control-node plan found for root group");
+  }
+  size_t best = 0;
+  for (size_t i = 1; i < root_opts.size(); ++i) {
+    if (CheaperOption(root_opts[i], root_opts[best])) best = i;
   }
 
   PdwPlanResult result;
-  PDW_ASSIGN_OR_RETURN(result.plan, BuildPlan(memo_->root(), best_idx));
-  result.cost = best;
+  PDW_ASSIGN_OR_RETURN(result.plan,
+                       BuildPlan(memo_->root(), static_cast<int>(best)));
+  result.cost = root_opts[best].cost;
+  result.local = root_opts[best].local;
   result.options_considered = considered_;
   for (const auto& [gid, opts] : options_) result.options_kept += opts.size();
   result.options_pruned = considered_ - result.options_kept;

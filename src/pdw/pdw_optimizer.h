@@ -59,6 +59,10 @@ struct PreaggRecipe {
 struct PdwOption {
   DistributionProperty prop;         ///< Canonicalized distribution.
   double cost = 0;                   ///< Cumulative modeled cost.
+  /// Cumulative modeled local work (bytes the relational operators read
+  /// and write, per node). It never outweighs `cost`: it only ranks
+  /// options whose `cost` is exactly equal (CheaperOption).
+  double local = 0;
   bool is_enforcer = false;          ///< Data-movement option (step 07).
   DmsOpKind move_kind = DmsOpKind::kShuffle;
   int source_option = -1;            ///< Enforcer input (index in same group).
@@ -71,6 +75,14 @@ struct PdwOption {
   /// Pushed-down partial aggregation recipe (kPreaggJoin only).
   std::shared_ptr<const PreaggRecipe> preagg;
 };
+
+/// The one ranking of options, used by pruning, the pushdown frontier and
+/// the root pick: lower `cost`; on an exactly equal `cost`, lower `local`.
+/// Plans that move the same bytes can still differ by the join order
+/// inside a step, which the compute node keeps as compiled (DESIGN §5).
+inline bool CheaperOption(const PdwOption& a, const PdwOption& b) {
+  return a.cost < b.cost || (a.cost == b.cost && a.local < b.local);
+}
 
 /// Options and statistics of the PDW optimizer (Fig. 4).
 struct PdwOptimizerOptions {
@@ -85,10 +97,11 @@ struct PdwOptimizerOptions {
   size_t max_options_per_group = 4096;
   /// Consider TRIM moves for replicated->distributed conversions.
   bool enable_trim_move = true;
-  /// Extended (ablation) model: add relational operator costs on top of
-  /// the paper's DMS-only objective.
+  /// Extended (ablation) model: add relational_lambda x local work to the
+  /// paper's DMS-only objective. Off, local work only breaks exact cost
+  /// ties.
   bool relational_costs = false;
-  /// Per-byte weight of relational work in the extended model.
+  /// Per-byte weight of local work in the extended model.
   double relational_lambda = 0.4e-8;
   /// Partial-aggregate pushdown below joins (pre-aggregation enforcers).
   bool enable_preagg = true;
@@ -99,6 +112,7 @@ struct PdwOptimizerOptions {
 struct PdwPlanResult {
   PlanNodePtr plan;
   double cost = 0;
+  double local = 0;  ///< The chosen root option's modeled local work.
   size_t options_considered = 0;
   size_t options_kept = 0;
   size_t options_pruned = 0;      ///< considered - kept (step 06.ii effect).
@@ -144,7 +158,7 @@ class PdwOptimizer {
   void EnforcerStep(GroupId gid);
 
   /// Indexes of the cheapest option per canonical distribution property
-  /// (first index wins ties — deterministic). With pruning on this is the
+  /// (CheaperOption; first index wins full ties). With pruning on this is the
   /// whole table; with pruning off it collapses the ablation's full table
   /// so the pushdown sweep stays polynomial and picks the same winners.
   std::vector<int> FrontierOptions(GroupId gid) const;
@@ -153,10 +167,12 @@ class PdwOptimizer {
   /// property. Returns true if kept.
   bool Consider(GroupId gid, PdwOption option);
 
-  /// Relational cost of one operator instance under the extended model
-  /// (0 in the paper's DMS-only model).
-  double RelationalCost(const Group& g, const GroupExpr& e,
-                        bool distributed) const;
+  /// Modeled local work of one operator instance: the bytes it reads from
+  /// its children and writes, per node when `distributed`.
+  double LocalWork(const Group& g, const GroupExpr& e, bool distributed) const;
+  /// The extended model's charge for `work`: relational_lambda x work, or 0
+  /// in the paper's DMS-only model.
+  double RelationalCost(double work) const;
 
   /// Actual column of `group`'s output belonging to class `rep`.
   ColumnId MemberInOutput(GroupId gid, ColumnId rep) const;

@@ -128,7 +128,7 @@ TEST(DmvTest, StepAndCompileViewsMatchProfile) {
     RowVector steps = Dmv(appliance.get(),
                           "SELECT step_index, retries, rows_moved, "
                           "bytes_moved, elapsed_ms, sql_text, status, "
-                          "compile_ms "
+                          "compile_ms, estimated_rows, qerror "
                           "FROM sys.dm_pdw_exec_steps" + by_id +
                           " ORDER BY step_index");
     ASSERT_EQ(steps.size(), p.steps.size());
@@ -144,6 +144,9 @@ TEST(DmvTest, StepAndCompileViewsMatchProfile) {
       EXPECT_EQ(steps[i][5].string_value(), s.sql);
       EXPECT_EQ(steps[i][6].string_value(), "complete");
       EXPECT_EQ(steps[i][7].double_value(), s.compile_seconds * 1e3);
+      // Misestimates are live columns, not only EXPLAIN ANALYZE markers.
+      EXPECT_EQ(steps[i][8].double_value(), s.estimated_rows);
+      EXPECT_EQ(steps[i][9].double_value(), s.MisestimateFactor());
       // Each executed step compiled its SQL once, inside its wall time.
       EXPECT_GT(s.compile_seconds, 0);
       EXPECT_LE(s.compile_seconds, s.measured_seconds);
@@ -341,6 +344,14 @@ TEST(DmvTest, MetricsViewReportsQueryLatencyQuantiles) {
                           "WHERE metric_name = 'optimizer.compile.seconds'");
   ASSERT_EQ(compile.size(), 1u);
   EXPECT_GE(compile[0][0].double_value(), 5);
+
+  // Every executed step observes its q-error, which is at least 1.
+  RowVector qerror = Dmv(appliance.get(),
+                         "SELECT value, min_value FROM sys.dm_pdw_metrics "
+                         "WHERE metric_name = 'optimizer.qerror'");
+  ASSERT_EQ(qerror.size(), 1u);
+  EXPECT_GE(qerror[0][0].double_value(), 5);
+  EXPECT_GE(qerror[0][1].double_value(), 1);
 }
 
 // --- plan cache view -------------------------------------------------------
