@@ -188,12 +188,9 @@ int Main(int argc, char** argv) {
   // 2. Bounded admission: 16 sessions drain through a small-class gate
   //    sized to the machine instead of all running at once.
   WorkloadManagerConfig wlm;
-  wlm.small = {/*concurrency_slots=*/6, /*queue_depth=*/64,
-               /*max_parallel_nodes=*/0};
-  wlm.medium = {/*concurrency_slots=*/4, /*queue_depth=*/32,
-                /*max_parallel_nodes=*/0};
-  wlm.large = {/*concurrency_slots=*/2, /*queue_depth=*/16,
-               /*max_parallel_nodes=*/0};
+  wlm.small = {/*concurrency_slots=*/6, /*queue_depth=*/64};
+  wlm.medium = {/*concurrency_slots=*/4, /*queue_depth=*/32};
+  wlm.large = {/*concurrency_slots=*/2, /*queue_depth=*/16};
   {
     appliance->workload().SetConfig(wlm);
     results.push_back(
@@ -223,8 +220,7 @@ int Main(int argc, char** argv) {
   StormResult storm;
   {
     WorkloadManagerConfig tiny;
-    tiny.small = {/*concurrency_slots=*/1, /*queue_depth=*/2,
-                  /*max_parallel_nodes=*/0};
+    tiny.small = {/*concurrency_slots=*/1, /*queue_depth=*/2};
     appliance->workload().SetConfig(tiny);
     appliance->result_cache().Clear();
     std::atomic<int> ok{0}, overloaded{0}, errors{0};

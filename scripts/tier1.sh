@@ -57,16 +57,21 @@ if any(got.get(key) != value for key, value in want.items()):
     sys.exit(f"scale-4 byte gate: report_large counts {got}, expected {want}")
 EOF
 
-# The parallel execution engine, plan cache, and the pipelined DMS
-# (bounded queues + push-with-help backpressure + concurrent sessions
-# moving data through the same pool) are the racy surfaces; run their
-# tests instrumented. In concurrency_test's session storm each step's one
-# plan runs on every node concurrently, and every query's temp tables are
-# created and dropped concurrently. TSAN_OPTIONS halts on the first report.
+# The racy surfaces are the pool, which runs only node tasks (one per
+# compute node of a step, or one DMS sender per source), the pipelined
+# DMS, whose concurrent senders each write into a destination under that
+# destination's mutex, the plan cache, and concurrent sessions moving data
+# through the same pool; run their tests instrumented. In
+# concurrency_test's session storm each step's one plan runs on every node
+# concurrently, and every query's temp tables are created and dropped
+# concurrently. dms_pipeline_test repeats, so its pooled cases see more
+# than one interleaving of senders on one destination. TSAN_OPTIONS halts
+# on the first report.
 cmake -B build-tsan -S . -DPDW_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-tsan -j --target concurrency_test dms_pipeline_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dms_pipeline_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dms_pipeline_test \
+  --gtest_repeat=3
 
 # DMV leg: the live-introspection suite under TSan — a session thread
 # polls sys.dm_pdw_exec_requests / _steps while a storm of queries runs,

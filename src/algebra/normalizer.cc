@@ -908,29 +908,21 @@ LogicalOpPtr PruneColumns(const LogicalOpPtr& op, std::set<ColumnId> required) {
 
 }  // namespace
 
-Result<LogicalOpPtr> Normalize(LogicalOpPtr root,
-                               const NormalizerOptions& options) {
-  if (options.fold_constants) root = FoldConstantsPass(root);
-  if (options.push_predicates) root = PushDown(std::move(root), {});
-  if (options.transitive_closure) {
-    bool changed = false;
-    root = TransitivityClosurePass(root, &changed);
-    if (changed && options.push_predicates) {
-      root = PushDown(std::move(root), {});
-    }
-  }
-  if (options.detect_contradictions) root = ContradictionPass(root);
-  if (options.eliminate_redundant_joins) {
-    bool changed = false;
+Result<LogicalOpPtr> Normalize(LogicalOpPtr root) {
+  root = FoldConstantsPass(root);
+  root = PushDown(std::move(root), {});
+  bool derived = false;
+  root = TransitivityClosurePass(root, &derived);
+  if (derived) root = PushDown(std::move(root), {});
+  root = ContradictionPass(root);
+  auto top_columns = [&] {
     std::set<ColumnId> top;
     for (const auto& b : root->OutputBindings()) top.insert(b.id);
-    root = EliminateRedundantJoins(root, top, &changed);
-  }
-  if (options.prune_columns) {
-    std::set<ColumnId> top;
-    for (const auto& b : root->OutputBindings()) top.insert(b.id);
-    root = PruneColumns(root, top);
-  }
+    return top;
+  };
+  bool eliminated = false;
+  root = EliminateRedundantJoins(root, top_columns(), &eliminated);
+  root = PruneColumns(root, top_columns());
   return root;
 }
 

@@ -52,7 +52,6 @@ void MergeOperators(const std::vector<obs::OperatorProfile>& from,
     dst.seconds += from[i].seconds;
     dst.nodes += from[i].nodes;
     dst.batches += from[i].batches;
-    dst.morsels += from[i].morsels;
   }
 }
 
@@ -1009,22 +1008,14 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
   if (cancel != nullptr && cancel->load()) {
     return Status::Cancelled("query cancelled before execution");
   }
-  // The admitted class's fan-out cap composes with the caller's own:
-  // the stricter one wins (0 = uncapped). It bounds both per-step node
-  // parallelism and DMS pipeline workers.
-  int max_parallel = options.execute.max_parallel_nodes;
-  int class_cap = ticket.max_parallel_nodes();
-  if (class_cap > 0 && (max_parallel == 0 || class_cap < max_parallel)) {
-    max_parallel = class_cap;
-  }
-
   // 4. Execute with per-execution-unique temp names — TEMP_ID_Q<id>_k,
   // where <id> is the same request id sys.dm_pdw_exec_requests shows.
   UniquifyTempNames(&plan.dsql, query_id);
   PDW_ASSIGN_OR_RETURN(
       ApplianceResult result,
       ExecuteDsql(plan.dsql, query_id,
-                  options.observe.collect_operator_actuals, max_parallel,
+                  options.observe.collect_operator_actuals,
+                  options.execute.max_parallel_nodes,
                   options.execute.engine, options.execute.retry, cancel));
   result.modeled_cost = plan.modeled_cost;
   result.plan_text = plan.plan_text;

@@ -43,9 +43,8 @@ struct ExecutionOptions {
   /// Cap on how many compute nodes run one DSQL step's work at the same
   /// time: 0 fans out across all nodes on the shared worker pool (the
   /// appliance model of Fig. 1), 1 reproduces the serial node-by-node
-  /// loop (the bench_serial_vs_parallel baseline). The workload manager
-  /// may lower the effective cap further via the admitted resource
-  /// class's own max_parallel_nodes.
+  /// loop (the bench_serial_vs_parallel baseline). It bounds both the
+  /// per-step node fan-out and the DMS senders.
   int max_parallel_nodes = 0;
   /// Which local execution engine every node-local plan runs on: the
   /// vectorized batch engine (default) or the row-at-a-time reference
@@ -250,7 +249,7 @@ class Appliance {
 
   /// Requests cooperative cancellation of an in-flight query by id. The
   /// query observes the flag at admission, at every step boundary, at
-  /// retry re-entry, and inside DMS queue pushes, then fails with
+  /// retry re-entry, and at every DMS batch hand-off, then fails with
   /// kCancelled after dropping its temp tables. Returns NotFound when no
   /// such query is currently running (finished queries included).
   Status Cancel(uint64_t query_id);

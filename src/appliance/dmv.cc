@@ -289,7 +289,6 @@ Status InstallWorkload(LocalEngine* engine, const WorkloadManager* workload) {
                           {"active", TypeId::kInt, false},
                           {"queued", TypeId::kInt, false},
                           {"queue_capacity", TypeId::kInt, false},
-                          {"max_parallel_nodes", TypeId::kInt, false},
                           {"admitted_total", TypeId::kInt, false},
                           {"rejected_total", TypeId::kInt, false},
                           {"cancelled_total", TypeId::kInt, false},
@@ -305,7 +304,6 @@ Status InstallWorkload(LocalEngine* engine, const WorkloadManager* workload) {
           row.push_back(Datum::Int(c.active));
           row.push_back(Datum::Int(c.queued));
           row.push_back(Datum::Int(c.queue_depth));
-          row.push_back(Datum::Int(c.max_parallel_nodes));
           row.push_back(Datum::Int(static_cast<int64_t>(c.admitted_total)));
           row.push_back(Datum::Int(static_cast<int64_t>(c.rejected_total)));
           row.push_back(Datum::Int(static_cast<int64_t>(c.cancelled_total)));

@@ -104,7 +104,7 @@ Result<WorkloadManager::Ticket> WorkloadManager::Admit(
     ++cls.admitted_total;
     reg.Count("wlm.admitted");
     reg.Observe("wlm.queue_wait.seconds", 0);
-    return Ticket(this, rc, cfg.max_parallel_nodes);
+    return Ticket(this, rc);
   }
 
   if (static_cast<int>(cls.queue.size()) >= cfg.queue_depth) {
@@ -146,7 +146,7 @@ Result<WorkloadManager::Ticket> WorkloadManager::Admit(
   // us from the queue.
   ++cls.admitted_total;
   reg.Count("wlm.admitted");
-  return Ticket(this, rc, cfg.max_parallel_nodes);
+  return Ticket(this, rc);
 }
 
 void WorkloadManager::ReleaseSlot(ResourceClass rc) {
@@ -197,7 +197,6 @@ std::vector<WorkloadClassSnapshot> WorkloadManager::Snapshot() const {
     snap.active = cls.active;
     snap.queued = static_cast<int>(cls.queue.size());
     snap.queue_depth = cfg.queue_depth;
-    snap.max_parallel_nodes = cfg.max_parallel_nodes;
     snap.admitted_total = cls.admitted_total;
     snap.rejected_total = cls.rejected_total;
     snap.cancelled_total = cls.cancelled_total;

@@ -31,9 +31,6 @@ struct WorkloadClassConfig {
   /// arriving when the queue is full fast-fails with kOverloaded instead
   /// of piling onto an already saturated appliance.
   int queue_depth = 16;
-  /// Cap on execution fan-out for queries of this class: bounds both
-  /// per-step node parallelism and DMS pipeline workers. 0 = uncapped.
-  int max_parallel_nodes = 0;
 };
 
 /// Full workload-manager configuration; WorkloadManager::SetConfig applies
@@ -47,15 +44,12 @@ struct WorkloadManagerConfig {
   double medium_cost_threshold = 0.05;
   double large_cost_threshold = 1.0;
   /// Defaults keep the appliance permissive: generous slots and queues,
-  /// no fan-out caps, so single-user workloads behave exactly as without
-  /// a workload manager. Deployments (and the storm bench) tighten these
-  /// via SetConfig.
-  WorkloadClassConfig small{/*concurrency_slots=*/16, /*queue_depth=*/64,
-                            /*max_parallel_nodes=*/0};
-  WorkloadClassConfig medium{/*concurrency_slots=*/8, /*queue_depth=*/32,
-                             /*max_parallel_nodes=*/0};
-  WorkloadClassConfig large{/*concurrency_slots=*/4, /*queue_depth=*/16,
-                            /*max_parallel_nodes=*/0};
+  /// so single-user workloads behave exactly as without a workload
+  /// manager. Deployments (and the storm bench) tighten these via
+  /// SetConfig.
+  WorkloadClassConfig small{/*concurrency_slots=*/16, /*queue_depth=*/64};
+  WorkloadClassConfig medium{/*concurrency_slots=*/8, /*queue_depth=*/32};
+  WorkloadClassConfig large{/*concurrency_slots=*/4, /*queue_depth=*/16};
 };
 
 /// Point-in-time view of one resource class for sys.dm_pdw_workload.
@@ -65,7 +59,6 @@ struct WorkloadClassSnapshot {
   int active = 0;           ///< Slots currently held by executing queries.
   int queued = 0;           ///< Waiters in the admission queue right now.
   int queue_depth = 0;      ///< Configured queue capacity.
-  int max_parallel_nodes = 0;
   uint64_t admitted_total = 0;
   uint64_t rejected_total = 0;   ///< Fast-failed with kOverloaded.
   uint64_t cancelled_total = 0;  ///< Cancelled while waiting in the queue.
@@ -95,7 +88,6 @@ class WorkloadManager {
       Release();
       manager_ = other.manager_;
       resource_class_ = other.resource_class_;
-      max_parallel_nodes_ = other.max_parallel_nodes_;
       other.manager_ = nullptr;
       return *this;
     }
@@ -106,19 +98,14 @@ class WorkloadManager {
     void Release();
     bool held() const { return manager_ != nullptr; }
     ResourceClass resource_class() const { return resource_class_; }
-    /// The class's execution fan-out cap (0 = uncapped).
-    int max_parallel_nodes() const { return max_parallel_nodes_; }
 
    private:
     friend class WorkloadManager;
-    Ticket(WorkloadManager* manager, ResourceClass rc, int max_parallel_nodes)
-        : manager_(manager),
-          resource_class_(rc),
-          max_parallel_nodes_(max_parallel_nodes) {}
+    Ticket(WorkloadManager* manager, ResourceClass rc)
+        : manager_(manager), resource_class_(rc) {}
 
     WorkloadManager* manager_ = nullptr;
     ResourceClass resource_class_ = ResourceClass::kSmall;
-    int max_parallel_nodes_ = 0;
   };
 
   explicit WorkloadManager(WorkloadManagerConfig config = {});

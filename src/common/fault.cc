@@ -20,7 +20,7 @@ const char* const kFaultPointNames[] = {
     "appliance.temp.create",    ///< Destination temp-table creation.
     "appliance.temp.drop",      ///< End-of-query temp-table drop.
     "dms.pack",                 ///< Reader: pack rows into wire bytes.
-    "dms.queue_push",           ///< Push into a destination's inbound queue.
+    "dms.queue_push",           ///< Hand a packed batch to its destination.
     "dms.network",              ///< Cross-node buffer transfer.
     "dms.unpack",               ///< Writer: decode wire bytes into rows.
     "dms.bulkcopy",             ///< Insert into destination temp storage.

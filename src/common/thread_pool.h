@@ -15,7 +15,8 @@ namespace pdw {
 /// A fixed-size worker pool used by the appliance to run one DSQL step's
 /// per-node work on every compute node simultaneously (the Fig. 1
 /// shared-nothing execution model), instead of visiting nodes in a serial
-/// loop.
+/// loop. It runs only node tasks: one per compute node of a step, or one
+/// DMS sender per source node. A node's own plan runs on its task.
 ///
 /// The only work-submission primitive is ParallelFor, which is safe to
 /// nest: the calling thread participates in its own batch (it claims and

@@ -8,7 +8,6 @@
 
 #include "common/fault.h"
 #include "common/string_util.h"
-#include "dms/bounded_queue.h"
 #include "obs/format.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,16 +37,6 @@ void FoldRunIntoRegistry(const DmsRunMetrics& before, const DmsRunMetrics& m,
     span->AddAttr("network_bytes", m.network.bytes - before.network.bytes);
   }
 }
-
-/// One framed unit of the columnar pipeline: the bytes one source sends to
-/// one destination, with a per-(src,dst) sequence number so destinations
-/// can reassemble a deterministic row order regardless of arrival order.
-struct WireMessage {
-  int src = 0;
-  uint32_t seq = 0;
-  size_t rows = 0;
-  std::vector<uint8_t> bytes;
-};
 
 }  // namespace
 
@@ -122,346 +111,200 @@ Result<std::vector<RowVector>> DmsService::ExecutePipelined(
 
   const int batch_size =
       options.batch_size > 0 ? options.batch_size : kDmsWireBatchRows;
-  const size_t queue_capacity =
-      options.queue_capacity > 0 ? static_cast<size_t>(options.queue_capacity)
-                                 : 32;
 
-  /// Inbound side of one destination node: the bounded queue producers
-  /// push into, plus the consume lock that serializes unpack/bulk-copy
-  /// work on this destination (held by its writer task, or briefly by a
-  /// backpressured producer helping out).
+  /// Inbound side of one destination node. Senders unpack and bulk-copy
+  /// into it under `mu`, so one destination takes one batch at a time.
   struct DestState {
-    explicit DestState(size_t cap) : queue(cap) {}
-    BoundedQueue<WireMessage> queue;
     std::mutex mu;
-    /// chunks[src] = unpacked row chunks of that source in sequence order.
+    /// chunks[src] = unpacked row chunks of that source in sequence order
+    /// (a sender delivers its batches to each destination in order).
     std::vector<std::vector<RowVector>> chunks;
-    Status status;
   };
+  std::vector<DestState> dests(static_cast<size_t>(total_slots));
+  for (DestState& d : dests) d.chunks.resize(static_cast<size_t>(total_slots));
 
-  std::vector<std::unique_ptr<DestState>> dests;
-  dests.reserve(static_cast<size_t>(total_slots));
-  for (int i = 0; i < total_slots; ++i) {
-    dests.push_back(std::make_unique<DestState>(queue_capacity));
-    dests.back()->chunks.resize(static_cast<size_t>(total_slots));
-  }
-
+  // node_m[i] holds node i's sender meters (reader, network), written only
+  // by source i's task, and its destination meters (writer, bulkcopy),
+  // written under dests[i].mu.
   std::vector<DmsRunMetrics> node_m(static_cast<size_t>(total_slots));
-  std::vector<Status> reader_status(static_cast<size_t>(total_slots));
+  std::vector<Status> status(static_cast<size_t>(total_slots));
   std::atomic<bool> failed{false};
-  std::atomic<uint64_t> backpressure_events{0};
 
-  // Abort signal: the first failure closes and drains every inbound queue,
-  // so backpressured producers stop pushing (TryPush on a closed queue
-  // never succeeds, and `send` re-checks `failed`) and writer loops run
-  // out promptly instead of deadlocking on a full queue whose consumer
-  // died.
-  auto mark_failed = [&] {
-    if (!failed.exchange(true, std::memory_order_acq_rel)) {
-      for (auto& d : dests) d->queue.Abort();
+  // Hands one packed wire batch from `src` to `dst`: the sender crosses the
+  // network itself, then unpacks and bulk-copies under the destination's
+  // mutex. Every batch passes through here, so a cancelled query stops
+  // moving data within one wire batch. After another sender failed, the
+  // batch is dropped and the caller stops at its next batch.
+  auto deliver = [&](int src, int dst,
+                     const std::vector<uint8_t>& bytes) -> Status {
+    PDW_FAULT_POINT("dms.queue_push");
+    bool cross = src != dst;
+    if (cross) PDW_FAULT_POINT("dms.network");
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      return Status::Cancelled("query cancelled during DMS hand-off");
     }
-  };
-
-  // Unpacks one message into its destination's chunk matrix. Must be
-  // called with dests[dst]->mu held; meters writer/bulk-copy work on the
-  // destination node. After a failure messages are drained unprocessed so
-  // producers never stall on a doomed queue.
-  auto process_message = [&](int dst, WireMessage msg) {
-    DestState& d = *dests[static_cast<size_t>(dst)];
-    if (failed.load(std::memory_order_relaxed)) return;
-    DmsRunMetrics& nm = node_m[static_cast<size_t>(dst)];
-    Status fs = fault::Check("dms.unpack");
-    if (!fs.ok()) {
-      if (d.status.ok()) d.status = std::move(fs);
-      mark_failed();
-      return;
-    }
+    DmsRunMetrics& sm = node_m[static_cast<size_t>(src)];
     double t0 = NowSeconds();
+    DestState& d = dests[static_cast<size_t>(dst)];
+    std::lock_guard<std::mutex> lock(d.mu);
+    if (cross) {
+      sm.network.bytes += static_cast<double>(bytes.size());
+      sm.network.seconds += NowSeconds() - t0;
+    }
+    if (failed.load(std::memory_order_relaxed)) return Status::OK();
+    DmsRunMetrics& dm = node_m[static_cast<size_t>(dst)];
+    PDW_FAULT_POINT("dms.unpack");
+    double t1 = NowSeconds();
     size_t offset = 0;
     // Decode the wire batch straight into destination row storage — no
     // intermediate ColumnBatch on the receive side.
     RowVector chunk;
-    auto unpacked = UnpackBatchToRows(msg.bytes, &offset, &chunk);
-    if (!unpacked.ok()) {
-      if (d.status.ok()) d.status = unpacked.status();
-      mark_failed();
-      return;
-    }
-    nm.writer.bytes += static_cast<double>(msg.bytes.size());
-    double t1 = NowSeconds();
-    nm.writer.seconds += t1 - t0;
-    fs = fault::Check("dms.bulkcopy");
-    if (!fs.ok()) {
-      if (d.status.ok()) d.status = std::move(fs);
-      mark_failed();
-      return;
-    }
+    PDW_RETURN_NOT_OK(UnpackBatchToRows(bytes, &offset, &chunk).status());
+    dm.writer.bytes += static_cast<double>(bytes.size());
+    double t2 = NowSeconds();
+    dm.writer.seconds += t2 - t1;
+    PDW_FAULT_POINT("dms.bulkcopy");
     // Bulk copy: account the materialized rows for the destination
     // temp-table storage, metered in row widths.
     for (const Row& row : chunk) {
-      nm.bulkcopy.bytes += static_cast<double>(RowWidth(row));
+      dm.bulkcopy.bytes += static_cast<double>(RowWidth(row));
     }
     if (options.progress && !chunk.empty()) {
       options.progress(static_cast<double>(chunk.size()),
-                       static_cast<double>(msg.bytes.size()));
+                       static_cast<double>(bytes.size()));
     }
-    auto& per_src = d.chunks[static_cast<size_t>(msg.src)];
-    if (per_src.size() <= msg.seq) per_src.resize(msg.seq + 1);
-    per_src[msg.seq] = std::move(chunk);
-    nm.bulkcopy.seconds += NowSeconds() - t1;
-  };
-
-  // Backpressure helper: a producer facing a full queue tries to become
-  // the destination's consumer for one message. Returns false only when
-  // another thread holds the consume lock (and is therefore actively
-  // draining) — the caller then waits briefly and retries, so progress
-  // never depends on pool capacity being available for writer tasks.
-  auto try_consume_one = [&](int dst) -> bool {
-    DestState& d = *dests[static_cast<size_t>(dst)];
-    std::unique_lock<std::mutex> lock(d.mu, std::try_to_lock);
-    if (!lock.owns_lock()) return false;
-    auto msg = d.queue.TryPop();
-    if (msg.has_value()) process_message(dst, std::move(*msg));
-    return true;
-  };
-
-  auto send = [&](int src, int dst, WireMessage msg,
-                  DmsRunMetrics& nm) -> Status {
-    PDW_FAULT_POINT("dms.queue_push");
-    // Queue pushes are the pipeline's cancellation points: every produced
-    // batch passes through here, so a cancelled query stops moving data
-    // within one wire batch instead of draining the whole stream.
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("query cancelled during DMS queue push");
-    }
-    bool cross = src != dst;
-    double t0 = NowSeconds();
-    if (cross) {
-      PDW_FAULT_POINT("dms.network");
-      nm.network.bytes += static_cast<double>(msg.bytes.size());
-    }
-    DestState& d = *dests[static_cast<size_t>(dst)];
-    while (!d.queue.TryPush(std::move(msg))) {
-      // Abort signal: after a failure every queue is closed, so TryPush
-      // can never succeed again — drop the message and let the reader
-      // loop observe `failed` instead of helping/waiting forever.
-      if (failed.load(std::memory_order_relaxed)) return Status::OK();
-      // A backpressured producer must also observe cancellation, or a
-      // cancelled query with a full queue would block until its writer
-      // happened to drain.
-      if (options.cancel != nullptr &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        return Status::Cancelled("query cancelled during DMS queue push");
-      }
-      backpressure_events.fetch_add(1, std::memory_order_relaxed);
-      if (!try_consume_one(dst)) {
-        d.queue.WaitNotFullFor(std::chrono::microseconds(200));
-      }
-    }
-    if (cross) nm.network.seconds += NowSeconds() - t0;
+    d.chunks[static_cast<size_t>(src)].push_back(std::move(chunk));
+    dm.bulkcopy.seconds += NowSeconds() - t2;
     return Status::OK();
   };
 
-  // Reader slots and the close protocol: the last reader to finish closes
-  // every inbound queue, releasing the writer loops.
-  std::vector<int> reader_slots;
-  for (int i = 0; i < total_slots; ++i) {
-    if (producers[static_cast<size_t>(i)]) reader_slots.push_back(i);
-  }
-  std::atomic<int> readers_remaining{static_cast<int>(reader_slots.size())};
-  auto close_all = [&] {
-    for (auto& d : dests) d->queue.Close();
-  };
-  if (reader_slots.empty()) close_all();
-
-  auto reader_task = [&](int src) {
+  // One source: producer → slice → route → pack → deliver. Returns the
+  // source's first error; the caller raises `failed` for the others.
+  auto send_all = [&](int src) -> Status {
     DmsRunMetrics& nm = node_m[static_cast<size_t>(src)];
-    auto produced = producers[static_cast<size_t>(src)]();
-    if (!produced.ok()) {
-      reader_status[static_cast<size_t>(src)] = produced.status();
-      mark_failed();
-    } else {
-      RowVector rows = std::move(*produced);
-      size_t arity = rows.empty() ? 0 : rows[0].size();
-      std::vector<TypeId> types = options.types;
-      if (types.size() != arity) types = InferRowTypes(rows);
-      std::vector<uint32_t> seqs(static_cast<size_t>(total_slots), 0);
-      std::vector<SelVector> parts;
+    PDW_ASSIGN_OR_RETURN(RowVector rows, producers[static_cast<size_t>(src)]());
+    size_t arity = rows.empty() ? 0 : rows[0].size();
+    std::vector<TypeId> types = options.types;
+    if (types.size() != arity) types = InferRowTypes(rows);
+    std::vector<SelVector> parts;
+    std::vector<uint8_t> bytes;
 
-      // Packs a slice of `rows` (contiguous [begin, end), or the selected
-      // subset) straight from row storage into a wire message for `dst` and
-      // pushes it — no intermediate ColumnBatch on the send side. Pack time
-      // is reader work; queue wait is network time (metered inside send).
-      auto emit = [&](int dst, size_t begin, size_t end, const SelVector* sel,
-                      double* reader_dt) {
-        Status fs = fault::Check("dms.pack");
-        if (!fs.ok()) {
-          reader_status[static_cast<size_t>(src)] = std::move(fs);
-          mark_failed();
-          return;
-        }
-        WireMessage msg;
-        msg.src = src;
-        msg.seq = seqs[static_cast<size_t>(dst)]++;
-        msg.rows = sel != nullptr ? sel->size() : end - begin;
-        double t0 = NowSeconds();
-        auto bytes =
-            sel != nullptr
-                ? PackRowsColumnarSelected(rows, *sel, types, &msg.bytes)
-                : PackRowsColumnar(rows, begin, end, types, &msg.bytes);
-        *reader_dt += NowSeconds() - t0;
-        if (!bytes.ok()) {
-          reader_status[static_cast<size_t>(src)] = bytes.status();
-          mark_failed();
-          return;
-        }
-        nm.reader.bytes += static_cast<double>(*bytes);
-        Status ss = send(src, dst, std::move(msg), nm);
-        if (!ss.ok()) {
-          reader_status[static_cast<size_t>(src)] = std::move(ss);
-          mark_failed();
-        }
-      };
+    // Packs a slice of `rows` (contiguous [begin, end), or the selected
+    // subset) straight from row storage into a wire batch — no
+    // intermediate ColumnBatch on the send side. Pack time is reader work.
+    auto pack = [&](size_t begin, size_t end, const SelVector* sel,
+                    double* reader_dt) -> Status {
+      PDW_FAULT_POINT("dms.pack");
+      double t0 = NowSeconds();
+      bytes.clear();
+      auto packed = sel != nullptr
+                        ? PackRowsColumnarSelected(rows, *sel, types, &bytes)
+                        : PackRowsColumnar(rows, begin, end, types, &bytes);
+      *reader_dt += NowSeconds() - t0;
+      PDW_RETURN_NOT_OK(packed.status());
+      nm.reader.bytes += static_cast<double>(*packed);
+      return Status::OK();
+    };
+    // A hash slice for `dst`: the whole range when every row routes there.
+    auto pack_part = [&](int dst, size_t begin, size_t end,
+                         double* reader_dt) -> Status {
+      const SelVector& sel = parts[static_cast<size_t>(dst)];
+      return pack(begin, end, sel.size() == end - begin ? nullptr : &sel,
+                  reader_dt);
+    };
 
-      for (size_t begin = 0;
-           begin < rows.size() && !failed.load(std::memory_order_relaxed);
-           begin += static_cast<size_t>(batch_size)) {
-        size_t end =
-            std::min(rows.size(), begin + static_cast<size_t>(batch_size));
-        double reader_dt = 0;
-        double t0 = NowSeconds();
-        switch (kind) {
-          case DmsOpKind::kShuffle: {
-            HashPartitionRows(rows, begin, end, hash_ordinals, n, &parts);
-            reader_dt += NowSeconds() - t0;
-            for (int dst = 0; dst < n; ++dst) {
-              const SelVector& sel = parts[static_cast<size_t>(dst)];
-              if (sel.empty()) continue;
-              emit(dst, begin, end, sel.size() == end - begin ? nullptr : &sel,
-                   &reader_dt);
-              if (failed.load(std::memory_order_relaxed)) break;
-            }
-            break;
+    for (size_t begin = 0;
+         begin < rows.size() && !failed.load(std::memory_order_relaxed);
+         begin += static_cast<size_t>(batch_size)) {
+      size_t end =
+          std::min(rows.size(), begin + static_cast<size_t>(batch_size));
+      double reader_dt = 0;
+      double t0 = NowSeconds();
+      switch (kind) {
+        case DmsOpKind::kShuffle:
+          HashPartitionRows(rows, begin, end, hash_ordinals, n, &parts);
+          reader_dt += NowSeconds() - t0;
+          for (int dst = 0; dst < n; ++dst) {
+            if (parts[static_cast<size_t>(dst)].empty()) continue;
+            PDW_RETURN_NOT_OK(pack_part(dst, begin, end, &reader_dt));
+            PDW_RETURN_NOT_OK(deliver(src, dst, bytes));
           }
-          case DmsOpKind::kTrimMove: {
-            // Keep only this node's hash slice; purely local delivery.
-            HashPartitionRows(rows, begin, end, hash_ordinals, n, &parts);
-            reader_dt += NowSeconds() - t0;
-            if (src < n) {
-              const SelVector& sel = parts[static_cast<size_t>(src)];
-              if (!sel.empty()) {
-                emit(src, begin, end,
-                     sel.size() == end - begin ? nullptr : &sel, &reader_dt);
-              }
-            }
-            break;
+          break;
+        case DmsOpKind::kTrimMove:
+          // Keep only this node's hash slice; purely local delivery.
+          HashPartitionRows(rows, begin, end, hash_ordinals, n, &parts);
+          reader_dt += NowSeconds() - t0;
+          if (src < n && !parts[static_cast<size_t>(src)].empty()) {
+            PDW_RETURN_NOT_OK(pack_part(src, begin, end, &reader_dt));
+            PDW_RETURN_NOT_OK(deliver(src, src, bytes));
           }
-          case DmsOpKind::kPartitionMove:
-          case DmsOpKind::kRemoteCopyToSingle:
-            reader_dt += NowSeconds() - t0;
-            emit(control_node(), begin, end, nullptr, &reader_dt);
-            break;
-          case DmsOpKind::kControlNodeMove:
-          case DmsOpKind::kBroadcastMove:
-          case DmsOpKind::kReplicatedBroadcast: {
-            // Pack the slice once; every target receives a copy of the
-            // same bytes (reader reads once, the network fans out — the
-            // Fig. 5 broadcast byte structure).
-            Status fs = fault::Check("dms.pack");
-            if (!fs.ok()) {
-              reader_status[static_cast<size_t>(src)] = std::move(fs);
-              mark_failed();
-              break;
-            }
-            WireMessage proto;
-            proto.src = src;
-            proto.rows = end - begin;
-            auto bytes = PackRowsColumnar(rows, begin, end, types,
-                                          &proto.bytes);
-            reader_dt += NowSeconds() - t0;
-            if (!bytes.ok()) {
-              reader_status[static_cast<size_t>(src)] = bytes.status();
-              mark_failed();
-              break;
-            }
-            nm.reader.bytes += static_cast<double>(*bytes);
-            for (int dst = 0; dst < n; ++dst) {
-              WireMessage msg = proto;  // copy of the packed bytes
-              msg.seq = seqs[static_cast<size_t>(dst)]++;
-              Status ss = send(src, dst, std::move(msg), nm);
-              if (!ss.ok()) {
-                reader_status[static_cast<size_t>(src)] = std::move(ss);
-                mark_failed();
-              }
-              if (failed.load(std::memory_order_relaxed)) break;
-            }
-            break;
+          break;
+        case DmsOpKind::kPartitionMove:
+        case DmsOpKind::kRemoteCopyToSingle:
+          reader_dt += NowSeconds() - t0;
+          PDW_RETURN_NOT_OK(pack(begin, end, nullptr, &reader_dt));
+          PDW_RETURN_NOT_OK(deliver(src, control_node(), bytes));
+          break;
+        case DmsOpKind::kControlNodeMove:
+        case DmsOpKind::kBroadcastMove:
+        case DmsOpKind::kReplicatedBroadcast:
+          // Pack the slice once; every target receives the same bytes
+          // (reader reads once, the network fans out — the Fig. 5
+          // broadcast byte structure).
+          reader_dt += NowSeconds() - t0;
+          PDW_RETURN_NOT_OK(pack(begin, end, nullptr, &reader_dt));
+          for (int dst = 0; dst < n; ++dst) {
+            PDW_RETURN_NOT_OK(deliver(src, dst, bytes));
           }
-        }
-        nm.reader.seconds += reader_dt;
-        nm.rows_moved += static_cast<double>(end - begin);
+          break;
       }
+      nm.reader.seconds += reader_dt;
+      nm.rows_moved += static_cast<double>(end - begin);
     }
-    if (readers_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      close_all();
-    }
+    return Status::OK();
   };
 
-  auto writer_task = [&](int dst) {
-    DestState& d = *dests[static_cast<size_t>(dst)];
-    // Holding the consume lock across the loop is safe: Pop only blocks
-    // while the queue is empty, in which case producers cannot be stuck on
-    // a full queue; backpressured producers use try_lock and fall back to
-    // a bounded wait.
-    std::lock_guard<std::mutex> lock(d.mu);
-    for (;;) {
-      auto msg = d.queue.Pop();
-      if (!msg.has_value()) break;
-      process_message(dst, std::move(*msg));
+  // One task per source; early sources' batches land while later sources
+  // are still producing.
+  std::vector<int> sources;
+  for (int i = 0; i < total_slots; ++i) {
+    if (producers[static_cast<size_t>(i)]) sources.push_back(i);
+  }
+  auto run_source = [&](int i) {
+    int src = sources[static_cast<size_t>(i)];
+    Status s = send_all(src);
+    if (!s.ok()) {
+      status[static_cast<size_t>(src)] = std::move(s);
+      failed.store(true, std::memory_order_relaxed);
     }
   };
-
-  // One task per source (producer → slice → route → pack → send) plus one
-  // per destination (receive → unpack → bulk-copy), all claimed from the
-  // shared pool; readers occupy the low indices so they are claimed first.
-  int num_readers = static_cast<int>(reader_slots.size());
-  int total_tasks = num_readers + total_slots;
-  auto run_task = [&](int i) {
-    if (i < num_readers) {
-      reader_task(reader_slots[static_cast<size_t>(i)]);
-    } else {
-      writer_task(i - num_readers);
-    }
-  };
+  int num_sources = static_cast<int>(sources.size());
   if (pool != nullptr) {
-    // max_workers is the per-query thread budget (WLM resource class);
-    // the caller participates, so any cap still makes progress.
-    pool->ParallelFor(total_tasks, run_task, options.max_workers);
+    // max_workers is the per-query thread budget; the caller participates,
+    // so any cap still makes progress.
+    pool->ParallelFor(num_sources, run_source, options.max_workers);
   } else {
-    for (int i = 0; i < total_tasks; ++i) run_task(i);
+    for (int i = 0; i < num_sources; ++i) run_source(i);
   }
 
-  for (const Status& s : reader_status) {
+  for (const Status& s : status) {
     if (!s.ok()) return s;
-  }
-  for (const auto& d : dests) {
-    if (!d->status.ok()) return d->status;
   }
 
   // Assemble each destination's rows in (source, sequence) order, so the
-  // result never depends on which worker finished first.
+  // result never depends on which sender finished first.
   std::vector<RowVector> result(static_cast<size_t>(total_slots));
   for (int dst = 0; dst < total_slots; ++dst) {
     DmsRunMetrics& nm = node_m[static_cast<size_t>(dst)];
     double t0 = NowSeconds();
     RowVector& out = result[static_cast<size_t>(dst)];
     size_t total = 0;
-    for (const auto& per_src : dests[static_cast<size_t>(dst)]->chunks) {
+    for (const auto& per_src : dests[static_cast<size_t>(dst)].chunks) {
       for (const RowVector& chunk : per_src) total += chunk.size();
     }
     out.reserve(total);
-    for (auto& per_src : dests[static_cast<size_t>(dst)]->chunks) {
+    for (auto& per_src : dests[static_cast<size_t>(dst)].chunks) {
       for (RowVector& chunk : per_src) {
         out.insert(out.end(), std::make_move_iterator(chunk.begin()),
                    std::make_move_iterator(chunk.end()));
@@ -473,9 +316,6 @@ Result<std::vector<RowVector>> DmsService::ExecutePipelined(
   for (const DmsRunMetrics& nm : node_m) m->Accumulate(nm);
   m->wall_seconds += NowSeconds() - wall_start;
   FoldRunIntoRegistry(before, *m, &span);
-  obs::MetricsRegistry::Global().Count(
-      "dms.pipeline.backpressure_waits",
-      static_cast<double>(backpressure_events.load()));
   return result;
 }
 
@@ -542,7 +382,7 @@ DmsCostParameters CalibrateCostModel(int rows_per_probe) {
   for_each_slice([&](size_t begin, size_t end) {
     (void)PackRowsColumnar(rows, begin, end, types, &wire).ok();
   });
-  // Network: byte transfer between queues.
+  // Network: byte transfer between nodes.
   p.lambda_network = measure([&]() {
     std::vector<uint8_t> inbound;
     inbound.insert(inbound.end(), wire.begin(), wire.end());

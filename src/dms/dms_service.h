@@ -40,8 +40,8 @@ struct DmsRunMetrics {
 
 /// Default rows per columnar wire batch (see DmsExecOptions::batch_size).
 /// Sized so that even an 8-way shuffle split leaves ~thousand-row
-/// messages — per-message framing, queue handoff, and assembly overhead
-/// grows with fan-out.
+/// messages — per-message framing, hand-off, and assembly overhead grows
+/// with fan-out.
 inline constexpr int kDmsWireBatchRows = 8192;
 
 /// Knobs of one DMS execution.
@@ -49,55 +49,48 @@ struct DmsExecOptions {
   /// Rows per wire batch; 0 = kDmsWireBatchRows.
   /// Wire batches are deliberately larger than the engine's execution
   /// batches: movement cost is framing + memcpy, so bigger slices amortize
-  /// per-message headers, queue handoffs, and assembly bookkeeping.
+  /// per-message headers, hand-offs, and assembly bookkeeping.
   int batch_size = 0;
-  /// Bounded depth (in messages) of each destination's inbound queue —
-  /// the pipeline's backpressure window. Deep enough that a full shuffle
-  /// fan-in (every source sending this destination a slice of the same
-  /// wire batch) fits without stalling readers; shallow enough to bound
-  /// buffered bytes per destination.
-  int queue_capacity = 32;
   /// Declared column types of the moved stream (the DMS step's destination
   /// temp-table schema). Empty = infer per source from the produced rows.
   std::vector<TypeId> types;
   /// Optional live progress feed: invoked as row chunks land on their
   /// destination with (rows, wire bytes) of that chunk, from concurrent
-  /// pipeline workers mid-flight. Must be thread-safe and cheap;
-  /// feeds sys.dm_pdw_exec_requests' rows/bytes-moved-so-far columns.
+  /// senders mid-flight. Must be thread-safe and cheap; feeds
+  /// sys.dm_pdw_exec_requests' rows/bytes-moved-so-far columns.
   std::function<void(double rows_delta, double bytes_delta)> progress;
   /// Cooperative cancellation token (owned by the session that issued the
-  /// query). Checked at every queue push — including inside the
-  /// backpressure wait, so a blocked producer unblocks — and per packed
-  /// batch; when it flips, the movement aborts with StatusCode::kCancelled
-  /// and the pipeline's normal failure path drains every queue.
+  /// query). Checked at every hand-off of a packed batch to its
+  /// destination; when it flips, the movement aborts with
+  /// StatusCode::kCancelled and the other senders stop at their next batch.
   const std::atomic<bool>* cancel = nullptr;
-  /// Cap on how many pipeline tasks (readers + writers) this movement may
-  /// run concurrently on the shared pool — the workload manager's
-  /// per-query thread budget. 0 = no cap beyond pool size. The calling
-  /// thread still participates, so 1 degrades to the serial schedule
-  /// rather than deadlocking.
+  /// Cap on how many senders (one pool task per source) this movement may
+  /// run concurrently on the shared pool. 0 = no cap beyond pool size. The
+  /// calling thread still participates, so 1 is the serial schedule.
   int max_workers = 0;
 };
 
 /// Produces one source node's rows for a pipelined movement — typically by
-/// running the DSQL step's SQL on that node. Called exactly once, on a
-/// pipeline worker, so production overlaps packing/transfer of nodes that
+/// running the DSQL step's SQL on that node. Called exactly once, on that
+/// source's task, so production overlaps the delivery of nodes that
 /// finished earlier.
 using DmsProducer = std::function<Result<RowVector>()>;
 
 /// The Data Movement Service simulator (Fig. 5). It reproduces the DMS
 /// operator's source/target structure with real work per component:
 ///  * reader  — serialize rows into byte buffers (hashing for Shuffle/Trim);
-///  * network — transfer buffers between per-node queues;
+///  * network — hand buffers from one node to another;
 ///  * writer  — deserialize buffers back into rows;
 ///  * bulkcopy— insert rows into the destination temp-table storage.
 /// Per-component byte counts and timings are metered so the cost model's
 /// λ constants can be calibrated against this substrate exactly as the
 /// paper calibrates against hardware.
 ///
-/// Movement streams columnar wire batches through bounded, backpressured
-/// per-destination queues, so reader/pack, network and writer/unpack run
-/// concurrently on the shared pool and movement overlaps production.
+/// Movement streams columnar wire batches: each source's sender packs a
+/// batch and delivers it into its destination itself, under that
+/// destination's mutex. Senders run concurrently, one pool task per
+/// source, so early sources' batches land while later ones still produce.
+/// No task ever blocks on another's progress.
 ///
 /// Thread safety: DmsService holds no mutable state, so concurrent
 /// Execute calls (one per in-flight query) are safe as long as each call
@@ -132,15 +125,14 @@ class DmsService {
 
   /// The streaming columnar pipeline. `producers[i]` (size
   /// num_compute_nodes + 1, null entries = no source on that node) runs on
-  /// a pipeline worker and feeds its rows straight into the reader stage:
+  /// its source's task and feeds its rows straight into the reader stage:
   /// rows are sliced into wire batches, hash-routed column-at-a-time
-  /// (Shuffle/Trim), packed with PackRowsColumnar, and pushed into
-  /// the destination's bounded inbound queue; destination workers unpack
-  /// and bulk-copy concurrently. Backpressure: a producer that finds a
-  /// queue full first tries to drain that destination itself (so progress
-  /// never depends on free pool capacity — no deadlock under any pool
-  /// size), else waits briefly. Per-slot result rows are assembled in
-  /// deterministic (source, sequence) order.
+  /// (Shuffle/Trim) and packed with PackRowsColumnar; the same task then
+  /// unpacks and bulk-copies each batch into its destination under that
+  /// destination's mutex. Per-slot result rows are assembled in
+  /// deterministic (source, sequence) order. On a failure the other
+  /// senders stop at their next batch, and the first error in source
+  /// order is returned.
   Result<std::vector<RowVector>> ExecutePipelined(
       DmsOpKind kind, std::vector<DmsProducer> producers,
       const std::vector<int>& hash_ordinals, DmsRunMetrics* metrics = nullptr,

@@ -1,10 +1,8 @@
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <set>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "engine/batch.h"
 #include "engine/executor.h"
 #include "engine/expr_program.h"
@@ -18,10 +16,11 @@
 ///    selection-vector shrink (no materialization between conjuncts);
 ///  - hash joins and aggregates run on flat open-addressing tables with
 ///    precomputed key columns (engine/hash_table.h);
-///  - batches double as morsels: per-batch work (scan slicing, filtering,
-///    projection, join probes, pre-aggregation) fans out on the global
-///    ThreadPool, and per-morsel aggregation states merge deterministically
-///    in morsel order, which reproduces the row engine's first-seen group
+///  - a node's plan runs on the thread that calls it: the appliance's
+///    parallelism is one task per compute node, as in Fig. 1. Each
+///    operator loops over its batches in stream order, and the aggregate
+///    pre-aggregates each batch into its own table and merges them in
+///    batch order, which reproduces the row engine's first-seen group
 ///    order exactly.
 ///
 /// Semantics match the row interpreter in executor.cc — same evaluation
@@ -38,7 +37,7 @@ double NowSeconds() {
       .count();
 }
 
-/// One morsel of an operator's output: a column batch plus the selection
+/// One batch of an operator's output: a column batch plus the selection
 /// vector of active rows, in emission order. Filters shrink `sel` without
 /// touching the batch; sorts reorder it.
 struct PipelineBatch {
@@ -46,7 +45,7 @@ struct PipelineBatch {
   SelVector sel;
 };
 
-/// A fully executed operator: column types plus output morsels in stream
+/// A fully executed operator: column types plus output batches in stream
 /// order.
 struct BatchResult {
   std::vector<TypeId> types;
@@ -65,12 +64,6 @@ struct BatchExecCtx {
   int batch_size = kDefaultBatchSize;
 };
 
-/// Batch/morsel counters one operator reports into its profile slot.
-struct OpStats {
-  double morsels = 0;
-  double selectivity = -1;
-};
-
 std::vector<TypeId> TypesOf(const std::vector<ColumnBinding>& cols) {
   std::vector<TypeId> types;
   types.reserve(cols.size());
@@ -82,22 +75,6 @@ SelVector IdentitySel(size_t n) {
   SelVector sel(n);
   for (size_t i = 0; i < n; ++i) sel[i] = static_cast<int32_t>(i);
   return sel;
-}
-
-/// Runs fn(0..n-1) as morsel tasks on the global pool; returns the
-/// lowest-index error so failures are deterministic regardless of task
-/// interleaving.
-Status ParallelMorsels(size_t n, const std::function<Status(size_t)>& fn) {
-  if (n == 0) return Status::OK();
-  if (n == 1) return fn(0);
-  std::vector<Status> statuses(n);
-  ThreadPool::Global().ParallelFor(static_cast<int>(n), [&](int i) {
-    statuses[static_cast<size_t>(i)] = fn(static_cast<size_t>(i));
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
 }
 
 /// True iff `sel` selects every one of `rows` rows in order. Must be an
@@ -177,8 +154,7 @@ Result<BatchResult> ExecBatchNode(const PlanNode& plan, const BatchExecCtx& ctx,
 
 // --- scan ---
 
-Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx,
-                             OpStats* stats) {
+Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx) {
   PDW_ASSIGN_OR_RETURN(TableData data, ctx.tables.GetTableData(node.table_name));
   std::vector<int> ordinals;
   for (const auto& b : node.output) {
@@ -198,7 +174,7 @@ Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx,
   size_t nb = (n + bs - 1) / bs;
   result.batches.resize(nb);
   for (PipelineBatch& pb : result.batches) pb.batch = ColumnBatch(result.types);
-  PDW_RETURN_NOT_OK(ParallelMorsels(nb, [&](size_t i) {
+  for (size_t i = 0; i < nb; ++i) {
     size_t begin = i * bs;
     size_t end = std::min(n, begin + bs);
     ColumnBatch& out = result.batches[i].batch;
@@ -208,21 +184,18 @@ Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx,
     }
     out.rows += end - begin;
     result.batches[i].sel = IdentitySel(end - begin);
-    return Status::OK();
-  }));
-  stats->morsels = static_cast<double>(nb);
+  }
   return result;
 }
 
 // --- filter ---
 
 Result<BatchResult> ExecFilter(const PlanNode& node, BatchResult input,
-                               OpStats* stats) {
+                               double* selectivity) {
   PDW_ASSIGN_OR_RETURN(std::vector<ExprProgram> progs,
                        CompilePrograms(node.conjuncts, node.output));
   size_t rows_in = input.ActiveRows();
-  PDW_RETURN_NOT_OK(ParallelMorsels(input.batches.size(), [&](size_t i) {
-    PipelineBatch& pb = input.batches[i];
+  for (PipelineBatch& pb : input.batches) {
     // Conjuncts shrink the selection in order: each one only sees the
     // previous one's survivors, exactly like the interpreter's per-row
     // short-circuit over the conjunct list.
@@ -230,11 +203,9 @@ Result<BatchResult> ExecFilter(const PlanNode& node, BatchResult input,
       PDW_RETURN_NOT_OK(p.Filter(pb.batch, &pb.sel));
       if (pb.sel.empty()) break;
     }
-    return Status::OK();
-  }));
-  stats->morsels = static_cast<double>(input.batches.size());
+  }
   if (rows_in > 0) {
-    stats->selectivity =
+    *selectivity =
         static_cast<double>(input.ActiveRows()) / static_cast<double>(rows_in);
   }
   return input;
@@ -242,9 +213,8 @@ Result<BatchResult> ExecFilter(const PlanNode& node, BatchResult input,
 
 // --- project ---
 
-Result<BatchResult> ExecProject(const PlanNode& node, BatchResult input,
-                                const std::vector<ColumnBinding>& child_cols,
-                                OpStats* stats) {
+Result<BatchResult> ExecProject(const PlanNode& node, const BatchResult& input,
+                                const std::vector<ColumnBinding>& child_cols) {
   std::vector<ExprProgram> progs;
   progs.reserve(node.items.size());
   for (const ProjectItem& item : node.items) {
@@ -255,7 +225,7 @@ Result<BatchResult> ExecProject(const PlanNode& node, BatchResult input,
   BatchResult result;
   result.types = TypesOf(node.output);
   result.batches.resize(input.batches.size());
-  PDW_RETURN_NOT_OK(ParallelMorsels(input.batches.size(), [&](size_t i) {
+  for (size_t i = 0; i < input.batches.size(); ++i) {
     const PipelineBatch& pb = input.batches[i];
     PipelineBatch& ob = result.batches[i];
     ob.batch.columns.reserve(progs.size());
@@ -265,9 +235,7 @@ Result<BatchResult> ExecProject(const PlanNode& node, BatchResult input,
     }
     ob.batch.rows = pb.sel.size();
     ob.sel = IdentitySel(ob.batch.rows);
-    return Status::OK();
-  }));
-  stats->morsels = static_cast<double>(input.batches.size());
+  }
   return result;
 }
 
@@ -286,11 +254,11 @@ bool IsEquiKeyConjunct(const ScalarExprPtr& c,
   return false;
 }
 
-Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
+Result<BatchResult> ExecHashJoin(const PlanNode& node, const BatchResult& left,
                                  const BatchResult& right,
                                  const std::vector<ColumnBinding>& left_cols,
                                  const std::vector<ColumnBinding>& right_cols,
-                                 OpStats* stats) {
+                                 double* selectivity) {
   LogicalJoinType jt = node.join_type;
   bool emit_right = jt == LogicalJoinType::kInner ||
                     jt == LogicalJoinType::kCross ||
@@ -318,7 +286,7 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
   }
 
   // Build side: one dense batch, with the key columns copied into the
-  // table so probes never chase the original morsels.
+  // table so probes never chase the original batches.
   ColumnBatch build = GatherConcat(right);
   std::vector<ColumnVector> build_keys;
   build_keys.reserve(r_key_ords.size());
@@ -331,7 +299,7 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
   result.batches.resize(left.batches.size());
   size_t left_in = left.ActiveRows();
 
-  PDW_RETURN_NOT_OK(ParallelMorsels(left.batches.size(), [&](size_t m) {
+  for (size_t m = 0; m < left.batches.size(); ++m) {
     const PipelineBatch& pb = left.batches[m];
     std::vector<const ColumnVector*> probe_keys;
     probe_keys.reserve(l_key_ords.size());
@@ -442,7 +410,7 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
       }
     }
 
-    // Materialize the morsel's output columns by gathering.
+    // Materialize the batch's output columns by gathering.
     PipelineBatch& ob = result.batches[m];
     ob.batch.columns.reserve(left_cols.size() +
                              (emit_right ? right_cols.size() : 0));
@@ -470,12 +438,10 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
     }
     ob.batch.rows = emit_l.size();
     ob.sel = IdentitySel(emit_l.size());
-    return Status::OK();
-  }));
+  }
 
-  stats->morsels = static_cast<double>(left.batches.size());
   if (left_in > 0) {
-    stats->selectivity =
+    *selectivity =
         static_cast<double>(result.ActiveRows()) / static_cast<double>(left_in);
   }
   return result;
@@ -484,7 +450,7 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, BatchResult left,
 Result<BatchResult> ExecNestedLoopJoin(
     const PlanNode& node, const BatchResult& left, const BatchResult& right,
     const std::vector<ColumnBinding>& left_cols,
-    const std::vector<ColumnBinding>& right_cols, OpStats* stats) {
+    const std::vector<ColumnBinding>& right_cols) {
   LogicalJoinType jt = node.join_type;
   bool emit_right = jt == LogicalJoinType::kInner ||
                     jt == LogicalJoinType::kCross ||
@@ -544,7 +510,6 @@ Result<BatchResult> ExecNestedLoopJoin(
     pb.sel = IdentitySel(out.size());
     result.batches.push_back(std::move(pb));
   }
-  stats->morsels = 1;
   return result;
 }
 
@@ -552,8 +517,8 @@ Result<BatchResult> ExecNestedLoopJoin(
 
 /// Accumulator for one (group, aggregate) pair; same semantics as the row
 /// engine's AggState. DISTINCT aggregates keep only the value set per
-/// morsel — counts and sums are derived from the merged set at finalize,
-/// so cross-morsel duplicates collapse correctly.
+/// batch — counts and sums are derived from the merged set at finalize,
+/// so cross-batch duplicates collapse correctly.
 struct BatchAggState {
   Datum value;
   int64_t count = 0;
@@ -589,8 +554,7 @@ void AccumulateValue(AggFunc func, const Datum& v, BatchAggState* state) {
 }
 
 Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input,
-                                  const std::vector<ColumnBinding>& child_cols,
-                                  OpStats* stats) {
+                                  const std::vector<ColumnBinding>& child_cols) {
   std::vector<int> group_ords;
   std::vector<TypeId> key_types;
   for (ColumnId g : node.group_by) {
@@ -609,19 +573,22 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
         arg_progs[a], ExprProgram::Compile(node.aggregates[a].arg, child_cols));
   }
 
-  // Phase 1: per-morsel pre-aggregation into thread-local tables.
-  struct MorselAgg {
+  // Phase 1: pre-aggregate each batch into its own table, so the typed
+  // scratch below is no larger than that batch's own groups.
+  struct BatchAgg {
     GroupTable table;
     std::vector<BatchAggState> states;  // [group * num_aggs + a]
-    explicit MorselAgg(const std::vector<TypeId>& kt) : table(kt) {}
+    explicit BatchAgg(const std::vector<TypeId>& kt) : table(kt) {}
   };
-  std::vector<MorselAgg> morsels;
-  morsels.reserve(input.batches.size());
-  for (size_t i = 0; i < input.batches.size(); ++i) morsels.emplace_back(key_types);
+  std::vector<BatchAgg> partials;
+  partials.reserve(input.batches.size());
+  for (size_t i = 0; i < input.batches.size(); ++i) {
+    partials.emplace_back(key_types);
+  }
 
-  PDW_RETURN_NOT_OK(ParallelMorsels(input.batches.size(), [&](size_t m) {
+  for (size_t m = 0; m < input.batches.size(); ++m) {
     const PipelineBatch& pb = input.batches[m];
-    MorselAgg& local = morsels[m];
+    BatchAgg& local = partials[m];
     std::vector<const ColumnVector*> keys;
     keys.reserve(group_ords.size());
     for (int o : group_ords) {
@@ -633,7 +600,7 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
       if (!arg_progs[a].valid()) continue;
       PDW_ASSIGN_OR_RETURN(args[a], arg_progs[a].Eval(pb.batch, pb.sel));
     }
-    // Group indices for the whole morsel first, then one typed pass per
+    // Group indices for the whole batch first, then one typed pass per
     // aggregate — column-at-a-time, no per-row Datum materialization on
     // the numeric fast paths.
     size_t n = pb.sel.size();
@@ -767,30 +734,29 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
           break;
       }
     }
-    return Status::OK();
-  }));
+  }
 
-  // Phase 2: merge in morsel order. Because morsels cover the input in
+  // Phase 2: merge in batch order. Because batches cover the input in
   // stream order, first-seen group order here equals the row engine's.
   GroupTable global(key_types);
   std::vector<BatchAggState> states;
-  if (morsels.size() == 1) {
-    // Single-morsel fast path (the common shape for partial-aggregate
+  if (partials.size() == 1) {
+    // Single-batch fast path (the common shape for partial-aggregate
     // steps over one temp-scan batch): the lone local table already IS the
     // global result, in the right first-seen order — adopt it wholesale.
-    global = std::move(morsels[0].table);
-    states = std::move(morsels[0].states);
+    global = std::move(partials[0].table);
+    states = std::move(partials[0].states);
     states.resize(global.num_groups() * num_aggs);
-    morsels.clear();
+    partials.clear();
   } else {
     size_t max_local_groups = 0;
-    for (const MorselAgg& local : morsels) {
+    for (const BatchAgg& local : partials) {
       max_local_groups = std::max(max_local_groups, local.table.num_groups());
     }
     global.Reserve(max_local_groups);
     states.reserve(max_local_groups * num_aggs);
   }
-  for (MorselAgg& local : morsels) {
+  for (BatchAgg& local : partials) {
     std::vector<const ColumnVector*> keys;
     keys.reserve(local.table.group_keys().size());
     for (const ColumnVector& c : local.table.group_keys()) keys.push_back(&c);
@@ -930,14 +896,12 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
   }
   ob.sel = IdentitySel(ob.batch.rows);
   result.batches.push_back(std::move(ob));
-  stats->morsels = static_cast<double>(input.batches.size());
   return result;
 }
 
 // --- sort / limit / union ---
 
-Result<BatchResult> ExecSort(const PlanNode& node, BatchResult input,
-                             OpStats* stats) {
+Result<BatchResult> ExecSort(const PlanNode& node, BatchResult input) {
   std::vector<std::pair<int, bool>> keys;
   for (const SortItem& item : node.sort_items) {
     int pos = FindBinding(node.output, item.column);
@@ -960,7 +924,6 @@ Result<BatchResult> ExecSort(const PlanNode& node, BatchResult input,
   pb.batch = std::move(dense);
   pb.sel = std::move(order);  // the sort order IS the selection
   result.batches.push_back(std::move(pb));
-  stats->morsels = 1;
   return result;
 }
 
@@ -979,7 +942,7 @@ BatchResult ExecLimit(const PlanNode& node, BatchResult input) {
 }
 
 Result<BatchResult> ExecUnionAll(const PlanNode& node, const BatchExecCtx& ctx,
-                                 int depth, OpStats* stats) {
+                                 int depth) {
   BatchResult result;
   result.types = TypesOf(node.output);
   for (size_t i = 0; i < node.children.size(); ++i) {
@@ -1005,7 +968,6 @@ Result<BatchResult> ExecUnionAll(const PlanNode& node, const BatchExecCtx& ctx,
       result.batches.push_back(std::move(ob));
     }
   }
-  stats->morsels = static_cast<double>(result.batches.size());
   return result;
 }
 
@@ -1013,11 +975,11 @@ Result<BatchResult> ExecUnionAll(const PlanNode& node, const BatchExecCtx& ctx,
 
 Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
                                       const BatchExecCtx& ctx, int depth,
-                                      OpStats* stats) {
+                                      double* selectivity) {
   switch (plan.kind) {
     case PhysOpKind::kTableScan:
     case PhysOpKind::kTempScan:
-      return ExecScan(plan, ctx, stats);
+      return ExecScan(plan, ctx);
     case PhysOpKind::kEmpty: {
       BatchResult r;
       r.types = TypesOf(plan.output);
@@ -1026,13 +988,12 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
     case PhysOpKind::kFilter: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecFilter(plan, std::move(input), stats);
+      return ExecFilter(plan, std::move(input), selectivity);
     }
     case PhysOpKind::kProject: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecProject(plan, std::move(input), plan.children[0]->output,
-                         stats);
+      return ExecProject(plan, input, plan.children[0]->output);
     }
     case PhysOpKind::kHashJoin:
     case PhysOpKind::kNestedLoopJoin: {
@@ -1041,22 +1002,21 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
       PDW_ASSIGN_OR_RETURN(BatchResult right,
                            ExecBatchNode(*plan.children[1], ctx, depth + 1));
       if (!plan.equi_keys.empty()) {
-        return ExecHashJoin(plan, std::move(left), right,
-                            plan.children[0]->output, plan.children[1]->output,
-                            stats);
+        return ExecHashJoin(plan, left, right, plan.children[0]->output,
+                            plan.children[1]->output, selectivity);
       }
       return ExecNestedLoopJoin(plan, left, right, plan.children[0]->output,
-                                plan.children[1]->output, stats);
+                                plan.children[1]->output);
     }
     case PhysOpKind::kHashAggregate: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecAggregate(plan, input, plan.children[0]->output, stats);
+      return ExecAggregate(plan, input, plan.children[0]->output);
     }
     case PhysOpKind::kSort: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecSort(plan, std::move(input), stats);
+      return ExecSort(plan, std::move(input));
     }
     case PhysOpKind::kLimit: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
@@ -1064,7 +1024,7 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
       return ExecLimit(plan, std::move(input));
     }
     case PhysOpKind::kUnionAll:
-      return ExecUnionAll(plan, ctx, depth, stats);
+      return ExecUnionAll(plan, ctx, depth);
     case PhysOpKind::kMove:
       return Status::Internal(
           "executor reached a Move node; moves are executed by the DMS "
@@ -1075,15 +1035,16 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
 
 Result<BatchResult> ExecBatchNode(const PlanNode& plan, const BatchExecCtx& ctx,
                                   int depth) {
-  OpStats stats;
+  double selectivity = -1;  // Output/input row ratio; -1 = not a filter.
   if (ctx.profile == nullptr) {
-    return DispatchBatchNode(plan, ctx, depth, &stats);
+    return DispatchBatchNode(plan, ctx, depth, &selectivity);
   }
   // Reserve the record before recursing so operators stay in pre-order.
   size_t slot = ctx.profile->operators.size();
   ctx.profile->operators.emplace_back();
   double t0 = NowSeconds();
-  Result<BatchResult> result = DispatchBatchNode(plan, ctx, depth, &stats);
+  Result<BatchResult> result =
+      DispatchBatchNode(plan, ctx, depth, &selectivity);
   obs::OperatorProfile& op = ctx.profile->operators[slot];
   op.depth = depth;
   op.name = PhysOpKindToString(plan.kind);
@@ -1097,8 +1058,7 @@ Result<BatchResult> ExecBatchNode(const PlanNode& plan, const BatchExecCtx& ctx,
   op.estimated_rows = plan.cardinality;
   op.seconds = NowSeconds() - t0;
   op.nodes = 1;
-  op.morsels = stats.morsels;
-  op.selectivity = stats.selectivity;
+  op.selectivity = selectivity;
   if (result.ok()) {
     op.actual_rows = static_cast<double>(result->ActiveRows());
     op.batches = static_cast<double>(result->batches.size());

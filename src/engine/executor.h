@@ -42,7 +42,7 @@ struct ExecProfile {
 /// engine is the vectorized production path.
 enum class EngineKind {
   kRow,    ///< Row-at-a-time Volcano interpreter.
-  kBatch,  ///< Vectorized batches + compiled expressions + morsels.
+  kBatch,  ///< Vectorized batches + compiled expressions.
 };
 
 /// Per-execution knobs. The defaults run the batch engine with
@@ -64,9 +64,13 @@ struct ExecOptions {
 ///
 /// With a non-null `profile`, every operator records its emitted row count
 /// and inclusive wall time (and bumps the global `executor.rows_out`
-/// counter at the root); the batch engine additionally records batch and
-/// morsel counts and filter/probe selectivity. With nullptr the
-/// instrumented path is skipped entirely.
+/// counter at the root); the batch engine additionally records batch
+/// counts and filter/probe selectivity. With nullptr the instrumented path
+/// is skipped entirely.
+///
+/// Both engines run the whole plan on the calling thread and start no pool
+/// task: a node's plan is one node task, and the appliance's parallelism
+/// is the fan-out over nodes (Fig. 1).
 Result<RowVector> ExecutePlan(const PlanNode& plan,
                               const TableProvider& tables,
                               ExecProfile* profile = nullptr,

@@ -31,8 +31,8 @@ namespace pdw {
 ///    without materializing a boolean vector.
 ///  - EvalRow: the per-row path (nested-loop joins), still ordinal-resolved.
 ///
-/// Programs are immutable after Compile and safe to share across morsel
-/// threads.
+/// Programs are immutable after Compile. Each operator execution compiles
+/// its own, so node tasks running one shared plan share no program.
 class ExprProgram {
  public:
   ExprProgram() = default;

@@ -39,8 +39,8 @@ class GroupTable {
                size_t row) const;
 
   /// Pre-sizes the slot array (and key storage) for `expected_groups`, so
-  /// bulk loads — partial-aggregate merges, pre-sized morsel tables — skip
-  /// the doubling cascade. No-op when already large enough.
+  /// bulk loads — partial-aggregate merges, pre-sized per-batch tables —
+  /// skip the doubling cascade. No-op when already large enough.
   void Reserve(size_t expected_groups);
 
   size_t num_groups() const { return group_hashes_.size(); }

@@ -104,9 +104,7 @@ std::string QueryProfile::ToText(double misestimate_threshold) const {
                             FormatCount(op.actual_rows).c_str(),
                             FormatSeconds(op.seconds).c_str(), op.nodes);
         if (op.batches > 0) {
-          out += StringFormat(" batches=%s morsels=%s",
-                              FormatCount(op.batches).c_str(),
-                              FormatCount(op.morsels).c_str());
+          out += StringFormat(" batches=%s", FormatCount(op.batches).c_str());
         }
         if (op.selectivity >= 0) {
           out += StringFormat(" sel=%.3f", op.selectivity);
@@ -213,7 +211,6 @@ std::string QueryProfile::ToJson() const {
       out += ",\"seconds\":" + JsonNumber(op.seconds);
       out += ",\"nodes\":" + JsonNumber(op.nodes);
       out += ",\"batches\":" + JsonNumber(op.batches);
-      out += ",\"morsels\":" + JsonNumber(op.morsels);
       if (op.selectivity >= 0) {
         out += ",\"selectivity\":" + JsonNumber(op.selectivity);
       }

@@ -19,11 +19,9 @@ struct OperatorProfile {
   double actual_rows = 0;     ///< Rows the operator emitted (summed).
   double seconds = 0;         ///< Wall time, inclusive of children (summed).
   int nodes = 0;              ///< How many node executions were aggregated.
-  /// Batch-engine counters (zero under the row engine, which has neither
-  /// batches nor morsels): column batches the operator emitted, and morsel
-  /// tasks its pipeline was split into on the node-local worker pool.
+  /// Column batches the operator emitted (zero under the row engine, which
+  /// has no batches).
   double batches = 0;
-  double morsels = 0;
   /// Output/input row ratio of filtering operators (filters, join probes);
   /// negative = not applicable for this operator.
   double selectivity = -1;

@@ -96,7 +96,7 @@ struct RequestState {
 /// control node's request table, not process state.
 ///
 /// All methods are safe to call from any number of session threads plus
-/// DMS pipeline workers concurrently; updates for unknown query ids are
+/// DMS senders concurrently; updates for unknown query ids are
 /// ignored (the request may have been evicted).
 class RequestRegistry {
  public:

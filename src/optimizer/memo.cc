@@ -158,12 +158,12 @@ void Memo::ComputeGroupProperties(Group* g, const GroupExpr& e) {
 
 Result<GroupId> Memo::InsertTree(const LogicalOpPtr& tree) {
   root_ = InsertTreeInternal(tree);
-  if (options_.enable_semijoin_to_join) ExploreSemiJoinAlternatives();
+  ExploreSemiJoinAlternatives();
   return root_;
 }
 
 GroupId Memo::InsertTreeInternal(const LogicalOpPtr& op) {
-  if (options_.enumerate_joins && op->kind() == LogicalOpKind::kJoin) {
+  if (op->kind() == LogicalOpKind::kJoin) {
     const auto& j = static_cast<const LogicalJoin&>(*op);
     if (j.join_type() == LogicalJoinType::kInner ||
         j.join_type() == LogicalJoinType::kCross) {
@@ -327,8 +327,7 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
   bool graph_connected = connected(full);
 
   // Decide full DP vs. degraded enumeration (the "timeout" fallback).
-  bool full_dp = options_.enumerate_joins && n < 32 &&
-                 n <= options_.max_dp_relations && graph_connected;
+  bool full_dp = n < 32 && n <= options_.max_dp_relations && graph_connected;
   // level_masks[s]: connected masks of popcount s, ascending — the DP
   // levels.
   std::vector<std::vector<uint32_t>> level_masks;
@@ -354,7 +353,7 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
   // than max_dp_relations — is the graceful-degradation path and is
   // surfaced to EXPLAIN / DMVs. A disconnected cluster is not: it needs
   // cross joins that the DP never enumerates anyway.
-  if (!full_dp && options_.enumerate_joins && graph_connected) {
+  if (!full_dp && graph_connected) {
     budget_exhausted_ = true;
   }
 
@@ -517,7 +516,7 @@ GroupId Memo::InsertJoinCluster(const LogicalOpPtr& top) {
   };
 
   const int beam = options_.beam_width;
-  if (options_.enumerate_joins && graph_connected && beam > 0 && n <= 32) {
+  if (graph_connected && beam > 0 && n <= 32) {
     // Budget-bounded beam search over the DP levels: keep the top-k
     // cheapest connected subsets per level instead of abandoning
     // enumeration entirely (the graduated replacement for the old

@@ -53,8 +53,6 @@ struct MemoOptions {
   int max_dp_relations = 9;
   int expr_budget = 60000;
   bool seed_distribution_aware = true;
-  bool enable_semijoin_to_join = true;
-  bool enumerate_joins = true;  ///< false = keep the input join order only.
   /// Beam width of the degraded enumeration (top-K cheapest connected
   /// subsets kept per DP level); 0 = disable the beam (legacy left-deep
   /// cliff).

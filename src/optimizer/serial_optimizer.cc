@@ -202,8 +202,7 @@ Result<PlanNodePtr> ExtractBestSerialPlan(Memo* memo) {
 
 Result<CompilationResult> CompileSelect(const Catalog& catalog,
                                         const sql::SelectStatement& stmt,
-                                        const MemoOptions& memo_options,
-                                        const NormalizerOptions& norm_options) {
+                                        const MemoOptions& memo_options) {
   auto now = [] {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -224,8 +223,7 @@ Result<CompilationResult> CompileSelect(const Catalog& catalog,
   t0 = now();
   {
     obs::TraceSpan span("compile.normalize");
-    PDW_ASSIGN_OR_RETURN(out.normalized,
-                         Normalize(std::move(bound.root), norm_options));
+    PDW_ASSIGN_OR_RETURN(out.normalized, Normalize(std::move(bound.root)));
   }
   out.phase_seconds.emplace_back("normalize", now() - t0);
 
@@ -244,10 +242,9 @@ Result<CompilationResult> CompileSelect(const Catalog& catalog,
 
 Result<CompilationResult> CompileQuery(const Catalog& catalog,
                                        const std::string& sql,
-                                       const MemoOptions& memo_options,
-                                       const NormalizerOptions& norm_options) {
+                                       const MemoOptions& memo_options) {
   PDW_ASSIGN_OR_RETURN(auto stmt, sql::ParseSelect(sql));
-  return CompileSelect(catalog, *stmt, memo_options, norm_options);
+  return CompileSelect(catalog, *stmt, memo_options);
 }
 
 }  // namespace pdw

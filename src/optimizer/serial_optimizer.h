@@ -34,14 +34,12 @@ struct CompilationResult {
 /// (which, on the control node, is the shell database).
 Result<CompilationResult> CompileQuery(const Catalog& catalog,
                                        const std::string& sql,
-                                       const MemoOptions& memo_options = {},
-                                       const NormalizerOptions& norm_options = {});
+                                       const MemoOptions& memo_options = {});
 
 /// Same pipeline for an already-parsed statement.
 Result<CompilationResult> CompileSelect(const Catalog& catalog,
                                         const sql::SelectStatement& stmt,
-                                        const MemoOptions& memo_options = {},
-                                        const NormalizerOptions& norm_options = {});
+                                        const MemoOptions& memo_options = {});
 
 /// Computes serial winners for every group reachable from the memo root
 /// (single-node cost model: scans, hash joins, aggregation, sort) and

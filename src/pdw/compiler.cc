@@ -38,9 +38,8 @@ Result<PdwCompilation> CompilePdwQuery(const Catalog& shell_catalog,
   if (stmt->hint != sql::DistributionHint::kNone) {
     effective.pdw.hint = stmt->hint;
   }
-  PDW_ASSIGN_OR_RETURN(out.serial, CompileSelect(shell_catalog, *stmt,
-                                                 options.memo,
-                                                 options.normalizer));
+  PDW_ASSIGN_OR_RETURN(out.serial,
+                       CompileSelect(shell_catalog, *stmt, options.memo));
   out.output_names = out.serial.output_names;
   for (const auto& phase : out.serial.phase_seconds) {
     out.phase_seconds.push_back(phase);

@@ -12,7 +12,6 @@ namespace pdw {
 /// Knobs for the full compilation pipeline.
 struct PdwCompilerOptions {
   MemoOptions memo;
-  NormalizerOptions normalizer;
   PdwOptimizerOptions pdw;
 };
 

@@ -41,17 +41,11 @@ std::string FingerprintCompilerOptions(const PdwCompilerOptions& o) {
   // %a renders doubles exactly (hex float), so two λ sets that differ in
   // any bit fingerprint differently.
   return StringFormat(
-      "memo:%d,%d,%d,%d,%d,b%d|norm:%d,%d,%d,%d,%d,%d|"
+      "memo:%d,%d,%d,b%d|"
       "pdw:%a,%a,%a,%a,%a,%a,h%d,p%d,%zu,t%d,r%d,%a,pa%d",
       o.memo.max_dp_relations, o.memo.expr_budget,
-      o.memo.seed_distribution_aware ? 1 : 0,
-      o.memo.enable_semijoin_to_join ? 1 : 0, o.memo.enumerate_joins ? 1 : 0,
-      o.memo.beam_width,
-      o.normalizer.fold_constants ? 1 : 0, o.normalizer.push_predicates ? 1 : 0,
-      o.normalizer.transitive_closure ? 1 : 0,
-      o.normalizer.detect_contradictions ? 1 : 0,
-      o.normalizer.eliminate_redundant_joins ? 1 : 0,
-      o.normalizer.prune_columns ? 1 : 0, o.pdw.cost_params.lambda_reader_direct,
+      o.memo.seed_distribution_aware ? 1 : 0, o.memo.beam_width,
+      o.pdw.cost_params.lambda_reader_direct,
       o.pdw.cost_params.lambda_reader_hash, o.pdw.cost_params.lambda_network,
       o.pdw.cost_params.lambda_writer, o.pdw.cost_params.lambda_bulkcopy,
       o.pdw.cost_params.lambda_preagg,

@@ -23,11 +23,10 @@ class AlgebraTest : public ::testing::Test {
     return bound.ok() ? bound->root : nullptr;
   }
 
-  LogicalOpPtr BindNormalized(const std::string& sql,
-                              NormalizerOptions opts = {}) {
+  LogicalOpPtr BindNormalized(const std::string& sql) {
     LogicalOpPtr root = Bind(sql);
     if (!root) return nullptr;
-    auto norm = Normalize(root, opts);
+    auto norm = Normalize(root);
     EXPECT_TRUE(norm.ok()) << norm.status().ToString();
     return norm.ok() ? *norm : nullptr;
   }

@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "dms/dms_service.h"
 #include "dms/wire_format.h"
+#include "test_util.h"
 #include "tpch/tpch.h"
 
 namespace pdw {
@@ -224,17 +225,19 @@ TEST_F(DmsPipelineTest, SingleRowSourcesMatch) {
   }
 }
 
-TEST_F(DmsPipelineTest, TinyQueueStillCompletes) {
-  // queue_capacity=1 forces constant backpressure; push-with-help must keep
-  // the pipeline moving under any pool size.
-  DmsRunMetrics m;
-  DmsExecOptions opts;
-  opts.batch_size = 8;
-  opts.queue_capacity = 1;
-  auto out = dms_.Execute(DmsOpKind::kShuffle, SlotsFor(DmsOpKind::kShuffle, 9, 500),
-                          {0}, &m, &ThreadPool::Global(), opts);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(m.rows_moved, 500.0 * kNodes);
+TEST_F(DmsPipelineTest, SendersDeliverTheirOwnBatches) {
+  // Each source's sender delivers every batch into its destination itself,
+  // so a pooled shuffle runs one task per source — the caller takes one of
+  // them — and no destination task waits for messages.
+  std::vector<RowVector> sources = SlotsFor(DmsOpKind::kShuffle, 9, 200);
+  int num_sources = 0;
+  for (const RowVector& rows : sources) num_sources += rows.empty() ? 0 : 1;
+  ASSERT_EQ(num_sources, kNodes);
+  uint64_t before = testing::IdlePoolTasksExecuted();
+  ExpectPlacement(DmsOpKind::kShuffle, std::move(sources), 1,
+                  &ThreadPool::Global());
+  uint64_t after = testing::IdlePoolTasksExecuted();
+  EXPECT_LT(after - before, static_cast<uint64_t>(num_sources));
 }
 
 TEST_F(DmsPipelineTest, VariantColumnsSurviveTheWire) {

@@ -222,7 +222,7 @@ LocalEngine* EngineDiffTest::engine_ = nullptr;
 
 TEST_P(EngineDiffTest, BatchMatchesRow) {
   uint32_t seed = GetParam();
-  // Vary batch size with the seed so morsel boundaries land everywhere:
+  // Vary batch size with the seed so batch boundaries land everywhere:
   // mid-batch, on row 0, past the end, and degenerate single-row batches.
   const int kBatchSizes[] = {1, 3, 64, 256, 1024};
   ExpectEnginesAgree(BuildQuery(seed), kBatchSizes[seed % 5]);
@@ -247,14 +247,14 @@ TEST_F(EngineDiffTest, EmptyInput) {
 
 TEST_F(EngineDiffTest, ExactlyOneBatch) {
   // Batch size equal to the table's row count: one full batch, no partial
-  // second morsel.
+  // second batch.
   ExpectEnginesAgree("SELECT a, b, v FROM ta WHERE b > 2", 700);
   ExpectEnginesAgree("SELECT b, COUNT(*) AS c, SUM(v) AS s FROM ta GROUP BY b",
                      700);
 }
 
 TEST_F(EngineDiffTest, BatchSizeOne) {
-  // Every row is its own batch and morsel.
+  // Every row is its own batch.
   ExpectEnginesAgree("SELECT a, b FROM ta WHERE v > 40 AND b <= 6", 1);
   ExpectEnginesAgree(
       "SELECT b, COUNT(DISTINCT a) AS da FROM ta GROUP BY b", 1);

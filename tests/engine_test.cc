@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine/local_engine.h"
 #include "stats/column_stats.h"
+#include "test_util.h"
 
 namespace pdw {
 namespace {
@@ -343,6 +346,51 @@ TEST_F(EngineTest, StorageRoundTripsInsertedRows) {
       ExpectSameColumnStats(stats->columns.at(name), col, name);
     }
   }
+}
+
+// A node's plan is one node task: the batch engine runs every operator on
+// the calling thread, so a grouped join over many batches matches the row
+// engine and starts no pool task.
+TEST_F(EngineTest, NodeLocalPlanRunsOnCallingThread) {
+  ASSERT_TRUE(
+      engine_.ExecuteSql("CREATE TABLE fact (fk INT, qty INT, price DOUBLE)")
+          .ok());
+  ASSERT_TRUE(
+      engine_.ExecuteSql("CREATE TABLE dim (dk INT, label VARCHAR(10))").ok());
+  RowVector fact, dim;
+  for (int i = 0; i < 640; ++i) {
+    fact.push_back({Datum::Int(i % 37), Datum::Int(i % 5),
+                    Datum::Double(i * 0.25)});
+  }
+  for (int k = 0; k < 37; ++k) {
+    dim.push_back({Datum::Int(k), Datum::Varchar("l" + std::to_string(k % 7))});
+  }
+  ASSERT_TRUE(engine_.InsertRows("fact", fact).ok());
+  ASSERT_TRUE(engine_.InsertRows("dim", dim).ok());
+  const std::string sql =
+      "SELECT label, COUNT(*) AS c, SUM(qty) AS q, SUM(price) AS p "
+      "FROM fact, dim WHERE fk = dk AND qty > 0 GROUP BY label";
+
+  ExecOptions row;
+  row.engine = EngineKind::kRow;
+  auto want = engine_.ExecuteSql(sql, nullptr, row);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->rows.size(), 7u);
+
+  ExecOptions batch;
+  batch.batch_size = 64;  // 10 scan batches of fact
+  uint64_t before = testing::IdlePoolTasksExecuted();
+  ExecProfile profile;
+  auto got = engine_.ExecuteSql(sql, &profile, batch);
+  uint64_t after = testing::IdlePoolTasksExecuted();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameRows(got->rows, want->rows, "batch vs row");
+  EXPECT_EQ(after, before) << "the node-local plan started pool tasks";
+  double most_batches = 0;
+  for (const obs::OperatorProfile& op : profile.operators) {
+    most_batches = std::max(most_batches, op.batches);
+  }
+  EXPECT_GE(most_batches, 10);
 }
 
 }  // namespace

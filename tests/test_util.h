@@ -1,12 +1,31 @@
 #ifndef PDW_TESTS_TEST_UTIL_H_
 #define PDW_TESTS_TEST_UTIL_H_
 
+#include <chrono>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/thread_pool.h"
 
 namespace pdw::testing {
+
+/// ThreadPool::Global().tasks_executed(), read once the pool is idle: no
+/// queued task, no active worker, and the count steady across a short
+/// pause (a helper that wakes after its ParallelFor returned still counts).
+inline uint64_t IdlePoolTasksExecuted() {
+  ThreadPool& pool = ThreadPool::Global();
+  auto idle = [&] {
+    return pool.queue_depth() == 0 && pool.active_workers() == 0;
+  };
+  for (;;) {
+    uint64_t tasks = pool.tasks_executed();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (idle() && pool.tasks_executed() == tasks) return tasks;
+  }
+}
 
 /// Builds a TPC-H-shaped shell catalog (metadata + synthetic global stats,
 /// no rows) with the paper's distribution choices: customer hash(c_custkey),

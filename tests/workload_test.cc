@@ -67,8 +67,7 @@ TEST(WorkloadManagerTest, ClassifiesFromModeledCost) {
 
 TEST(WorkloadManagerTest, AdmissionCapsConcurrency) {
   WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/2, /*queue_depth=*/16,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/2, /*queue_depth=*/16};
   WorkloadManager wlm(cfg);
   std::atomic<int> active{0}, peak{0};
   std::vector<std::thread> threads;
@@ -95,8 +94,7 @@ TEST(WorkloadManagerTest, AdmissionCapsConcurrency) {
 
 TEST(WorkloadManagerTest, DequeueIsFifoWithinPriority) {
   WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/16,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/16};
   WorkloadManager wlm(cfg);
   auto holder = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_TRUE(holder.ok());
@@ -134,8 +132,7 @@ TEST(WorkloadManagerTest, DequeueIsFifoWithinPriority) {
 
 TEST(WorkloadManagerTest, FullQueueFastFailsWithOverloaded) {
   WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/1,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/1};
   WorkloadManager wlm(cfg);
   auto holder = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_TRUE(holder.ok());
@@ -155,8 +152,7 @@ TEST(WorkloadManagerTest, FullQueueFastFailsWithOverloaded) {
 
 TEST(WorkloadManagerTest, CancelWakesQueuedWaiter) {
   WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/8,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/8};
   WorkloadManager wlm(cfg);
   auto holder = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_TRUE(holder.ok());
@@ -183,8 +179,7 @@ TEST(WorkloadManagerTest, CancelWakesQueuedWaiter) {
 TEST(WorkloadManagerTest, DisabledManagerIsPassThrough) {
   WorkloadManagerConfig cfg;
   cfg.enabled = false;
-  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/1,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/1};
   WorkloadManager wlm(cfg);
   std::vector<WorkloadManager::Ticket> tickets;
   for (int i = 0; i < 10; ++i) {
@@ -198,8 +193,7 @@ TEST(WorkloadManagerTest, DisabledManagerIsPassThrough) {
 // afterwards must not free a slot the new count never granted.
 TEST(WorkloadManagerTest, ReleaseAfterSetConfigSaturatesAtZero) {
   WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/0,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/0};
   WorkloadManager wlm(cfg);
   auto held = wlm.Admit(ResourceClass::kSmall, 0);
   ASSERT_TRUE(held.ok());
@@ -293,8 +287,7 @@ TEST(ResultCacheApplianceTest, ConcurrentIdenticalQueriesMatch) {
 TEST(WorkloadApplianceTest, OverloadStormFastFailsAndIsVisibleInDmv) {
   auto appliance = MakeLoadedAppliance(2, 0.02);
   WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/1,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/1};
   appliance->workload().SetConfig(cfg);
 
   // Stretch every query so the storm overlaps: each run arms its own
@@ -415,8 +408,7 @@ TEST(CancellationTest, CancelMidFlightReturnsCancelledAndCleansUp) {
 TEST(CancellationTest, CancelWhileQueuedForAdmission) {
   auto appliance = MakeLoadedAppliance(2, 0.01);
   WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/4,
-               /*max_parallel_nodes=*/0};
+  cfg.small = {/*concurrency_slots=*/1, /*queue_depth=*/4};
   appliance->workload().SetConfig(cfg);
 
   Status holder_status = Status::OK(), queued_status = Status::OK();
@@ -586,24 +578,6 @@ TEST(SessionTest, PlanCacheIsOnByDefault) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cache_hit);
   EXPECT_GE(appliance->plan_cache().stats().hits, 1u);
-}
-
-// --- per-class fan-out caps reach execution ---
-
-TEST(WorkloadApplianceTest, ResourceClassCapsParallelism) {
-  auto appliance = MakeLoadedAppliance(4, 0.02);
-  WorkloadManagerConfig cfg;
-  cfg.small = {/*concurrency_slots=*/4, /*queue_depth=*/8,
-               /*max_parallel_nodes=*/1};
-  appliance->workload().SetConfig(cfg);
-  Session session = appliance->Connect();
-  // Capped to the serial loop, results must still match the reference.
-  auto r = session.Run(kJoinSql);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->resource_class, "small");
-  auto ref = appliance->ExecuteReference(kJoinSql);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_TRUE(RowSetsEqual(r->rows, ref->rows));
 }
 
 }  // namespace
