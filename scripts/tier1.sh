@@ -60,16 +60,19 @@ EOF
 # The racy surfaces are the pool, which runs only node tasks (one per
 # compute node of a step, or one DMS sender per source), the pipelined
 # DMS, whose concurrent senders each write into a destination under that
-# destination's mutex, the plan cache, and concurrent sessions moving data
-# through the same pool; run their tests instrumented. In
-# concurrency_test's session storm each step's one plan runs on every node
-# concurrently, and every query's temp tables are created and dropped
-# concurrently. dms_pipeline_test repeats, so its pooled cases see more
-# than one interleaving of senders on one destination. TSAN_OPTIONS halts
-# on the first report.
+# destination's mutex, the plan cache, concurrent sessions moving data
+# through the same pool, and the stored columns: every plan that scans a
+# table shares its columns by reference, so concurrent sessions scanning
+# one node's table all touch one payload's reference count. Run their
+# tests instrumented. In concurrency_test's session storm each step's one
+# plan runs on every node concurrently, every query's temp tables are
+# created and dropped concurrently, and the sessions scan the same stored
+# tables; it repeats, as does dms_pipeline_test, so their cases see more
+# than one interleaving. TSAN_OPTIONS halts on the first report.
 cmake -B build-tsan -S . -DPDW_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-tsan -j --target concurrency_test dms_pipeline_test
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test \
+  --gtest_repeat=2
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dms_pipeline_test \
   --gtest_repeat=3
 

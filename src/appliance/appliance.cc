@@ -51,7 +51,6 @@ void MergeOperators(const std::vector<obs::OperatorProfile>& from,
     dst.actual_rows += from[i].actual_rows;
     dst.seconds += from[i].seconds;
     dst.nodes += from[i].nodes;
-    dst.batches += from[i].batches;
   }
 }
 
@@ -557,6 +556,7 @@ struct Appliance::StepRunner {
     // Materialize the destination temp table on every target node, again
     // simultaneously — engines are per-node, so each target only touches
     // its own catalog and storage.
+    double temp_start = NowSeconds();
     TableDef temp_def;
     temp_def.name = step.dest_table;
     temp_def.schema = step.dest_schema;
@@ -576,6 +576,7 @@ struct Appliance::StepRunner {
           target_status[static_cast<size_t>(i)] = std::move(ts);
         },
         max_parallel_nodes);
+    sp->temp_insert_seconds = NowSeconds() - temp_start;
     for (Status& ts : target_status) {
       if (!ts.ok()) return std::move(ts);
     }

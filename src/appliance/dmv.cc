@@ -133,7 +133,8 @@ Status InstallExecSteps(LocalEngine* engine,
                           {"compile_ms", TypeId::kDouble, false},
                           {"estimated_rows", TypeId::kDouble, false},
                           {"qerror", TypeId::kDouble, false},
-                          {"sql_text", TypeId::kVarchar, true}});
+                          {"sql_text", TypeId::kVarchar, true},
+                          {"temp_insert_ms", TypeId::kDouble, false}});
   return engine->RegisterVirtualTable(
       std::move(def), [requests]() -> Result<RowVector> {
         RowVector rows;
@@ -159,6 +160,7 @@ Status InstallExecSteps(LocalEngine* engine,
             row.push_back(Datum::Double(p.MisestimateFactor()));
             row.push_back(p.sql.empty() ? Datum::Null()
                                         : Datum::Varchar(p.sql));
+            row.push_back(Datum::Double(p.temp_insert_seconds * 1e3));
             rows.push_back(std::move(row));
           }
         }

@@ -46,10 +46,9 @@ inline constexpr int kDmsWireBatchRows = 8192;
 
 /// Knobs of one DMS execution.
 struct DmsExecOptions {
-  /// Rows per wire batch; 0 = kDmsWireBatchRows.
-  /// Wire batches are deliberately larger than the engine's execution
-  /// batches: movement cost is framing + memcpy, so bigger slices amortize
-  /// per-message headers, hand-offs, and assembly bookkeeping.
+  /// Rows per wire batch; 0 = kDmsWireBatchRows. Movement cost is
+  /// framing + memcpy, so bigger slices amortize per-message headers,
+  /// hand-offs, and assembly bookkeeping.
   int batch_size = 0;
   /// Declared column types of the moved stream (the DMS step's destination
   /// temp-table schema). Empty = infer per source from the produced rows.

@@ -21,243 +21,310 @@ VecTag VecTagForType(TypeId type) {
   }
 }
 
+void ColumnVector::Detach() {
+  p_ = p_ == nullptr ? std::make_shared<Payload>()
+                     : std::make_shared<Payload>(*p_);
+}
+
+const std::vector<uint8_t>& ColumnVector::nulls() const {
+  static const std::vector<uint8_t> kNone;
+  return p_ ? p_->nulls : kNone;
+}
+
 void ColumnVector::Reserve(size_t n) {
-  nulls_.reserve(n);
+  Payload& p = Mut();
+  p.nulls.reserve(n);
   switch (tag_) {
     case VecTag::kInt64:
-      i64_.reserve(n);
+      p.i64.reserve(n);
       break;
     case VecTag::kDouble:
-      f64_.reserve(n);
+      p.f64.reserve(n);
       break;
     case VecTag::kString:
-      str_.reserve(n);
+      p.str.reserve(n);
       break;
     case VecTag::kVariant:
-      var_.reserve(n);
+      p.var.reserve(n);
       break;
   }
 }
 
 void ColumnVector::ReserveForAppend(size_t n) {
-  const size_t needed = nulls_.size() + n;
-  if (needed <= nulls_.capacity()) return;
-  Reserve(std::max(needed, 2 * nulls_.capacity()));
+  const size_t needed = p_->nulls.size() + n;
+  if (needed <= p_->nulls.capacity()) return;
+  Reserve(std::max(needed, 2 * p_->nulls.capacity()));
 }
 
 void ColumnVector::Clear() {
-  nulls_.clear();
-  i64_.clear();
-  f64_.clear();
-  str_.clear();
-  var_.clear();
+  Payload& p = Mut();
+  p.nulls.clear();
+  p.i64.clear();
+  p.f64.clear();
+  p.str.clear();
+  p.var.clear();
 }
 
 Datum ColumnVector::GetDatum(size_t i) const {
-  if (nulls_[i]) return Datum::Null();
+  const Payload& p = *p_;
+  if (p.nulls[i]) return Datum::Null();
   switch (tag_) {
     case VecTag::kInt64:
       switch (declared_) {
         case TypeId::kDate:
-          return Datum::Date(static_cast<int32_t>(i64_[i]));
+          return Datum::Date(static_cast<int32_t>(p.i64[i]));
         case TypeId::kBool:
-          return Datum::Bool(i64_[i] != 0);
+          return Datum::Bool(p.i64[i] != 0);
         default:
-          return Datum::Int(i64_[i]);
+          return Datum::Int(p.i64[i]);
       }
     case VecTag::kDouble:
-      return Datum::Double(f64_[i]);
+      return Datum::Double(p.f64[i]);
     case VecTag::kString:
-      return Datum::Varchar(str_[i]);
+      return Datum::Varchar(p.str[i]);
     case VecTag::kVariant:
-      return var_[i];
+      return p.var[i];
   }
   return Datum::Null();
 }
 
 void ColumnVector::PromoteToVariant() {
-  size_t n = nulls_.size();
-  var_.clear();
-  var_.reserve(n);
-  for (size_t i = 0; i < n; ++i) var_.push_back(GetDatum(i));
+  Payload& p = *p_;
+  size_t n = p.nulls.size();
+  p.var.clear();
+  p.var.reserve(n);
+  for (size_t i = 0; i < n; ++i) p.var.push_back(GetDatum(i));
   tag_ = VecTag::kVariant;
-  i64_.clear();
-  f64_.clear();
-  str_.clear();
+  p.i64.clear();
+  p.f64.clear();
+  p.str.clear();
 }
 
-void ColumnVector::Append(const Datum& d) {
+void ColumnVector::AppendUnique(const Datum& d) {
   if (d.is_null()) {
-    AppendNull();
+    AppendNullUnique();
     return;
   }
+  Payload& p = *p_;
   switch (tag_) {
     case VecTag::kInt64:
       if (d.type() == declared_) {
-        nulls_.push_back(0);
+        p.nulls.push_back(0);
         // All int64-plane types store their raw 64-bit payload.
-        i64_.push_back(declared_ == TypeId::kBool
-                           ? static_cast<int64_t>(d.bool_value())
-                       : declared_ == TypeId::kDate
-                           ? static_cast<int64_t>(d.date_value())
-                           : d.int_value());
+        p.i64.push_back(declared_ == TypeId::kBool
+                            ? static_cast<int64_t>(d.bool_value())
+                        : declared_ == TypeId::kDate
+                            ? static_cast<int64_t>(d.date_value())
+                            : d.int_value());
         return;
       }
       break;
     case VecTag::kDouble:
       if (d.type() == TypeId::kDouble) {
-        nulls_.push_back(0);
-        f64_.push_back(d.double_value());
+        p.nulls.push_back(0);
+        p.f64.push_back(d.double_value());
         return;
       }
       break;
     case VecTag::kString:
       if (d.type() == TypeId::kVarchar) {
-        nulls_.push_back(0);
-        str_.push_back(d.string_value());
+        p.nulls.push_back(0);
+        p.str.push_back(d.string_value());
         return;
       }
       break;
     case VecTag::kVariant:
-      nulls_.push_back(0);
-      var_.push_back(d);
+      p.nulls.push_back(0);
+      p.var.push_back(d);
       return;
   }
   // Runtime type disagrees with the declared column type: degrade to
   // exact Datum storage rather than coercing the value.
   PromoteToVariant();
-  nulls_.push_back(0);
-  var_.push_back(d);
+  p.nulls.push_back(0);
+  p.var.push_back(d);
 }
 
-void ColumnVector::AppendNull() {
-  nulls_.push_back(1);
+void ColumnVector::AppendNullUnique() {
+  Payload& p = *p_;
+  p.nulls.push_back(1);
   switch (tag_) {
     case VecTag::kInt64:
-      i64_.push_back(0);
+      p.i64.push_back(0);
       break;
     case VecTag::kDouble:
-      f64_.push_back(0);
+      p.f64.push_back(0);
       break;
     case VecTag::kString:
-      str_.emplace_back();
+      p.str.emplace_back();
       break;
     case VecTag::kVariant:
-      var_.emplace_back();
+      p.var.emplace_back();
       break;
   }
 }
 
-void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
-  if (src.nulls_[i]) {
-    AppendNull();
+void ColumnVector::AppendFromUnique(const ColumnVector& src, size_t i) {
+  const Payload& s = *src.p_;
+  if (s.nulls[i]) {
+    AppendNullUnique();
     return;
   }
   if (tag_ == src.tag_ && declared_ == src.declared_ &&
       tag_ != VecTag::kVariant) {
-    nulls_.push_back(0);
+    Payload& p = *p_;
+    p.nulls.push_back(0);
     switch (tag_) {
       case VecTag::kInt64:
-        i64_.push_back(src.i64_[i]);
+        p.i64.push_back(s.i64[i]);
         return;
       case VecTag::kDouble:
-        f64_.push_back(src.f64_[i]);
+        p.f64.push_back(s.f64[i]);
         return;
       case VecTag::kString:
-        str_.push_back(src.str_[i]);
+        p.str.push_back(s.str[i]);
         return;
       default:
         break;
     }
   }
-  Append(src.GetDatum(i));
+  AppendUnique(src.GetDatum(i));
 }
 
 void ColumnVector::AppendRangeFrom(const ColumnVector& src, size_t begin,
                                    size_t end) {
   if (begin >= end) return;
-  if (tag_ == src.tag_ && declared_ == src.declared_) {
-    nulls_.insert(nulls_.end(), src.nulls_.begin() + begin,
-                  src.nulls_.begin() + end);
+  bool same_storage = tag_ == src.tag_ && declared_ == src.declared_;
+  if (same_storage && empty() && begin == 0 && end == src.size()) {
+    p_ = src.p_;
+    return;
+  }
+  Payload& p = Mut();
+  const Payload& s = *src.p_;
+  if (same_storage) {
+    p.nulls.insert(p.nulls.end(), s.nulls.begin() + begin,
+                   s.nulls.begin() + end);
     switch (tag_) {
       case VecTag::kInt64:
-        i64_.insert(i64_.end(), src.i64_.begin() + begin,
-                    src.i64_.begin() + end);
+        p.i64.insert(p.i64.end(), s.i64.begin() + begin, s.i64.begin() + end);
         return;
       case VecTag::kDouble:
-        f64_.insert(f64_.end(), src.f64_.begin() + begin,
-                    src.f64_.begin() + end);
+        p.f64.insert(p.f64.end(), s.f64.begin() + begin, s.f64.begin() + end);
         return;
       case VecTag::kString:
-        str_.insert(str_.end(), src.str_.begin() + begin,
-                    src.str_.begin() + end);
+        p.str.insert(p.str.end(), s.str.begin() + begin, s.str.begin() + end);
         return;
       case VecTag::kVariant:
-        var_.insert(var_.end(), src.var_.begin() + begin,
-                    src.var_.begin() + end);
+        p.var.insert(p.var.end(), s.var.begin() + begin, s.var.begin() + end);
         return;
     }
   }
   ReserveForAppend(end - begin);
-  for (size_t i = begin; i < end; ++i) AppendFrom(src, i);
+  for (size_t i = begin; i < end; ++i) AppendFromUnique(src, i);
 }
 
 void ColumnVector::AppendRowsColumn(const RowVector& rows, size_t ordinal) {
+  Payload& p = Mut();
   size_t end = rows.size();
   ReserveForAppend(end);
   for (size_t r = 0; r < end; ++r) {
     const Datum& d = rows[r][ordinal];
     if (d.is_null()) {
-      AppendNull();
+      AppendNullUnique();
       continue;
     }
     if (d.type() != declared_ || tag_ == VecTag::kVariant) {
       // Variant promotion changes the tag mid-column; finish this column
       // through the generic per-cell path.
-      for (; r < end; ++r) Append(rows[r][ordinal]);
+      for (; r < end; ++r) AppendUnique(rows[r][ordinal]);
       return;
     }
-    nulls_.push_back(0);
+    p.nulls.push_back(0);
     switch (tag_) {
       case VecTag::kInt64:
-        i64_.push_back(declared_ == TypeId::kBool
-                           ? static_cast<int64_t>(d.bool_value())
-                       : declared_ == TypeId::kDate
-                           ? static_cast<int64_t>(d.date_value())
-                           : d.int_value());
+        p.i64.push_back(declared_ == TypeId::kBool
+                            ? static_cast<int64_t>(d.bool_value())
+                        : declared_ == TypeId::kDate
+                            ? static_cast<int64_t>(d.date_value())
+                            : d.int_value());
         break;
       case VecTag::kDouble:
-        f64_.push_back(d.double_value());
+        p.f64.push_back(d.double_value());
         break;
       case VecTag::kString:
-        str_.push_back(d.string_value());
+        p.str.push_back(d.string_value());
         break;
       case VecTag::kVariant:
-        var_.push_back(d);
+        p.var.push_back(d);
         break;
     }
   }
 }
 
+ColumnVector Gather(const ColumnVector& src, const std::vector<int32_t>& rows) {
+  static const ColumnVector::Payload kEmpty;  // an empty source: -1 rows only
+  const ColumnVector::Payload& s = src.p_ ? *src.p_ : kEmpty;
+  ColumnVector out(src.declared_);
+  out.tag_ = src.tag_;
+  ColumnVector::Payload& p = out.Mut();
+  size_t n = rows.size();
+  p.nulls.resize(n);
+  // A -1 row is NULL with the default value slot; so is a source NULL, so
+  // copying the source's slot keeps the planes aligned either way.
+  auto gather = [&](auto& dst, const auto& from) {
+    dst.resize(n);
+    uint8_t* nulls = p.nulls.data();
+    const uint8_t* src_nulls = s.nulls.data();
+    auto* values = dst.data();
+    const auto* src_values = from.data();
+    for (size_t k = 0; k < n; ++k) {
+      int32_t r = rows[k];
+      if (r < 0) {
+        nulls[k] = 1;
+        continue;
+      }
+      size_t i = static_cast<size_t>(r);
+      nulls[k] = src_nulls[i];
+      values[k] = src_values[i];
+    }
+  };
+  switch (src.tag_) {
+    case VecTag::kInt64:
+      gather(p.i64, s.i64);
+      break;
+    case VecTag::kDouble:
+      gather(p.f64, s.f64);
+      break;
+    case VecTag::kString:
+      gather(p.str, s.str);
+      break;
+    case VecTag::kVariant:
+      gather(p.var, s.var);
+      break;
+  }
+  return out;
+}
+
 size_t ColumnVector::HashAt(size_t i) const {
   // Mirrors Datum::Hash exactly so hash-partitioned structures agree with
   // Datum-level equality (notably integral doubles hashing like ints).
-  if (nulls_[i]) return 0x9e3779b97f4a7c15ULL;
+  const Payload& p = *p_;
+  if (p.nulls[i]) return 0x9e3779b97f4a7c15ULL;
   switch (tag_) {
     case VecTag::kInt64:
-      if (declared_ == TypeId::kBool) return std::hash<bool>()(i64_[i] != 0);
-      return std::hash<int64_t>()(i64_[i]);
+      if (declared_ == TypeId::kBool) return std::hash<bool>()(p.i64[i] != 0);
+      return std::hash<int64_t>()(p.i64[i]);
     case VecTag::kDouble: {
-      double d = f64_[i];
+      double d = p.f64[i];
       if (d == std::floor(d) && std::abs(d) < 9.2e18) {
         return std::hash<int64_t>()(static_cast<int64_t>(d));
       }
       return std::hash<double>()(d);
     }
     case VecTag::kString:
-      return std::hash<std::string>()(str_[i]);
+      return std::hash<std::string>()(p.str[i]);
     case VecTag::kVariant:
-      return var_[i].Hash();
+      return p.var[i].Hash();
   }
   return 0;
 }

@@ -2,6 +2,7 @@
 #define PDW_ENGINE_BATCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,10 +12,11 @@
 
 namespace pdw {
 
-/// Indices of the active rows of a batch, in ascending row order. Fused
-/// filter evaluation shrinks a selection vector in place instead of
-/// copying survivors, so a scan→filter→filter chain touches each column
-/// value once and materializes nothing until the pipeline's sink.
+/// Indices of the active rows of a batch, in emission order (ascending
+/// unless a sort permuted them). Fused filter evaluation shrinks a
+/// selection vector in place instead of copying survivors, so a
+/// scan→filter→filter chain touches each column value once and
+/// materializes nothing until the pipeline's sink.
 using SelVector = std::vector<int32_t>;
 
 /// Physical storage class of a ColumnVector. Fixed-width SQL types share
@@ -33,6 +35,14 @@ VecTag VecTagForType(TypeId type);
 /// runtime type differs from the declared type promotes the whole column
 /// to kVariant storage, preserving exact values at the cost of the fast
 /// kernels — correctness never depends on the declared type being right.
+///
+/// The value planes live behind one reference-counted payload: copying a
+/// ColumnVector shares it, so a scan hands out the stored table's columns
+/// and a projection forwards its input's without copying a value. Every
+/// mutating call first makes the payload unique to this vector (copy on
+/// write), so a shared column never changes under a reader — an append to
+/// a stored table leaves the plans still scanning it untouched. Bulk calls
+/// check uniqueness once, not per element.
 class ColumnVector {
  public:
   ColumnVector() : ColumnVector(TypeId::kInvalid) {}
@@ -41,37 +51,48 @@ class ColumnVector {
 
   TypeId declared_type() const { return declared_; }
   VecTag tag() const { return tag_; }
-  size_t size() const { return nulls_.size(); }
-  bool empty() const { return nulls_.empty(); }
+  size_t size() const { return p_ ? p_->nulls.size() : 0; }
+  bool empty() const { return size() == 0; }
 
   void Reserve(size_t n);
   void Clear();
 
-  bool IsNull(size_t i) const { return nulls_[i] != 0; }
+  bool IsNull(size_t i) const { return p_->nulls[i] != 0; }
 
   /// Reconstructs the Datum at `i` (exact round-trip of what was appended).
   Datum GetDatum(size_t i) const;
 
   /// Appends any Datum, promoting storage if its type does not match.
-  void Append(const Datum& d);
-  void AppendNull();
+  void Append(const Datum& d) {
+    Mut();
+    AppendUnique(d);
+  }
+  void AppendNull() {
+    Mut();
+    AppendNullUnique();
+  }
 
   /// Fast typed appends; the tag must match (callers on hot paths know it).
   void AppendI64(int64_t v) {
-    nulls_.push_back(0);
-    i64_.push_back(v);
+    Payload& p = Mut();
+    p.nulls.push_back(0);
+    p.i64.push_back(v);
   }
   void AppendF64(double v) {
-    nulls_.push_back(0);
-    f64_.push_back(v);
+    Payload& p = Mut();
+    p.nulls.push_back(0);
+    p.f64.push_back(v);
   }
 
   /// Appends row `i` of `src` (same declared type) to this vector.
-  void AppendFrom(const ColumnVector& src, size_t i);
+  void AppendFrom(const ColumnVector& src, size_t i) {
+    Mut();
+    AppendFromUnique(src, i);
+  }
 
   /// Appends rows [begin, end) of `src` — a bulk vector splice when the
-  /// storage classes match (the columnar-scan fast path), per-element
-  /// AppendFrom otherwise.
+  /// storage classes match, per-element copies otherwise. All of `src`
+  /// into an empty vector of the same storage shares `src`'s payload.
   void AppendRangeFrom(const ColumnVector& src, size_t begin, size_t end);
 
   /// Appends column `ordinal` of every row — the storage-boundary bulk
@@ -82,18 +103,18 @@ class ColumnVector {
 
   // Typed readers; valid only for the matching tag and non-null rows
   // (no checks — these are the kernels' inner-loop accessors).
-  int64_t i64(size_t i) const { return i64_[i]; }
-  double f64(size_t i) const { return f64_[i]; }
-  const std::string& str(size_t i) const { return str_[i]; }
-  const Datum& variant(size_t i) const { return var_[i]; }
-  const std::vector<uint8_t>& nulls() const { return nulls_; }
+  int64_t i64(size_t i) const { return p_->i64[i]; }
+  double f64(size_t i) const { return p_->f64[i]; }
+  const std::string& str(size_t i) const { return p_->str[i]; }
+  const Datum& variant(size_t i) const { return p_->var[i]; }
+  const std::vector<uint8_t>& nulls() const;
 
   /// Numeric view of a non-null fixed-width value (INT/DATE/BOOL/DOUBLE),
   /// for cross-type comparisons. Invalid for strings.
   double NumericAt(size_t i) const {
-    return tag_ == VecTag::kInt64 ? static_cast<double>(i64_[i])
+    return tag_ == VecTag::kInt64 ? static_cast<double>(p_->i64[i])
            : tag_ == VecTag::kDouble
-               ? f64_[i]
+               ? p_->f64[i]
                : GetDatum(i).AsDouble();  // variant numerics
   }
 
@@ -101,7 +122,29 @@ class ColumnVector {
   /// like ints so mixed-type join keys agree across sides).
   size_t HashAt(size_t i) const;
 
+  friend ColumnVector Gather(const ColumnVector& src,
+                             const std::vector<int32_t>& rows);
+
  private:
+  struct Payload {
+    std::vector<uint8_t> nulls;
+    std::vector<int64_t> i64;
+    std::vector<double> f64;
+    std::vector<std::string> str;
+    std::vector<Datum> var;
+  };
+
+  /// The payload, made unique to this vector first (copy on write).
+  Payload& Mut() {
+    if (p_ == nullptr || p_.use_count() != 1) Detach();
+    return *p_;
+  }
+  void Detach();
+
+  // Appends that assume Mut() already ran.
+  void AppendUnique(const Datum& d);
+  void AppendNullUnique();
+  void AppendFromUnique(const ColumnVector& src, size_t i);
   void PromoteToVariant();
   /// Makes room for `n` more rows, growing geometrically so that a run of
   /// small appends (one-row INSERTs) stays linear overall.
@@ -109,12 +152,14 @@ class ColumnVector {
 
   TypeId declared_;
   VecTag tag_;
-  std::vector<uint8_t> nulls_;
-  std::vector<int64_t> i64_;
-  std::vector<double> f64_;
-  std::vector<std::string> str_;
-  std::vector<Datum> var_;
+  std::shared_ptr<Payload> p_;  ///< Null until the first write.
 };
+
+/// Rows `rows` of `src` as a new vector of `src`'s type and storage, in
+/// `rows` order; row index -1 yields NULL. One storage-tag dispatch per
+/// call — the gather behind join output, build sides and non-identity
+/// column references.
+ColumnVector Gather(const ColumnVector& src, const std::vector<int32_t>& rows);
 
 /// Compares row `ai` of `a` with row `bi` of `b` using Datum::Compare
 /// semantics (NULLs first and equal to each other, mixed numerics by
@@ -122,9 +167,9 @@ class ColumnVector {
 int CompareAt(const ColumnVector& a, size_t ai, const ColumnVector& b,
               size_t bi);
 
-/// A horizontal slice of rows in columnar form — the unit that flows
-/// between pipeline stages of the batch engine, and the one stored form of
-/// a LocalEngine table. All columns have `rows` entries.
+/// Rows in columnar form — what each batch-engine operator emits (with a
+/// selection vector), and the one stored form of a LocalEngine table. All
+/// columns have `rows` entries. Copying a batch shares its columns.
 struct ColumnBatch {
   std::vector<ColumnVector> columns;
   size_t rows = 0;
@@ -137,10 +182,6 @@ struct ColumnBatch {
 
   size_t num_columns() const { return columns.size(); }
 };
-
-/// Rows per batch the engine slices inputs into unless
-/// ExecOptions::batch_size says otherwise.
-inline constexpr int kDefaultBatchSize = 1024;
 
 // --- row <-> batch converters (the storage boundary) ---
 

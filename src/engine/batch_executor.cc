@@ -16,12 +16,15 @@
 ///    selection-vector shrink (no materialization between conjuncts);
 ///  - hash joins and aggregates run on flat open-addressing tables with
 ///    precomputed key columns (engine/hash_table.h);
+///  - each operator emits one column batch plus a selection vector.
+///    Columns an operator does not change are forwarded, not copied: a
+///    scan shares the stored table's columns, a projection of bare column
+///    references forwards its input's, and a join forwards its probe
+///    columns when it emits every probe row once and in order;
 ///  - a node's plan runs on the thread that calls it: the appliance's
-///    parallelism is one task per compute node, as in Fig. 1. Each
-///    operator loops over its batches in stream order, and the aggregate
-///    pre-aggregates each batch into its own table and merges them in
-///    batch order, which reproduces the row engine's first-seen group
-///    order exactly.
+///    parallelism is one task per compute node, as in Fig. 1. The
+///    aggregate runs one group table over its input in stream order, so
+///    its first-seen group order and its sums match the row engine's.
 ///
 /// Semantics match the row interpreter in executor.cc — same evaluation
 /// sets per (row, expression), same NULL and error behaviour — so the two
@@ -37,31 +40,17 @@ double NowSeconds() {
       .count();
 }
 
-/// One batch of an operator's output: a column batch plus the selection
-/// vector of active rows, in emission order. Filters shrink `sel` without
+/// A fully executed operator: one column batch plus the selection vector
+/// of its active rows, in emission order. Filters shrink `sel` without
 /// touching the batch; sorts reorder it.
-struct PipelineBatch {
+struct BatchResult {
   ColumnBatch batch;
   SelVector sel;
-};
-
-/// A fully executed operator: column types plus output batches in stream
-/// order.
-struct BatchResult {
-  std::vector<TypeId> types;
-  std::vector<PipelineBatch> batches;
-
-  size_t ActiveRows() const {
-    size_t n = 0;
-    for (const PipelineBatch& b : batches) n += b.sel.size();
-    return n;
-  }
 };
 
 struct BatchExecCtx {
   const TableProvider& tables;
   ExecProfile* profile = nullptr;
-  int batch_size = kDefaultBatchSize;
 };
 
 std::vector<TypeId> TypesOf(const std::vector<ColumnBinding>& cols) {
@@ -88,26 +77,17 @@ bool IsIdentity(const SelVector& sel, size_t rows) {
   return true;
 }
 
-/// Gathers every active row of `in` into one dense contiguous batch
-/// (hash-join build sides, sort inputs).
-ColumnBatch GatherConcat(const BatchResult& in) {
-  ColumnBatch out(in.types);
-  size_t total = in.ActiveRows();
-  for (ColumnVector& c : out.columns) c.Reserve(total);
-  for (const PipelineBatch& pb : in.batches) {
-    if (IsIdentity(pb.sel, pb.batch.rows)) {
-      for (size_t c = 0; c < out.columns.size(); ++c) {
-        out.columns[c].AppendRangeFrom(pb.batch.columns[c], 0, pb.batch.rows);
-      }
-    } else {
-      for (size_t c = 0; c < out.columns.size(); ++c) {
-        const ColumnVector& src = pb.batch.columns[c];
-        ColumnVector& dst = out.columns[c];
-        for (int32_t r : pb.sel) dst.AppendFrom(src, static_cast<size_t>(r));
-      }
-    }
-    out.rows += pb.sel.size();
+/// The active rows of `in` as a dense batch: its own columns when every
+/// row is active in order, else one gather per column (hash-join build
+/// sides, union children).
+ColumnBatch DenseBatch(const BatchResult& in) {
+  if (IsIdentity(in.sel, in.batch.rows)) return in.batch;
+  ColumnBatch out;
+  out.columns.reserve(in.batch.columns.size());
+  for (const ColumnVector& c : in.batch.columns) {
+    out.columns.push_back(Gather(c, in.sel));
   }
+  out.rows = in.sel.size();
   return out;
 }
 
@@ -115,18 +95,24 @@ ColumnBatch GatherConcat(const BatchResult& in) {
 /// loops).
 RowVector RowsFromResult(const BatchResult& in) {
   RowVector rows;
-  rows.reserve(in.ActiveRows());
-  for (const PipelineBatch& pb : in.batches) {
-    for (int32_t r : pb.sel) {
-      Row row;
-      row.reserve(pb.batch.columns.size());
-      for (const ColumnVector& col : pb.batch.columns) {
-        row.push_back(col.GetDatum(static_cast<size_t>(r)));
-      }
-      rows.push_back(std::move(row));
+  rows.reserve(in.sel.size());
+  for (int32_t r : in.sel) {
+    Row row;
+    row.reserve(in.batch.columns.size());
+    for (const ColumnVector& col : in.batch.columns) {
+      row.push_back(col.GetDatum(static_cast<size_t>(r)));
     }
+    rows.push_back(std::move(row));
   }
   return rows;
+}
+
+/// A result whose selection is every row of `batch`.
+BatchResult SelectAll(ColumnBatch batch) {
+  BatchResult r;
+  r.sel = IdentitySel(batch.rows);
+  r.batch = std::move(batch);
+  return r;
 }
 
 /// Ordinal of each column id of `cols` (compile-time resolution).
@@ -156,7 +142,9 @@ Result<BatchResult> ExecBatchNode(const PlanNode& plan, const BatchExecCtx& ctx,
 
 Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx) {
   PDW_ASSIGN_OR_RETURN(TableData data, ctx.tables.GetTableData(node.table_name));
-  std::vector<int> ordinals;
+  const ColumnBatch& stored = *data.columns;
+  ColumnBatch out;
+  out.columns.reserve(node.output.size());
   for (const auto& b : node.output) {
     int pos = data.schema->FindColumn(b.name);
     if (pos < 0) {
@@ -164,28 +152,10 @@ Result<BatchResult> ExecScan(const PlanNode& node, const BatchExecCtx& ctx) {
                               "' missing from table '" + node.table_name +
                               "' (" + data.schema->ToString() + ")");
     }
-    ordinals.push_back(pos);
+    out.columns.push_back(stored.columns[static_cast<size_t>(pos)]);
   }
-  BatchResult result;
-  result.types = TypesOf(node.output);
-  const ColumnBatch& stored = *data.columns;
-  size_t n = stored.rows;
-  size_t bs = static_cast<size_t>(ctx.batch_size);
-  size_t nb = (n + bs - 1) / bs;
-  result.batches.resize(nb);
-  for (PipelineBatch& pb : result.batches) pb.batch = ColumnBatch(result.types);
-  for (size_t i = 0; i < nb; ++i) {
-    size_t begin = i * bs;
-    size_t end = std::min(n, begin + bs);
-    ColumnBatch& out = result.batches[i].batch;
-    for (size_t c = 0; c < ordinals.size(); ++c) {
-      out.columns[c].AppendRangeFrom(
-          stored.columns[static_cast<size_t>(ordinals[c])], begin, end);
-    }
-    out.rows += end - begin;
-    result.batches[i].sel = IdentitySel(end - begin);
-  }
-  return result;
+  out.rows = stored.rows;
+  return SelectAll(std::move(out));
 }
 
 // --- filter ---
@@ -194,27 +164,46 @@ Result<BatchResult> ExecFilter(const PlanNode& node, BatchResult input,
                                double* selectivity) {
   PDW_ASSIGN_OR_RETURN(std::vector<ExprProgram> progs,
                        CompilePrograms(node.conjuncts, node.output));
-  size_t rows_in = input.ActiveRows();
-  for (PipelineBatch& pb : input.batches) {
-    // Conjuncts shrink the selection in order: each one only sees the
-    // previous one's survivors, exactly like the interpreter's per-row
-    // short-circuit over the conjunct list.
-    for (const ExprProgram& p : progs) {
-      PDW_RETURN_NOT_OK(p.Filter(pb.batch, &pb.sel));
-      if (pb.sel.empty()) break;
-    }
+  size_t rows_in = input.sel.size();
+  // Conjuncts shrink the selection in order: each one only sees the
+  // previous one's survivors, exactly like the interpreter's per-row
+  // short-circuit over the conjunct list.
+  for (const ExprProgram& p : progs) {
+    if (input.sel.empty()) break;
+    PDW_RETURN_NOT_OK(p.Filter(input.batch, &input.sel));
   }
   if (rows_in > 0) {
     *selectivity =
-        static_cast<double>(input.ActiveRows()) / static_cast<double>(rows_in);
+        static_cast<double>(input.sel.size()) / static_cast<double>(rows_in);
   }
   return input;
 }
 
 // --- project ---
 
-Result<BatchResult> ExecProject(const PlanNode& node, const BatchResult& input,
+Result<BatchResult> ExecProject(const PlanNode& node, BatchResult input,
                                 const std::vector<ColumnBinding>& child_cols) {
+  // Bare column references forward the input's columns and selection.
+  std::vector<int> refs;
+  for (const ProjectItem& item : node.items) {
+    if (item.expr->kind() != ScalarKind::kColumn) break;
+    PDW_ASSIGN_OR_RETURN(
+        int pos,
+        OrdinalOf(child_cols, static_cast<const ColumnExpr&>(*item.expr).id(),
+                  "projected column missing from input"));
+    refs.push_back(pos);
+  }
+  if (refs.size() == node.items.size()) {
+    BatchResult result;
+    result.batch.columns.reserve(refs.size());
+    for (int pos : refs) {
+      result.batch.columns.push_back(
+          input.batch.columns[static_cast<size_t>(pos)]);
+    }
+    result.batch.rows = input.batch.rows;
+    result.sel = std::move(input.sel);
+    return result;
+  }
   std::vector<ExprProgram> progs;
   progs.reserve(node.items.size());
   for (const ProjectItem& item : node.items) {
@@ -222,21 +211,14 @@ Result<BatchResult> ExecProject(const PlanNode& node, const BatchResult& input,
                          ExprProgram::Compile(item.expr, child_cols));
     progs.push_back(std::move(p));
   }
-  BatchResult result;
-  result.types = TypesOf(node.output);
-  result.batches.resize(input.batches.size());
-  for (size_t i = 0; i < input.batches.size(); ++i) {
-    const PipelineBatch& pb = input.batches[i];
-    PipelineBatch& ob = result.batches[i];
-    ob.batch.columns.reserve(progs.size());
-    for (const ExprProgram& p : progs) {
-      PDW_ASSIGN_OR_RETURN(ColumnVector col, p.Eval(pb.batch, pb.sel));
-      ob.batch.columns.push_back(std::move(col));
-    }
-    ob.batch.rows = pb.sel.size();
-    ob.sel = IdentitySel(ob.batch.rows);
+  ColumnBatch out;
+  out.columns.reserve(progs.size());
+  for (const ExprProgram& p : progs) {
+    PDW_ASSIGN_OR_RETURN(ColumnVector col, p.Eval(input.batch, input.sel));
+    out.columns.push_back(std::move(col));
   }
-  return result;
+  out.rows = input.sel.size();
+  return SelectAll(std::move(out));
 }
 
 // --- joins ---
@@ -285,166 +267,137 @@ Result<BatchResult> ExecHashJoin(const PlanNode& node, const BatchResult& left,
     r_key_ords.push_back(ro);
   }
 
-  // Build side: one dense batch, with the key columns copied into the
-  // table so probes never chase the original batches.
-  ColumnBatch build = GatherConcat(right);
+  // Build side: one dense batch, whose key columns the table shares.
+  ColumnBatch build = DenseBatch(right);
   std::vector<ColumnVector> build_keys;
   build_keys.reserve(r_key_ords.size());
   for (int o : r_key_ords) build_keys.push_back(build.columns[static_cast<size_t>(o)]);
   JoinHashTable table;
   table.Build(std::move(build_keys));
 
-  BatchResult result;
-  result.types = TypesOf(node.output);
-  result.batches.resize(left.batches.size());
-  size_t left_in = left.ActiveRows();
+  const ColumnBatch& probe = left.batch;
+  const SelVector& probe_sel = left.sel;
+  std::vector<const ColumnVector*> probe_keys;
+  probe_keys.reserve(l_key_ords.size());
+  for (int o : l_key_ords) {
+    probe_keys.push_back(&probe.columns[static_cast<size_t>(o)]);
+  }
 
-  for (size_t m = 0; m < left.batches.size(); ++m) {
-    const PipelineBatch& pb = left.batches[m];
-    std::vector<const ColumnVector*> probe_keys;
-    probe_keys.reserve(l_key_ords.size());
-    for (int o : l_key_ords) {
-      probe_keys.push_back(&pb.batch.columns[static_cast<size_t>(o)]);
-    }
+  // Emission list: probe row index + build row index (-1 = null pad /
+  // probe-only emission), in probe order.
+  std::vector<int32_t> emit_l, emit_b;
 
-    // Emission list: left row index + build row index (-1 = null pad /
-    // left-only emission), in probe (left-major) order.
-    std::vector<int32_t> emit_l, emit_b;
-
-    if (residuals.empty()) {
-      for (int32_t l : pb.sel) {
-        size_t lr = static_cast<size_t>(l);
-        bool has_null = false;
-        for (const ColumnVector* k : probe_keys) {
-          if (k->IsNull(lr)) {
-            has_null = true;
-            break;
-          }
-        }
-        bool matched = false;
-        if (!has_null) {
-          for (int32_t b = table.FindFirst(probe_keys, lr); b >= 0;
-               b = table.Next(b)) {
-            matched = true;
-            if (jt == LogicalJoinType::kSemi || jt == LogicalJoinType::kAnti) {
-              break;
-            }
-            emit_l.push_back(l);
-            emit_b.push_back(b);
-          }
-        }
-        if ((jt == LogicalJoinType::kSemi && matched) ||
-            (jt == LogicalJoinType::kAnti && !matched) ||
-            (jt == LogicalJoinType::kLeftOuter && !matched)) {
-          emit_l.push_back(l);
-          emit_b.push_back(-1);
+  if (residuals.empty()) {
+    for (int32_t l : probe_sel) {
+      size_t lr = static_cast<size_t>(l);
+      bool has_null = false;
+      for (const ColumnVector* k : probe_keys) {
+        if (k->IsNull(lr)) {
+          has_null = true;
+          break;
         }
       }
-    } else {
-      // Candidate pairs first, then the residual predicate vectorized over
-      // the paired batch, then per-left-row join-type logic.
-      std::vector<int32_t> pl, pr;
-      std::vector<std::pair<size_t, size_t>> range(pb.sel.size());
-      for (size_t k = 0; k < pb.sel.size(); ++k) {
-        int32_t l = pb.sel[k];
-        size_t lr = static_cast<size_t>(l);
-        size_t start = pl.size();
-        bool has_null = false;
-        for (const ColumnVector* kc : probe_keys) {
-          if (kc->IsNull(lr)) {
-            has_null = true;
-            break;
-          }
-        }
-        if (!has_null) {
-          for (int32_t b = table.FindFirst(probe_keys, lr); b >= 0;
-               b = table.Next(b)) {
-            pl.push_back(l);
-            pr.push_back(b);
-          }
-        }
-        range[k] = {start, pl.size()};
-      }
-      ColumnBatch pairs;
-      pairs.columns.reserve(combined.size());
-      for (size_t c = 0; c < left_cols.size(); ++c) {
-        const ColumnVector& src = pb.batch.columns[c];
-        ColumnVector dst(src.declared_type());
-        dst.Reserve(pl.size());
-        for (int32_t l : pl) dst.AppendFrom(src, static_cast<size_t>(l));
-        pairs.columns.push_back(std::move(dst));
-      }
-      for (size_t c = 0; c < right_cols.size(); ++c) {
-        const ColumnVector& src = build.columns[c];
-        ColumnVector dst(src.declared_type());
-        dst.Reserve(pr.size());
-        for (int32_t b : pr) dst.AppendFrom(src, static_cast<size_t>(b));
-        pairs.columns.push_back(std::move(dst));
-      }
-      pairs.rows = pl.size();
-      SelVector psel = IdentitySel(pl.size());
-      for (const ExprProgram& p : residuals) {
-        PDW_RETURN_NOT_OK(p.Filter(pairs, &psel));
-        if (psel.empty()) break;
-      }
-      std::vector<uint8_t> survived(pl.size(), 0);
-      for (int32_t idx : psel) survived[static_cast<size_t>(idx)] = 1;
-      for (size_t k = 0; k < pb.sel.size(); ++k) {
-        int32_t l = pb.sel[k];
-        bool matched = false;
-        for (size_t idx = range[k].first; idx < range[k].second; ++idx) {
-          if (!survived[idx]) continue;
+      bool matched = false;
+      if (!has_null) {
+        for (int32_t b = table.FindFirst(probe_keys, lr); b >= 0;
+             b = table.Next(b)) {
           matched = true;
           if (jt == LogicalJoinType::kSemi || jt == LogicalJoinType::kAnti) {
             break;
           }
           emit_l.push_back(l);
-          emit_b.push_back(pr[idx]);
-        }
-        if ((jt == LogicalJoinType::kSemi && matched) ||
-            (jt == LogicalJoinType::kAnti && !matched) ||
-            (jt == LogicalJoinType::kLeftOuter && !matched)) {
-          emit_l.push_back(l);
-          emit_b.push_back(-1);
+          emit_b.push_back(b);
         }
       }
-    }
-
-    // Materialize the batch's output columns by gathering.
-    PipelineBatch& ob = result.batches[m];
-    ob.batch.columns.reserve(left_cols.size() +
-                             (emit_right ? right_cols.size() : 0));
-    for (size_t c = 0; c < left_cols.size(); ++c) {
-      const ColumnVector& src = pb.batch.columns[c];
-      ColumnVector dst(src.declared_type());
-      dst.Reserve(emit_l.size());
-      for (int32_t l : emit_l) dst.AppendFrom(src, static_cast<size_t>(l));
-      ob.batch.columns.push_back(std::move(dst));
-    }
-    if (emit_right) {
-      for (size_t c = 0; c < right_cols.size(); ++c) {
-        const ColumnVector& src = build.columns[c];
-        ColumnVector dst(src.declared_type());
-        dst.Reserve(emit_b.size());
-        for (int32_t b : emit_b) {
-          if (b < 0) {
-            dst.AppendNull();
-          } else {
-            dst.AppendFrom(src, static_cast<size_t>(b));
-          }
-        }
-        ob.batch.columns.push_back(std::move(dst));
+      if ((jt == LogicalJoinType::kSemi && matched) ||
+          (jt == LogicalJoinType::kAnti && !matched) ||
+          (jt == LogicalJoinType::kLeftOuter && !matched)) {
+        emit_l.push_back(l);
+        emit_b.push_back(-1);
       }
     }
-    ob.batch.rows = emit_l.size();
-    ob.sel = IdentitySel(emit_l.size());
+  } else {
+    // Candidate pairs first, then the residual predicate vectorized over
+    // the paired batch, then per-probe-row join-type logic.
+    std::vector<int32_t> pl, pr;
+    std::vector<std::pair<size_t, size_t>> range(probe_sel.size());
+    for (size_t k = 0; k < probe_sel.size(); ++k) {
+      int32_t l = probe_sel[k];
+      size_t lr = static_cast<size_t>(l);
+      size_t start = pl.size();
+      bool has_null = false;
+      for (const ColumnVector* kc : probe_keys) {
+        if (kc->IsNull(lr)) {
+          has_null = true;
+          break;
+        }
+      }
+      if (!has_null) {
+        for (int32_t b = table.FindFirst(probe_keys, lr); b >= 0;
+             b = table.Next(b)) {
+          pl.push_back(l);
+          pr.push_back(b);
+        }
+      }
+      range[k] = {start, pl.size()};
+    }
+    ColumnBatch pairs;
+    pairs.columns.reserve(combined.size());
+    for (const ColumnVector& c : probe.columns) {
+      pairs.columns.push_back(Gather(c, pl));
+    }
+    for (const ColumnVector& c : build.columns) {
+      pairs.columns.push_back(Gather(c, pr));
+    }
+    pairs.rows = pl.size();
+    SelVector psel = IdentitySel(pl.size());
+    for (const ExprProgram& p : residuals) {
+      PDW_RETURN_NOT_OK(p.Filter(pairs, &psel));
+      if (psel.empty()) break;
+    }
+    std::vector<uint8_t> survived(pl.size(), 0);
+    for (int32_t idx : psel) survived[static_cast<size_t>(idx)] = 1;
+    for (size_t k = 0; k < probe_sel.size(); ++k) {
+      int32_t l = probe_sel[k];
+      bool matched = false;
+      for (size_t idx = range[k].first; idx < range[k].second; ++idx) {
+        if (!survived[idx]) continue;
+        matched = true;
+        if (jt == LogicalJoinType::kSemi || jt == LogicalJoinType::kAnti) {
+          break;
+        }
+        emit_l.push_back(l);
+        emit_b.push_back(pr[idx]);
+      }
+      if ((jt == LogicalJoinType::kSemi && matched) ||
+          (jt == LogicalJoinType::kAnti && !matched) ||
+          (jt == LogicalJoinType::kLeftOuter && !matched)) {
+        emit_l.push_back(l);
+        emit_b.push_back(-1);
+      }
+    }
   }
 
-  if (left_in > 0) {
-    *selectivity =
-        static_cast<double>(result.ActiveRows()) / static_cast<double>(left_in);
+  // Output columns: the probe's are forwarded when every probe row is
+  // emitted once and in order, gathered otherwise; the build's are
+  // gathered by the emission list.
+  ColumnBatch out;
+  out.columns.reserve(left_cols.size() + (emit_right ? right_cols.size() : 0));
+  bool forward_probe = IsIdentity(emit_l, probe.rows);
+  for (const ColumnVector& c : probe.columns) {
+    out.columns.push_back(forward_probe ? c : Gather(c, emit_l));
   }
-  return result;
+  if (emit_right) {
+    for (const ColumnVector& c : build.columns) {
+      out.columns.push_back(Gather(c, emit_b));
+    }
+  }
+  out.rows = emit_l.size();
+  if (!probe_sel.empty()) {
+    *selectivity = static_cast<double>(emit_l.size()) /
+                   static_cast<double>(probe_sel.size());
+  }
+  return SelectAll(std::move(out));
 }
 
 Result<BatchResult> ExecNestedLoopJoin(
@@ -501,31 +454,23 @@ Result<BatchResult> ExecNestedLoopJoin(
     }
   }
 
-  BatchResult result;
-  result.types = TypesOf(node.output);
-  if (!out.empty()) {
-    PipelineBatch pb;
-    pb.batch = ColumnBatch(result.types);
-    AppendRowsToBatch(out, &pb.batch);
-    pb.sel = IdentitySel(out.size());
-    result.batches.push_back(std::move(pb));
-  }
-  return result;
+  ColumnBatch batch(TypesOf(node.output));
+  AppendRowsToBatch(out, &batch);
+  return SelectAll(std::move(batch));
 }
 
 // --- aggregation ---
 
 /// Accumulator for one (group, aggregate) pair; same semantics as the row
-/// engine's AggState. DISTINCT aggregates keep only the value set per
-/// batch — counts and sums are derived from the merged set at finalize,
-/// so cross-batch duplicates collapse correctly.
-struct BatchAggState {
+/// engine's AggState. DISTINCT aggregates keep only the value set — counts
+/// and sums are derived from it at finalize.
+struct AggAccumulator {
   Datum value;
   int64_t count = 0;
   std::set<Datum, DatumLess> distinct;
 };
 
-void AccumulateValue(AggFunc func, const Datum& v, BatchAggState* state) {
+void AccumulateValue(AggFunc func, const Datum& v, AggAccumulator* state) {
   switch (func) {
     case AggFunc::kCount:
       state->count += 1;
@@ -573,266 +518,158 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
         arg_progs[a], ExprProgram::Compile(node.aggregates[a].arg, child_cols));
   }
 
-  // Phase 1: pre-aggregate each batch into its own table, so the typed
-  // scratch below is no larger than that batch's own groups.
-  struct BatchAgg {
-    GroupTable table;
-    std::vector<BatchAggState> states;  // [group * num_aggs + a]
-    explicit BatchAgg(const std::vector<TypeId>& kt) : table(kt) {}
-  };
-  std::vector<BatchAgg> partials;
-  partials.reserve(input.batches.size());
-  for (size_t i = 0; i < input.batches.size(); ++i) {
-    partials.emplace_back(key_types);
+  // One group table over the whole input, in stream order: first-seen
+  // group order and every sum's addition order are the row engine's.
+  GroupTable groups(key_types);
+  const ColumnBatch& batch = input.batch;
+  const SelVector& sel = input.sel;
+  std::vector<const ColumnVector*> keys;
+  keys.reserve(group_ords.size());
+  for (int o : group_ords) keys.push_back(&batch.columns[static_cast<size_t>(o)]);
+  // Aggregate arguments evaluate densely over the selection once.
+  std::vector<ColumnVector> args(num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (!arg_progs[a].valid()) continue;
+    PDW_ASSIGN_OR_RETURN(args[a], arg_progs[a].Eval(batch, sel));
   }
-
-  for (size_t m = 0; m < input.batches.size(); ++m) {
-    const PipelineBatch& pb = input.batches[m];
-    BatchAgg& local = partials[m];
-    std::vector<const ColumnVector*> keys;
-    keys.reserve(group_ords.size());
-    for (int o : group_ords) {
-      keys.push_back(&pb.batch.columns[static_cast<size_t>(o)]);
+  // Group indices for the whole input first, then one typed pass per
+  // aggregate — column-at-a-time, no per-row Datum materialization on the
+  // numeric fast paths.
+  size_t n = sel.size();
+  std::vector<uint32_t> gidx(n);
+  for (size_t k = 0; k < n; ++k) {
+    gidx[k] = static_cast<uint32_t>(
+        groups.FindOrInsert(keys, static_cast<size_t>(sel[k])));
+  }
+  size_t ng = groups.num_groups();
+  std::vector<AggAccumulator> states(ng * num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const AggregateItem& item = node.aggregates[a];
+    auto state_of = [&](size_t g) -> AggAccumulator& {
+      return states[g * num_aggs + a];
+    };
+    if (item.func == AggFunc::kCountStar) {
+      for (size_t k = 0; k < n; ++k) state_of(gidx[k]).count += 1;
+      continue;
     }
-    // Aggregate arguments evaluate densely over the selection once.
-    std::vector<ColumnVector> args(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (!arg_progs[a].valid()) continue;
-      PDW_ASSIGN_OR_RETURN(args[a], arg_progs[a].Eval(pb.batch, pb.sel));
-    }
-    // Group indices for the whole batch first, then one typed pass per
-    // aggregate — column-at-a-time, no per-row Datum materialization on
-    // the numeric fast paths.
-    size_t n = pb.sel.size();
-    local.table.Reserve(n);
-    std::vector<uint32_t> gidx(n);
-    for (size_t k = 0; k < n; ++k) {
-      gidx[k] = static_cast<uint32_t>(
-          local.table.FindOrInsert(keys, static_cast<size_t>(pb.sel[k])));
-    }
-    size_t ng = local.table.num_groups();
-    if (local.states.size() < ng * num_aggs) {
-      local.states.resize(ng * num_aggs);
-    }
-    for (size_t a = 0; a < num_aggs; ++a) {
-      const AggregateItem& item = node.aggregates[a];
-      auto state_of = [&](size_t g) -> BatchAggState& {
-        return local.states[g * num_aggs + a];
-      };
-      if (item.func == AggFunc::kCountStar) {
-        for (size_t k = 0; k < n; ++k) state_of(gidx[k]).count += 1;
-        continue;
+    const ColumnVector& arg = args[a];
+    if (item.distinct) {
+      for (size_t k = 0; k < n; ++k) {
+        if (!arg.IsNull(k)) {
+          state_of(gidx[k]).distinct.insert(arg.GetDatum(k));
+        }
       }
-      const ColumnVector& arg = args[a];
-      if (item.distinct) {
+      continue;
+    }
+    switch (item.func) {
+      case AggFunc::kCount:
         for (size_t k = 0; k < n; ++k) {
-          if (!arg.IsNull(k)) {
-            state_of(gidx[k]).distinct.insert(arg.GetDatum(k));
-          }
+          if (!arg.IsNull(k)) state_of(gidx[k]).count += 1;
         }
-        continue;
-      }
-      switch (item.func) {
-        case AggFunc::kCount:
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        // Typed accumulators only when both storage and declared type are
+        // unambiguous (a true INT column sums as int64, like the row
+        // engine's int+int rule; a true DOUBLE column as double).
+        if (arg.tag() == VecTag::kInt64 && arg.declared_type() == TypeId::kInt) {
+          std::vector<int64_t> acc(ng, 0);
+          std::vector<int64_t> cnt(ng, 0);
           for (size_t k = 0; k < n; ++k) {
-            if (!arg.IsNull(k)) state_of(gidx[k]).count += 1;
+            if (arg.IsNull(k)) continue;
+            acc[gidx[k]] += arg.i64(k);
+            cnt[gidx[k]] += 1;
           }
-          break;
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          // Typed accumulators only when both storage and declared type
-          // are unambiguous (a true INT column sums as int64, like the
-          // row engine's int+int rule; a true DOUBLE column as double).
-          if (arg.tag() == VecTag::kInt64 &&
-              arg.declared_type() == TypeId::kInt) {
-            std::vector<int64_t> acc(ng, 0);
-            std::vector<int64_t> cnt(ng, 0);
-            for (size_t k = 0; k < n; ++k) {
-              if (arg.IsNull(k)) continue;
-              acc[gidx[k]] += arg.i64(k);
-              cnt[gidx[k]] += 1;
-            }
-            for (size_t g = 0; g < ng; ++g) {
-              if (cnt[g] == 0) continue;
-              BatchAggState& st = state_of(g);
-              st.value = Datum::Int(acc[g]);
-              st.count += cnt[g];
-            }
-          } else if (arg.tag() == VecTag::kDouble &&
-                     arg.declared_type() == TypeId::kDouble) {
-            std::vector<double> acc(ng, 0);
-            std::vector<int64_t> cnt(ng, 0);
-            for (size_t k = 0; k < n; ++k) {
-              if (arg.IsNull(k)) continue;
-              acc[gidx[k]] += arg.f64(k);
-              cnt[gidx[k]] += 1;
-            }
-            for (size_t g = 0; g < ng; ++g) {
-              if (cnt[g] == 0) continue;
-              BatchAggState& st = state_of(g);
-              st.value = Datum::Double(acc[g]);
-              st.count += cnt[g];
-            }
-          } else {
-            for (size_t k = 0; k < n; ++k) {
-              if (arg.IsNull(k)) continue;
-              AccumulateValue(item.func, arg.GetDatum(k),
-                              &state_of(gidx[k]));
-            }
+          for (size_t g = 0; g < ng; ++g) {
+            if (cnt[g] == 0) continue;
+            state_of(g).value = Datum::Int(acc[g]);
+            state_of(g).count = cnt[g];
           }
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          if (arg.tag() != VecTag::kVariant) {
-            // Track the winning row per group; only the winners become
-            // Datums. Strict comparisons keep the first-seen row on ties,
-            // like the interpreter. Raw int64 order matches Datum::Compare
-            // for INT, DATE and BOOL payloads alike.
-            std::vector<int64_t> best(ng, -1);
-            bool want_min = item.func == AggFunc::kMin;
-            for (size_t k = 0; k < n; ++k) {
-              if (arg.IsNull(k)) continue;
-              int64_t b = best[gidx[k]];
-              if (b < 0) {
-                best[gidx[k]] = static_cast<int64_t>(k);
-                continue;
-              }
-              size_t bi = static_cast<size_t>(b);
-              bool better = false;
-              switch (arg.tag()) {
-                case VecTag::kInt64:
-                  better = want_min ? arg.i64(k) < arg.i64(bi)
-                                    : arg.i64(k) > arg.i64(bi);
-                  break;
-                case VecTag::kDouble:
-                  better = want_min ? arg.f64(k) < arg.f64(bi)
-                                    : arg.f64(k) > arg.f64(bi);
-                  break;
-                default:
-                  better = want_min ? arg.str(k) < arg.str(bi)
-                                    : arg.str(bi) < arg.str(k);
-                  break;
-              }
-              if (better) best[gidx[k]] = static_cast<int64_t>(k);
+        } else if (arg.tag() == VecTag::kDouble &&
+                   arg.declared_type() == TypeId::kDouble) {
+          std::vector<double> acc(ng, 0);
+          std::vector<int64_t> cnt(ng, 0);
+          for (size_t k = 0; k < n; ++k) {
+            if (arg.IsNull(k)) continue;
+            acc[gidx[k]] += arg.f64(k);
+            cnt[gidx[k]] += 1;
+          }
+          for (size_t g = 0; g < ng; ++g) {
+            if (cnt[g] == 0) continue;
+            state_of(g).value = Datum::Double(acc[g]);
+            state_of(g).count = cnt[g];
+          }
+        } else {
+          for (size_t k = 0; k < n; ++k) {
+            if (arg.IsNull(k)) continue;
+            AccumulateValue(item.func, arg.GetDatum(k), &state_of(gidx[k]));
+          }
+        }
+        break;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        if (arg.tag() != VecTag::kVariant) {
+          // Track the winning row per group; only the winners become
+          // Datums. Strict comparisons keep the first-seen row on ties,
+          // like the interpreter. Raw int64 order matches Datum::Compare
+          // for INT, DATE and BOOL payloads alike.
+          std::vector<int64_t> best(ng, -1);
+          bool want_min = item.func == AggFunc::kMin;
+          for (size_t k = 0; k < n; ++k) {
+            if (arg.IsNull(k)) continue;
+            int64_t b = best[gidx[k]];
+            if (b < 0) {
+              best[gidx[k]] = static_cast<int64_t>(k);
+              continue;
             }
-            for (size_t g = 0; g < ng; ++g) {
-              if (best[g] >= 0) {
-                AccumulateValue(item.func,
-                                arg.GetDatum(static_cast<size_t>(best[g])),
-                                &state_of(g));
-              }
+            size_t bi = static_cast<size_t>(b);
+            bool better = false;
+            switch (arg.tag()) {
+              case VecTag::kInt64:
+                better = want_min ? arg.i64(k) < arg.i64(bi)
+                                  : arg.i64(k) > arg.i64(bi);
+                break;
+              case VecTag::kDouble:
+                better = want_min ? arg.f64(k) < arg.f64(bi)
+                                  : arg.f64(k) > arg.f64(bi);
+                break;
+              default:
+                better = want_min ? arg.str(k) < arg.str(bi)
+                                  : arg.str(bi) < arg.str(k);
+                break;
             }
-          } else {
-            for (size_t k = 0; k < n; ++k) {
-              if (arg.IsNull(k)) continue;
-              AccumulateValue(item.func, arg.GetDatum(k),
-                              &state_of(gidx[k]));
+            if (better) best[gidx[k]] = static_cast<int64_t>(k);
+          }
+          for (size_t g = 0; g < ng; ++g) {
+            if (best[g] >= 0) {
+              state_of(g).value = arg.GetDatum(static_cast<size_t>(best[g]));
             }
           }
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  // Phase 2: merge in batch order. Because batches cover the input in
-  // stream order, first-seen group order here equals the row engine's.
-  GroupTable global(key_types);
-  std::vector<BatchAggState> states;
-  if (partials.size() == 1) {
-    // Single-batch fast path (the common shape for partial-aggregate
-    // steps over one temp-scan batch): the lone local table already IS the
-    // global result, in the right first-seen order — adopt it wholesale.
-    global = std::move(partials[0].table);
-    states = std::move(partials[0].states);
-    states.resize(global.num_groups() * num_aggs);
-    partials.clear();
-  } else {
-    size_t max_local_groups = 0;
-    for (const BatchAgg& local : partials) {
-      max_local_groups = std::max(max_local_groups, local.table.num_groups());
-    }
-    global.Reserve(max_local_groups);
-    states.reserve(max_local_groups * num_aggs);
-  }
-  for (BatchAgg& local : partials) {
-    std::vector<const ColumnVector*> keys;
-    keys.reserve(local.table.group_keys().size());
-    for (const ColumnVector& c : local.table.group_keys()) keys.push_back(&c);
-    for (size_t lg = 0; lg < local.table.num_groups(); ++lg) {
-      size_t gg = global.FindOrInsert(keys, lg);
-      if (states.size() < global.num_groups() * num_aggs) {
-        states.resize(global.num_groups() * num_aggs);
-      }
-      for (size_t a = 0; a < num_aggs; ++a) {
-        BatchAggState& src = local.states[lg * num_aggs + a];
-        BatchAggState& dst = states[gg * num_aggs + a];
-        const AggregateItem& item = node.aggregates[a];
-        if (item.distinct) {
-          dst.distinct.merge(src.distinct);
-          continue;
+        } else {
+          for (size_t k = 0; k < n; ++k) {
+            if (arg.IsNull(k)) continue;
+            AccumulateValue(item.func, arg.GetDatum(k), &state_of(gidx[k]));
+          }
         }
-        if (item.func == AggFunc::kCountStar || item.func == AggFunc::kCount) {
-          dst.count += src.count;
-          continue;
-        }
-        if (src.value.is_null()) {
-          dst.count += src.count;
-          continue;
-        }
-        switch (item.func) {
-          case AggFunc::kSum:
-          case AggFunc::kAvg:
-            if (dst.value.is_null()) {
-              dst.value = src.value;
-            } else if (dst.value.type() == TypeId::kInt &&
-                       src.value.type() == TypeId::kInt) {
-              dst.value =
-                  Datum::Int(dst.value.int_value() + src.value.int_value());
-            } else {
-              dst.value =
-                  Datum::Double(dst.value.AsDouble() + src.value.AsDouble());
-            }
-            dst.count += src.count;
-            break;
-          case AggFunc::kMin:
-            if (dst.value.is_null() || src.value.Compare(dst.value) < 0) {
-              dst.value = src.value;
-            }
-            break;
-          case AggFunc::kMax:
-            if (dst.value.is_null() || src.value.Compare(dst.value) > 0) {
-              dst.value = src.value;
-            }
-            break;
-          default:
-            break;
-        }
-      }
+        break;
+      default:
+        break;
     }
   }
 
   // Finalize into one output batch: group keys then aggregate results.
-  BatchResult result;
-  result.types = TypesOf(node.output);
-  PipelineBatch ob;
-  ob.batch = ColumnBatch(result.types);
-  size_t num_groups = global.num_groups();
+  ColumnBatch out(TypesOf(node.output));
   for (size_t c = 0; c < group_ords.size(); ++c) {
-    ColumnVector& dst = ob.batch.columns[c];
-    const ColumnVector& src = global.group_keys()[c];
-    dst.Reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) dst.AppendFrom(src, g);
+    out.columns[c].AppendRangeFrom(groups.group_keys()[c], 0, ng);
   }
   for (size_t a = 0; a < num_aggs; ++a) {
     const AggregateItem& item = node.aggregates[a];
-    ColumnVector& dst = ob.batch.columns[group_ords.size() + a];
-    dst.Reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      const BatchAggState& state = states[g * num_aggs + a];
+    ColumnVector& dst = out.columns[group_ords.size() + a];
+    dst.Reserve(ng);
+    for (size_t g = 0; g < ng; ++g) {
+      const AggAccumulator& state = states[g * num_aggs + a];
       if (item.distinct) {
-        // Derive the result from the merged distinct set.
+        // Derive the result from the distinct set.
         if (item.func == AggFunc::kCount) {
           dst.Append(Datum::Int(static_cast<int64_t>(state.distinct.size())));
         } else if (state.distinct.empty()) {
@@ -879,12 +716,12 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
       }
     }
   }
-  ob.batch.rows = num_groups;
+  out.rows = ng;
   // Scalar aggregate over empty input: one row of initial values.
-  if (group_ords.empty() && num_groups == 0) {
+  if (group_ords.empty() && ng == 0) {
     for (size_t a = 0; a < num_aggs; ++a) {
       const AggregateItem& item = node.aggregates[a];
-      ColumnVector& dst = ob.batch.columns[a];
+      ColumnVector& dst = out.columns[a];
       if (item.func == AggFunc::kCountStar ||
           item.func == AggFunc::kCount) {
         dst.Append(Datum::Int(0));
@@ -892,83 +729,61 @@ Result<BatchResult> ExecAggregate(const PlanNode& node, const BatchResult& input
         dst.AppendNull();
       }
     }
-    ob.batch.rows = 1;
+    out.rows = 1;
   }
-  ob.sel = IdentitySel(ob.batch.rows);
-  result.batches.push_back(std::move(ob));
-  return result;
+  return SelectAll(std::move(out));
 }
 
 // --- sort / limit / union ---
 
 Result<BatchResult> ExecSort(const PlanNode& node, BatchResult input) {
-  std::vector<std::pair<int, bool>> keys;
+  std::vector<std::pair<const ColumnVector*, bool>> keys;
   for (const SortItem& item : node.sort_items) {
     int pos = FindBinding(node.output, item.column);
     if (pos < 0) return Status::Internal("sort column missing from input");
-    keys.emplace_back(pos, item.ascending);
+    keys.emplace_back(&input.batch.columns[static_cast<size_t>(pos)],
+                      item.ascending);
   }
-  ColumnBatch dense = GatherConcat(input);
-  SelVector order = IdentitySel(dense.rows);
-  std::stable_sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    for (const auto& [o, asc] : keys) {
-      const ColumnVector& col = dense.columns[static_cast<size_t>(o)];
-      int c = CompareAt(col, static_cast<size_t>(a), col, static_cast<size_t>(b));
-      if (c != 0) return asc ? c < 0 : c > 0;
-    }
-    return false;
-  });
-  BatchResult result;
-  result.types = std::move(input.types);
-  PipelineBatch pb;
-  pb.batch = std::move(dense);
-  pb.sel = std::move(order);  // the sort order IS the selection
-  result.batches.push_back(std::move(pb));
-  return result;
+  // The sort order is the selection: stable over emission order, so ties
+  // keep their input order.
+  std::stable_sort(input.sel.begin(), input.sel.end(),
+                   [&](int32_t a, int32_t b) {
+                     for (const auto& [col, asc] : keys) {
+                       int c = CompareAt(*col, static_cast<size_t>(a), *col,
+                                         static_cast<size_t>(b));
+                       if (c != 0) return asc ? c < 0 : c > 0;
+                     }
+                     return false;
+                   });
+  return input;
 }
 
 BatchResult ExecLimit(const PlanNode& node, BatchResult input) {
-  if (node.limit < 0) return input;
-  size_t remaining = static_cast<size_t>(node.limit);
-  std::vector<PipelineBatch> kept;
-  for (PipelineBatch& pb : input.batches) {
-    if (remaining == 0) break;
-    if (pb.sel.size() > remaining) pb.sel.resize(remaining);
-    remaining -= pb.sel.size();
-    kept.push_back(std::move(pb));
+  if (node.limit >= 0 && input.sel.size() > static_cast<size_t>(node.limit)) {
+    input.sel.resize(static_cast<size_t>(node.limit));
   }
-  input.batches = std::move(kept);
   return input;
 }
 
 Result<BatchResult> ExecUnionAll(const PlanNode& node, const BatchExecCtx& ctx,
                                  int depth) {
-  BatchResult result;
-  result.types = TypesOf(node.output);
+  // The children's active rows, concatenated into one batch in child order.
+  ColumnBatch out(TypesOf(node.output));
   for (size_t i = 0; i < node.children.size(); ++i) {
     PDW_ASSIGN_OR_RETURN(BatchResult child,
                          ExecBatchNode(*node.children[i], ctx, depth + 1));
-    std::vector<int> positions;
-    for (ColumnId id : node.union_inputs[i]) {
-      int pos = FindBinding(node.children[i]->output, id);
+    ColumnBatch dense = DenseBatch(child);
+    for (size_t c = 0; c < node.union_inputs[i].size(); ++c) {
+      int pos = FindBinding(node.children[i]->output, node.union_inputs[i][c]);
       if (pos < 0) {
         return Status::Internal("union input column missing from child");
       }
-      positions.push_back(pos);
+      out.columns[c].AppendRangeFrom(dense.columns[static_cast<size_t>(pos)],
+                                     0, dense.rows);
     }
-    for (PipelineBatch& pb : child.batches) {
-      PipelineBatch ob;
-      ob.batch.columns.reserve(positions.size());
-      // Copy (not move): union_inputs may reference a child column twice.
-      for (int p : positions) {
-        ob.batch.columns.push_back(pb.batch.columns[static_cast<size_t>(p)]);
-      }
-      ob.batch.rows = pb.batch.rows;
-      ob.sel = std::move(pb.sel);
-      result.batches.push_back(std::move(ob));
-    }
+    out.rows += dense.rows;
   }
-  return result;
+  return SelectAll(std::move(out));
 }
 
 // --- dispatch + profiling ---
@@ -980,11 +795,8 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
     case PhysOpKind::kTableScan:
     case PhysOpKind::kTempScan:
       return ExecScan(plan, ctx);
-    case PhysOpKind::kEmpty: {
-      BatchResult r;
-      r.types = TypesOf(plan.output);
-      return r;
-    }
+    case PhysOpKind::kEmpty:
+      return SelectAll(ColumnBatch(TypesOf(plan.output)));
     case PhysOpKind::kFilter: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
@@ -993,7 +805,7 @@ Result<BatchResult> DispatchBatchNode(const PlanNode& plan,
     case PhysOpKind::kProject: {
       PDW_ASSIGN_OR_RETURN(BatchResult input,
                            ExecBatchNode(*plan.children[0], ctx, depth + 1));
-      return ExecProject(plan, input, plan.children[0]->output);
+      return ExecProject(plan, std::move(input), plan.children[0]->output);
     }
     case PhysOpKind::kHashJoin:
     case PhysOpKind::kNestedLoopJoin: {
@@ -1059,10 +871,7 @@ Result<BatchResult> ExecBatchNode(const PlanNode& plan, const BatchExecCtx& ctx,
   op.seconds = NowSeconds() - t0;
   op.nodes = 1;
   op.selectivity = selectivity;
-  if (result.ok()) {
-    op.actual_rows = static_cast<double>(result->ActiveRows());
-    op.batches = static_cast<double>(result->batches.size());
-  }
+  if (result.ok()) op.actual_rows = static_cast<double>(result->sel.size());
   return result;
 }
 
@@ -1070,11 +879,8 @@ Result<BatchResult> ExecBatchNode(const PlanNode& plan, const BatchExecCtx& ctx,
 
 Result<RowVector> ExecuteBatchPlan(const PlanNode& plan,
                                    const TableProvider& tables,
-                                   ExecProfile* profile,
-                                   const ExecOptions& options) {
-  BatchExecCtx ctx{tables, profile,
-                   options.batch_size >= 1 ? options.batch_size
-                                           : kDefaultBatchSize};
+                                   ExecProfile* profile) {
+  BatchExecCtx ctx{tables, profile};
   PDW_ASSIGN_OR_RETURN(BatchResult result, ExecBatchNode(plan, ctx, 0));
   return RowsFromResult(result);
 }

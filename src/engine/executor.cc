@@ -488,7 +488,7 @@ Result<RowVector> ExecutePlan(const PlanNode& plan,
                               const ExecOptions& options) {
   Result<RowVector> rows =
       options.engine == EngineKind::kBatch
-          ? ExecuteBatchPlan(plan, tables, profile, options)
+          ? ExecuteBatchPlan(plan, tables, profile)
           : ExecuteNode(plan, tables, profile, 0);
   if (profile != nullptr && rows.ok()) {
     obs::MetricsRegistry::Global().Count("executor.rows_out",

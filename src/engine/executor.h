@@ -15,7 +15,8 @@ struct ColumnBatch;  // engine/batch.h
 
 /// Storage for one table as seen by the executor: its schema and its rows
 /// as one column batch, the table's only stored form. Both engines scan
-/// it; the row engine converts the scanned columns to rows.
+/// it: the batch engine shares its columns, the row engine converts them
+/// to rows.
 struct TableData {
   const Schema* schema = nullptr;
   const ColumnBatch* columns = nullptr;
@@ -45,12 +46,9 @@ enum class EngineKind {
   kBatch,  ///< Vectorized batches + compiled expressions.
 };
 
-/// Per-execution knobs. The defaults run the batch engine with
-/// kDefaultBatchSize-row batches.
+/// Per-execution knobs. The default runs the batch engine.
 struct ExecOptions {
   EngineKind engine = EngineKind::kBatch;
-  /// Rows per column batch; 0 = kDefaultBatchSize.
-  int batch_size = 0;
 };
 
 /// Executes a physical plan (without Move nodes) over stored tables:
@@ -64,9 +62,9 @@ struct ExecOptions {
 ///
 /// With a non-null `profile`, every operator records its emitted row count
 /// and inclusive wall time (and bumps the global `executor.rows_out`
-/// counter at the root); the batch engine additionally records batch
-/// counts and filter/probe selectivity. With nullptr the instrumented path
-/// is skipped entirely.
+/// counter at the root); the batch engine additionally records
+/// filter/probe selectivity. With nullptr the instrumented path is skipped
+/// entirely.
 ///
 /// Both engines run the whole plan on the calling thread and start no pool
 /// task: a node's plan is one node task, and the appliance's parallelism
@@ -77,11 +75,11 @@ Result<RowVector> ExecutePlan(const PlanNode& plan,
                               const ExecOptions& options = {});
 
 /// The batch-engine entry point (batch_executor.cc); ExecutePlan dispatches
-/// here when options.engine == kBatch. Exposed for the engine benches.
+/// here when options.engine == kBatch. Each operator emits one column
+/// batch; a scan shares the stored table's columns.
 Result<RowVector> ExecuteBatchPlan(const PlanNode& plan,
                                    const TableProvider& tables,
-                                   ExecProfile* profile,
-                                   const ExecOptions& options);
+                                   ExecProfile* profile);
 
 }  // namespace pdw
 

@@ -252,26 +252,13 @@ Status EvalNode(const Node& n, const ColumnBatch& batch, const SelVector& sel,
   switch (n.kind) {
     case ScalarKind::kColumn: {
       const ColumnVector& col = batch.columns[static_cast<size_t>(n.ordinal)];
-      if (count == col.size()) {
-        // Dense selections are the common case after a scan; a whole-column
-        // splice beats per-row gathers. Must verify the identity explicitly:
-        // a sort's permuted selection has full size too.
-        bool identity = true;
-        for (size_t k = 0; k < count; ++k) {
-          if (sel[k] != static_cast<int32_t>(k)) {
-            identity = false;
-            break;
-          }
-        }
-        if (identity) {
-          *out = ColumnVector(col.declared_type());
-          out->AppendRangeFrom(col, 0, count);
-          return Status::OK();
-        }
+      // A selection of every row in order shares the column; any other
+      // (a filter's subset, a sort's permutation) gathers it.
+      bool identity = count == col.size();
+      for (size_t k = 0; identity && k < count; ++k) {
+        identity = sel[k] == static_cast<int32_t>(k);
       }
-      *out = ColumnVector(col.declared_type());
-      out->Reserve(count);
-      for (int32_t r : sel) out->AppendFrom(col, static_cast<size_t>(r));
+      *out = identity ? col : Gather(col, sel);
       return Status::OK();
     }
     case ScalarKind::kLiteral: {

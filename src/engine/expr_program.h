@@ -46,8 +46,10 @@ class ExprProgram {
   TypeId output_type() const;
 
   /// Dense evaluation over `sel`: result[k] is the value for batch row
-  /// sel[k]. SQL semantics match EvalScalar exactly (three-valued logic,
-  /// NULL propagation, div/mod-by-zero errors).
+  /// sel[k]. A bare column reference returns the column itself, shared,
+  /// when `sel` is every row in order, and gathers it otherwise. SQL
+  /// semantics match EvalScalar exactly (three-valued logic, NULL
+  /// propagation, div/mod-by-zero errors).
   Result<ColumnVector> Eval(const ColumnBatch& batch, const SelVector& sel) const;
 
   /// Removes the rows where this (predicate) program does not evaluate to

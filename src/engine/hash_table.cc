@@ -40,20 +40,6 @@ GroupTable::GroupTable(std::vector<TypeId> key_types) {
   slots_.assign(16, -1);
 }
 
-void GroupTable::Reserve(size_t expected_groups) {
-  group_hashes_.reserve(expected_groups);
-  for (ColumnVector& c : key_cols_) c.Reserve(expected_groups);
-  uint64_t cap = SlotCountFor(expected_groups);
-  if (cap <= mask_ + 1) return;
-  slots_.assign(cap, -1);
-  mask_ = cap - 1;
-  for (size_t g = 0; g < group_hashes_.size(); ++g) {
-    uint64_t slot = group_hashes_[g] & mask_;
-    while (slots_[slot] != -1) slot = (slot + 1) & mask_;
-    slots_[slot] = static_cast<int32_t>(g);
-  }
-}
-
 void GroupTable::Grow() {
   uint64_t cap = (mask_ + 1) * 2;
   slots_.assign(cap, -1);

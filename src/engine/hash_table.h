@@ -38,11 +38,6 @@ class GroupTable {
   int64_t Find(const std::vector<const ColumnVector*>& keys,
                size_t row) const;
 
-  /// Pre-sizes the slot array (and key storage) for `expected_groups`, so
-  /// bulk loads — partial-aggregate merges, pre-sized per-batch tables —
-  /// skip the doubling cascade. No-op when already large enough.
-  void Reserve(size_t expected_groups);
-
   size_t num_groups() const { return group_hashes_.size(); }
 
   /// Key columns, dense in group-index (first-seen) order.
@@ -66,8 +61,8 @@ class GroupTable {
 /// match them), and probes with NULL keys must not be issued.
 class JoinHashTable {
  public:
-  /// Indexes build rows [0, n) where n is the length of `keys` (which the
-  /// table takes ownership of; they double as the stored key columns).
+  /// Indexes build rows [0, n) where n is the length of `keys`, which the
+  /// table keeps as its key columns (sharing the build side's payloads).
   void Build(std::vector<ColumnVector> keys);
 
   /// First build row whose key equals the probe key, or -1. Later matches

@@ -35,8 +35,9 @@ using VirtualTableFn = std::function<Result<RowVector>()>;
 /// standing in for the per-node SQL Server of Fig. 1. The DSQL executor
 /// feeds it the *generated SQL text*, so DSQL SQL generation is exercised
 /// on the real execution path. Each table — user table or DMS temp table —
-/// is stored as one ColumnBatch and nothing else: both engines scan it,
-/// GetRows converts it to rows, and ComputeLocalStats reads it.
+/// is stored as one ColumnBatch and nothing else: the batch engine's scans
+/// share its columns, the row engine's scans and GetRows convert it to
+/// rows, and ComputeLocalStats reads it.
 ///
 /// Thread safety: concurrent ExecuteSql calls are safe, as is DDL on
 /// *distinct* tables concurrent with queries — the case parallel DSQL
@@ -45,7 +46,10 @@ using VirtualTableFn = std::function<Result<RowVector>()>;
 /// guarded by a shared_mutex; the column batches of individual tables are
 /// not independently locked, so loading rows into a table while another
 /// thread queries that same table is not supported (loads are a setup-time
-/// operation, as on the real appliance which takes table locks).
+/// operation, as on the real appliance which takes table locks). Columns
+/// are copy on write: a plan's shared copies of a table's columns never
+/// see a later append, and concurrent scans of one table only share the
+/// columns' reference counts.
 class LocalEngine : public TableProvider {
  public:
   /// Every engine owns a built-in zero-row table `pdw_empty` that the SQL
@@ -77,8 +81,7 @@ class LocalEngine : public TableProvider {
   /// Executes a SELECT (or CREATE TABLE / DROP TABLE / INSERT) statement.
   /// A non-null `profile` collects per-operator actual row counts and
   /// timings of the SELECT's plan (EXPLAIN ANALYZE support). `exec` picks
-  /// the execution engine (row reference vs vectorized batch) and its
-  /// batch size.
+  /// the execution engine (row reference vs vectorized batch).
   Result<SqlResult> ExecuteSql(const std::string& sql,
                                ExecProfile* profile = nullptr,
                                const ExecOptions& exec = {});

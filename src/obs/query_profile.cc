@@ -56,10 +56,15 @@ std::string QueryProfile::ToText(double misestimate_threshold) const {
     if (!s.dest_table.empty()) out += " -> " + s.dest_table;
     if (s.retries > 0) out += StringFormat("  [retries=%d]", s.retries);
     out += "\n";
-    out += StringFormat("  modeled cost %.6f   measured %s   compile %s\n",
+    out += StringFormat("  modeled cost %.6f   measured %s   compile %s",
                         s.estimated_cost,
                         FormatSeconds(s.measured_seconds).c_str(),
                         FormatSeconds(s.compile_seconds).c_str());
+    if (s.kind == "DMS") {
+      out += StringFormat("   temp insert %s",
+                          FormatSeconds(s.temp_insert_seconds).c_str());
+    }
+    out += "\n";
     out += StringFormat("  est. rows %s   actual rows %s",
                         FormatCount(s.estimated_rows).c_str(),
                         FormatCount(s.actual_rows).c_str());
@@ -103,9 +108,6 @@ std::string QueryProfile::ToText(double misestimate_threshold) const {
         out += StringFormat("%s  rows=%s time=%s nodes=%d", op.name.c_str(),
                             FormatCount(op.actual_rows).c_str(),
                             FormatSeconds(op.seconds).c_str(), op.nodes);
-        if (op.batches > 0) {
-          out += StringFormat(" batches=%s", FormatCount(op.batches).c_str());
-        }
         if (op.selectivity >= 0) {
           out += StringFormat(" sel=%.3f", op.selectivity);
         }
@@ -176,6 +178,7 @@ std::string QueryProfile::ToJson() const {
     out += ",\"estimated_cost\":" + JsonNumber(s.estimated_cost);
     out += ",\"measured_seconds\":" + JsonNumber(s.measured_seconds);
     out += ",\"compile_seconds\":" + JsonNumber(s.compile_seconds);
+    out += ",\"temp_insert_seconds\":" + JsonNumber(s.temp_insert_seconds);
     out += ",\"retries\":" + JsonNumber(s.retries);
     out += ",\"misestimate_factor\":" + JsonNumber(s.MisestimateFactor());
     out += ",\"rows_moved\":" + JsonNumber(s.rows_moved);
@@ -210,7 +213,6 @@ std::string QueryProfile::ToJson() const {
       out += ",\"actual_rows\":" + JsonNumber(op.actual_rows);
       out += ",\"seconds\":" + JsonNumber(op.seconds);
       out += ",\"nodes\":" + JsonNumber(op.nodes);
-      out += ",\"batches\":" + JsonNumber(op.batches);
       if (op.selectivity >= 0) {
         out += ",\"selectivity\":" + JsonNumber(op.selectivity);
       }

@@ -19,9 +19,6 @@ struct OperatorProfile {
   double actual_rows = 0;     ///< Rows the operator emitted (summed).
   double seconds = 0;         ///< Wall time, inclusive of children (summed).
   int nodes = 0;              ///< How many node executions were aggregated.
-  /// Column batches the operator emitted (zero under the row engine, which
-  /// has no batches).
-  double batches = 0;
   /// Output/input row ratio of filtering operators (filters, join probes);
   /// negative = not applicable for this operator.
   double selectivity = -1;
@@ -48,6 +45,10 @@ struct StepProfile {
   /// That attempt's one compile of the step SQL, parse to plan; part of
   /// measured_seconds, before any node runs the plan.
   double compile_seconds = 0;
+  /// That attempt's creation and fill of the destination temp table on
+  /// every target node, after the move; part of measured_seconds (DMS
+  /// steps only, 0 for the Return step).
+  double temp_insert_seconds = 0;
   /// Transient-failure retries this step needed before succeeding (0 on
   /// the common path); retried attempts' partial temp tables were dropped.
   int retries = 0;

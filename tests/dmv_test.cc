@@ -128,7 +128,8 @@ TEST(DmvTest, StepAndCompileViewsMatchProfile) {
     RowVector steps = Dmv(appliance.get(),
                           "SELECT step_index, retries, rows_moved, "
                           "bytes_moved, elapsed_ms, sql_text, status, "
-                          "compile_ms, estimated_rows, qerror "
+                          "compile_ms, estimated_rows, qerror, "
+                          "temp_insert_ms "
                           "FROM sys.dm_pdw_exec_steps" + by_id +
                           " ORDER BY step_index");
     ASSERT_EQ(steps.size(), p.steps.size());
@@ -150,6 +151,15 @@ TEST(DmvTest, StepAndCompileViewsMatchProfile) {
       // Each executed step compiled its SQL once, inside its wall time.
       EXPECT_GT(s.compile_seconds, 0);
       EXPECT_LE(s.compile_seconds, s.measured_seconds);
+      // A DMS step fills its destination temp inside its wall time; the
+      // Return step has none.
+      EXPECT_EQ(steps[i][10].double_value(), s.temp_insert_seconds * 1e3);
+      if (s.kind == "DMS") {
+        EXPECT_GT(s.temp_insert_seconds, 0);
+        EXPECT_LE(s.temp_insert_seconds, s.measured_seconds);
+      } else {
+        EXPECT_EQ(s.temp_insert_seconds, 0);
+      }
     }
     ASSERT_GT(dms_steps, 0);
 

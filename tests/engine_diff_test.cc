@@ -3,9 +3,9 @@
 // and the vectorized batch engine over the same NULL-heavy data, and the
 // result multisets must match (RowSetsEqual). Queries mix joins (inner,
 // left outer, semi/anti via EXISTS, IN subqueries), expressions, grouped
-// and DISTINCT aggregation, HAVING, ORDER BY and LIMIT; batch sizes vary
-// per seed so batch-boundary behaviour is fuzzed too. Dedicated tests pin
-// the boundary cases: empty input, exactly one batch, and batch size 1.
+// and DISTINCT aggregation, HAVING, ORDER BY and LIMIT. Dedicated tests
+// pin empty inputs, a whole table as one batch, one-row batches, and each
+// path on which the batch engine forwards a column instead of copying it.
 
 #include <gtest/gtest.h>
 
@@ -189,21 +189,45 @@ class EngineDiffTest : public ::testing::TestWithParam<uint32_t> {
                     .ok());
     ASSERT_TRUE(engine_->InsertRows("ta", MakeTaRows(700, 77)).ok());
     ASSERT_TRUE(engine_->InsertRows("tb", MakeTbRows(300, 99)).ok());
+    // tk: unique keys 0..39; tdup: keys 0..19, each twice.
+    ASSERT_TRUE(
+        engine_->ExecuteSql("CREATE TABLE tk (k INT, label VARCHAR(16))").ok());
+    ASSERT_TRUE(
+        engine_->ExecuteSql("CREATE TABLE tdup (k2 INT, tag VARCHAR(16))")
+            .ok());
+    RowVector tk, tdup;
+    for (int k = 0; k < 40; ++k) {
+      tk.push_back({Datum::Int(k), Datum::Varchar("l" + std::to_string(k % 7))});
+    }
+    for (int k = 19; k >= -20; --k) {
+      int key = k < 0 ? -k - 1 : k;
+      tdup.push_back({Datum::Int(key), Datum::Varchar("t" + std::to_string(k))});
+    }
+    ASSERT_TRUE(engine_->InsertRows("tk", tk).ok());
+    ASSERT_TRUE(engine_->InsertRows("tdup", tdup).ok());
+    // tone: ta's schema with one row; its key 7 matches tk.
+    ASSERT_TRUE(engine_
+                    ->ExecuteSql("CREATE TABLE tone (a INT, b INT, v DOUBLE, "
+                                 "s VARCHAR(16), d DATE)")
+                    .ok());
+    ASSERT_TRUE(engine_
+                    ->InsertRows("tone", {{Datum::Int(7), Datum::Int(3),
+                                           Datum::Double(45.5),
+                                           Datum::Varchar("beta"),
+                                           Datum::Date(9000)}})
+                    .ok());
   }
   static void TearDownTestSuite() {
     delete engine_;
     engine_ = nullptr;
   }
 
-  static void ExpectEnginesAgree(const std::string& sql, int batch_size) {
+  static void ExpectEnginesAgree(const std::string& sql) {
     SCOPED_TRACE(sql);
     ExecOptions row_opts;
     row_opts.engine = EngineKind::kRow;
-    ExecOptions batch_opts;
-    batch_opts.engine = EngineKind::kBatch;
-    batch_opts.batch_size = batch_size;
     auto row = engine_->ExecuteSql(sql, nullptr, row_opts);
-    auto batch = engine_->ExecuteSql(sql, nullptr, batch_opts);
+    auto batch = engine_->ExecuteSql(sql);
     // Runtime errors (e.g. a generated division by zero) must surface from
     // both engines or neither.
     ASSERT_EQ(row.ok(), batch.ok())
@@ -221,44 +245,84 @@ class EngineDiffTest : public ::testing::TestWithParam<uint32_t> {
 LocalEngine* EngineDiffTest::engine_ = nullptr;
 
 TEST_P(EngineDiffTest, BatchMatchesRow) {
-  uint32_t seed = GetParam();
-  // Vary batch size with the seed so batch boundaries land everywhere:
-  // mid-batch, on row 0, past the end, and degenerate single-row batches.
-  const int kBatchSizes[] = {1, 3, 64, 256, 1024};
-  ExpectEnginesAgree(BuildQuery(seed), kBatchSizes[seed % 5]);
+  ExpectEnginesAgree(BuildQuery(GetParam()));
 }
 
 // >= 200 random queries through both engines.
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDiffTest, ::testing::Range(1u, 221u));
 
-// --- batch-boundary edge cases ---
-
 TEST_F(EngineDiffTest, EmptyInput) {
-  ExpectEnginesAgree("SELECT a, b FROM tempty", 1024);
-  ExpectEnginesAgree("SELECT a FROM tempty WHERE a > 3", 1024);
-  ExpectEnginesAgree("SELECT b, COUNT(*) AS c FROM tempty GROUP BY b", 1024);
+  ExpectEnginesAgree("SELECT a, b FROM tempty");
+  ExpectEnginesAgree("SELECT a FROM tempty WHERE a > 3");
+  ExpectEnginesAgree("SELECT b, COUNT(*) AS c FROM tempty GROUP BY b");
   // Scalar aggregate over nothing still yields exactly one row.
-  ExpectEnginesAgree("SELECT COUNT(*) AS c, SUM(a) AS s FROM tempty", 1024);
-  ExpectEnginesAgree(
-      "SELECT a, x FROM tempty LEFT JOIN tb ON a = x", 1024);
-  ExpectEnginesAgree("SELECT a, b FROM ta JOIN tempty ON ta.a = tempty.b",
-                     1024);
+  ExpectEnginesAgree("SELECT COUNT(*) AS c, SUM(a) AS s FROM tempty");
+  ExpectEnginesAgree("SELECT a, x FROM tempty LEFT JOIN tb ON a = x");
+  ExpectEnginesAgree("SELECT a, b FROM ta JOIN tempty ON ta.a = tempty.b");
 }
 
 TEST_F(EngineDiffTest, ExactlyOneBatch) {
-  // Batch size equal to the table's row count: one full batch, no partial
-  // second batch.
-  ExpectEnginesAgree("SELECT a, b, v FROM ta WHERE b > 2", 700);
-  ExpectEnginesAgree("SELECT b, COUNT(*) AS c, SUM(v) AS s FROM ta GROUP BY b",
-                     700);
+  // A scan shares the stored columns whole: all 700 rows of ta are one
+  // batch, which the filter narrows by its selection alone.
+  ExpectEnginesAgree("SELECT a, b, v FROM ta WHERE b > 2");
+  ExpectEnginesAgree("SELECT b, COUNT(*) AS c, SUM(v) AS s FROM ta GROUP BY b");
 }
 
 TEST_F(EngineDiffTest, BatchSizeOne) {
-  // Every row is its own batch.
-  ExpectEnginesAgree("SELECT a, b FROM ta WHERE v > 40 AND b <= 6", 1);
+  // A filter, a DISTINCT aggregate and a join over the full tables.
+  ExpectEnginesAgree("SELECT a, b FROM ta WHERE v > 40 AND b <= 6");
   ExpectEnginesAgree(
-      "SELECT b, COUNT(DISTINCT a) AS da FROM ta GROUP BY b", 1);
-  ExpectEnginesAgree("SELECT a, y FROM ta JOIN tb ON a = x AND w > 10", 1);
+      "SELECT b, COUNT(DISTINCT a) AS da FROM ta GROUP BY b");
+  ExpectEnginesAgree("SELECT a, y FROM ta JOIN tb ON a = x AND w > 10");
+  // A one-row table: every operator's single batch holds one row.
+  ExpectEnginesAgree("SELECT a, b, v, s, d FROM tone");
+  ExpectEnginesAgree("SELECT a, b FROM tone WHERE v > 40 AND b <= 6");
+  ExpectEnginesAgree(
+      "SELECT b, COUNT(DISTINCT a) AS da, SUM(v) AS sv FROM tone GROUP BY b");
+  ExpectEnginesAgree("SELECT COUNT(*) AS c, AVG(v) AS av FROM tone");
+  // The one row on the probe side, then on the build side.
+  ExpectEnginesAgree("SELECT a, label FROM tk JOIN tone ON a = k");
+  ExpectEnginesAgree("SELECT a, label FROM tone JOIN tk ON a = k");
+  ExpectEnginesAgree("SELECT a, s FROM tone UNION ALL SELECT a, s FROM tone");
+  ExpectEnginesAgree("SELECT a, b FROM tone ORDER BY a, b LIMIT 1");
+}
+
+// Each path on which the batch engine forwards a column instead of copying
+// it, next to the gathers it falls back to. In the serial plans here the
+// second table in FROM is the hash join's probe side.
+TEST_F(EngineDiffTest, ForwardedColumns) {
+  // Bare-reference projections three deep, forwarding over a filter.
+  ExpectEnginesAgree(
+      "SELECT a2, s2 FROM (SELECT a1 AS a2, s1 AS s2 FROM "
+      "(SELECT a AS a1, s AS s1, v FROM ta WHERE b > 3) AS p1) AS p2");
+  // A sort permutes the selection over the shared columns; the limit cuts
+  // it. ORDER BY every output column keeps the prefix determined.
+  ExpectEnginesAgree(
+      "SELECT a, b, v, s FROM ta WHERE b > 2 ORDER BY a, b, v, s LIMIT 25");
+  // Every probe row (tdup) matches one build row: probe columns forwarded.
+  ExpectEnginesAgree("SELECT k2, tag, label FROM tk JOIN tdup ON k2 = k");
+  // Probe rows (tk) that match twice or not at all — as many emissions as
+  // probe rows, but not each row once in order: probe columns gathered.
+  ExpectEnginesAgree("SELECT k, label, tag FROM tdup JOIN tk ON k2 = k");
+  // Unmatched probe rows of a LEFT JOIN: each probe row emitted once, so
+  // forwarded, with NULL-padded build columns.
+  ExpectEnginesAgree("SELECT a, b, k, label FROM ta LEFT JOIN tk ON a = k");
+  // A self-join: both sides scan the same stored columns.
+  ExpectEnginesAgree(
+      "SELECT t1.k, t1.label, t2.label FROM tk AS t1 JOIN tk AS t2 "
+      "ON t1.k = t2.k");
+  // A table unioned with itself: the second child's rows append to the
+  // first child's shared columns.
+  ExpectEnginesAgree("SELECT a, s FROM ta UNION ALL SELECT a, s FROM ta");
+  // One column forwarded twice by a projection, under and over GROUP BY.
+  ExpectEnginesAgree("SELECT b, b AS b2, SUM(v) AS s FROM ta GROUP BY b");
+  ExpectEnginesAgree(
+      "SELECT a2, COUNT(*) AS c FROM (SELECT a, a AS a2 FROM ta WHERE b > 1) "
+      "AS p GROUP BY a2");
+  // DISTINCT aggregates over forwarded columns.
+  ExpectEnginesAgree(
+      "SELECT b, COUNT(DISTINCT s) AS ds, SUM(DISTINCT a) AS sa FROM "
+      "(SELECT a, b, s FROM ta WHERE v > 10) AS p GROUP BY b");
 }
 
 // --- partial-aggregate step shapes (PR 9) ---
@@ -267,20 +331,16 @@ TEST_F(EngineDiffTest, BatchSizeOne) {
 // GROUP BY steps keyed on {grouping cols ∩ side} ∪ {join keys} — wider,
 // NULL-heavier key sets than a final aggregate, typically followed by a
 // second aggregation of the partial output. Exercise those shapes through
-// both engines at adversarial batch sizes.
+// both engines.
 
 TEST_F(EngineDiffTest, PartialAggregateKeyShapes) {
-  for (int batch : {1, 7, 256, 1024}) {
-    // Multi-key partial: join key + grouping key, NULLs group together.
-    ExpectEnginesAgree(
-        "SELECT a, b, COUNT(*) AS c, SUM(v) AS s, COUNT(v) AS cv "
-        "FROM ta GROUP BY a, b",
-        batch);
-    // MIN/MAX partials are idempotent under re-aggregation.
-    ExpectEnginesAgree(
-        "SELECT b, d, MIN(v) AS lo, MAX(v) AS hi FROM ta GROUP BY b, d",
-        batch);
-  }
+  // Multi-key partial: join key + grouping key, NULLs group together.
+  ExpectEnginesAgree(
+      "SELECT a, b, COUNT(*) AS c, SUM(v) AS s, COUNT(v) AS cv "
+      "FROM ta GROUP BY a, b");
+  // MIN/MAX partials are idempotent under re-aggregation.
+  ExpectEnginesAgree(
+      "SELECT b, d, MIN(v) AS lo, MAX(v) AS hi FROM ta GROUP BY b, d");
 }
 
 TEST_F(EngineDiffTest, ReaggregationOfPartialOutput) {
@@ -289,25 +349,21 @@ TEST_F(EngineDiffTest, ReaggregationOfPartialOutput) {
   ExpectEnginesAgree(
       "SELECT b, SUM(s) AS s, SUM(c) AS c FROM "
       "(SELECT a, b, SUM(v) AS s, COUNT(v) AS c FROM ta GROUP BY a, b) AS p "
-      "GROUP BY b",
-      64);
+      "GROUP BY b");
   ExpectEnginesAgree(
       "SELECT d, MIN(lo) AS lo, MAX(hi) AS hi FROM "
       "(SELECT b, d, MIN(v) AS lo, MAX(v) AS hi FROM ta GROUP BY b, d) AS p "
-      "GROUP BY d",
-      3);
+      "GROUP BY d");
 }
 
 TEST_F(EngineDiffTest, PartialAggregateEmptyAndDistinct) {
   // Empty input: a partial produces zero groups, not one.
   ExpectEnginesAgree(
-      "SELECT a, b, COUNT(*) AS c, SUM(a) AS s FROM tempty GROUP BY a, b",
-      1024);
+      "SELECT a, b, COUNT(*) AS c, SUM(a) AS s FROM tempty GROUP BY a, b");
   // DISTINCT aggregates never push down, but the enumerator's refusal
   // must not be masked by an engine divergence on the un-pushed shape.
   ExpectEnginesAgree(
-      "SELECT b, COUNT(DISTINCT v) AS dv, SUM(v) AS s FROM ta GROUP BY b",
-      17);
+      "SELECT b, COUNT(DISTINCT v) AS dv, SUM(v) AS s FROM ta GROUP BY b");
 }
 
 }  // namespace
