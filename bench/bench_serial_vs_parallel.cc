@@ -109,52 +109,12 @@ void RunSweep(const char* label, const char* query,
   }
 }
 
-// §2.4's "each step runs on all nodes simultaneously", measured: the same
-// DSQL plan executed with the node-by-node serial loop (max_parallel_nodes
-// = 1) vs fanned out on the shared worker pool. A modeled control→compute
-// dispatch latency per per-node SQL shipment makes the appliance's RPC
-// structure visible: the serial loop pays it once per node per step, the
-// pool overlaps them.
-void RunPoolSweep() {
-  std::printf(
-      "\n--- pooled vs serial step execution (dispatch latency 2ms) ---\n");
-  std::printf("%-6s | %10s %10s %8s\n", "nodes", "serial s", "pooled s",
-              "speedup");
-  for (int nodes : {2, 4, 8, 16}) {
-    auto appliance = bench::MakeTpchAppliance(nodes, 0.05);
-    Session session = appliance->Connect();
-    appliance->set_dispatch_latency_seconds(0.002);
-    QueryOptions serial;
-    serial.execute.max_parallel_nodes = 1;
-    QueryOptions pooled;  // 0 = all nodes at once
-    // Warm up once so first-touch costs don't skew either side.
-    (void)session.Run(kQuery, pooled);
-    double serial_s = 0, pooled_s = 0;
-    const int reps = 3;
-    for (int r = 0; r < reps; ++r) {
-      auto s = session.Run(kQuery, serial);
-      auto p = session.Run(kQuery, pooled);
-      if (!s.ok() || !p.ok()) {
-        std::printf("execution failed\n");
-        return;
-      }
-      serial_s += s->measured_seconds;
-      pooled_s += p->measured_seconds;
-    }
-    serial_s /= reps;
-    pooled_s /= reps;
-    std::printf("%-6d | %10.4f %10.4f %7.2fx\n", nodes, serial_s, pooled_s,
-                pooled_s > 0 ? serial_s / pooled_s : 0.0);
-  }
-}
-
 void Run(bench::ProfileJsonSink* sink) {
   bench::Header(
       "CLAIM-SERIAL (§2.5): best parallel plan != parallelized best "
       "serial plan");
   RunSweep("3-way join (paper's example)", kQuery, sink);
   RunSweep("3-way join with selective lineitem filter", kFilteredQuery, sink);
-  RunPoolSweep();
 
   // Show the two plans once, for the report.
   auto appliance = bench::MakeTpchAppliance(8, 0.2);

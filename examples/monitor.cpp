@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "appliance/appliance.h"
+#include "common/fault.h"
 #include "tpch/tpch.h"
 
 using namespace pdw;
@@ -54,8 +55,11 @@ int main(int argc, char** argv) {
   tpch::TpchConfig cfg;
   cfg.scale = 0.02;
   if (!tpch::LoadTpch(&appliance, cfg).ok()) return 1;
-  // Stretch each DSQL step a little so the live view has something to see.
-  appliance.set_dispatch_latency_seconds(0.002);
+  // Stretch each DSQL step a little so the live view has something to see:
+  // the workload sessions delay every node dispatch by 2 ms.
+  auto slow =
+      fault::ParseFaultSchedule("appliance.step.dispatch:*:*:delay@0.002");
+  if (!slow.ok()) return 1;
 
   // Background sessions: a mixed read workload, some of it cached.
   const char* workload[] = {
@@ -72,7 +76,7 @@ int main(int argc, char** argv) {
   std::vector<std::thread> sessions;
   for (int t = 0; t < 3; ++t) {
     sessions.emplace_back([&, t] {
-      QueryOptions options;
+      QueryOptions options = QueryOptions().WithFaults(*slow);
       options.compile.use_plan_cache = t % 2 == 0;
       Session session = appliance.Connect(options);
       for (int i = 0; !stop.load(); ++i) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain build + full test suite, the perfbench
-# self-test, the concurrency tests again under ThreadSanitizer
-# (-DPDW_SANITIZE=thread), and the whole suite under AddressSanitizer
-# (-DPDW_SANITIZE=address), followed by the preagg and chaos legs. A
-# compiler warning in any of the three builds fails the run.
+# Tier-1 verification: the plain build + full test suite (ctest also runs
+# every example and requires it to exit 0), the perfbench self-test, the
+# concurrency tests again under ThreadSanitizer (-DPDW_SANITIZE=thread),
+# and the whole suite under AddressSanitizer (-DPDW_SANITIZE=address),
+# followed by the preagg and chaos legs. A compiler warning in any of the
+# three builds fails the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,7 +82,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dms_pipeline_test \
 # exercising the request registry (which stores each step's StepProfile:
 # written by the step runner and the DMS progress feed while DMV snapshots
 # copy it), the DMS progress feed, and virtual-table snapshot
-# materialization against concurrent temp-table DDL. obs_test's
+# materialization against concurrent temp-table DDL. The storm holds each
+# query in flight with a delay fault at every node dispatch, so the fault
+# registry's matching and delay run from concurrent node tasks of
+# concurrent queries. obs_test's
 # ThreadSafetySmoke tests hammer the tracer and the metrics registry that
 # every DMS worker and step writes into; ASan cannot see a data race, so
 # they run instrumented here.
@@ -97,17 +101,17 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test
 cmake --build build-tsan -j --target workload_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test
 
-# The vectorized batch engine (the default) owns raw selection-vector /
-# hash-table indexing; run the whole suite under AddressSanitizer. Suites
-# that pick the row engine per query run it instrumented too.
+# The vectorized batch engine, the one every query runs on, owns raw
+# selection-vector / hash-table indexing; run the whole suite, the
+# examples included, under AddressSanitizer.
 cmake -B build-asan -S . -DPDW_SANITIZE=address -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-asan -j
 (cd build-asan && ASAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -j)
 
-# Pre-aggregation leg: the pushdown differential sweep (preagg on/off x
-# row/batch engine, all byte-compared against the single-node reference,
-# which runs the batch engine on the reference node) under ASan. Partial-aggregate kernels index raw selection vectors and
-# group tables, so both plan shapes of every sweep query run instrumented.
+# Pre-aggregation leg: the pushdown differential sweep (preagg on/off, all
+# byte-compared against the single-node reference) under ASan.
+# Partial-aggregate kernels index raw selection vectors and group tables,
+# so both plan shapes of every sweep query run instrumented.
 cmake --build build-asan -j --target preagg_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/preagg_test
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "appliance/dmv.h"
 #include "common/fault.h"
@@ -203,10 +202,6 @@ std::string ExplainText(const CachedDsqlPlan& plan, bool cache_hit,
          StringFormat("%.6f", plan.modeled_cost) + ")" +
          (cache_hit ? "  [plan cache hit]" : "") + "\n" + warning +
          plan.plan_text + "\n" + details;
-}
-
-const char* EngineLabel(const ExecOptions& exec) {
-  return exec.engine == EngineKind::kRow ? "row" : "batch";
 }
 
 bool SelectReadsSystemViews(const sql::SelectStatement& stmt);
@@ -434,8 +429,6 @@ struct Appliance::StepRunner {
   const DsqlPlan& dsql;
   uint64_t query_id;
   bool profile_operators;
-  int max_parallel_nodes;
-  const ExecOptions& exec;
   const std::atomic<bool>* cancel;
   ApplianceResult& result;
 
@@ -493,22 +486,18 @@ struct Appliance::StepRunner {
   }
 
   /// The per-node body of every step: the control→compute RPC of shipping
-  /// the step to runs->nodes[i] (fault point + modeled latency), then the
-  /// timed execution of the step's plan on that node's storage. The DMS
-  /// producers and the Return step both run it; NodeRuns::FoldInto then
-  /// adds what it measured to the step profile.
+  /// the step to runs->nodes[i] (its fault point), then the timed execution
+  /// of the step's plan on that node's storage. The DMS producers and the
+  /// Return step both run it; NodeRuns::FoldInto then adds what it
+  /// measured to the step profile.
   Result<RowVector> RunNode(const DsqlStep& step, NodeRuns* runs, size_t i) {
     int node = runs->nodes[i];
     Status fs = fault::Check("appliance.step.dispatch");
     if (!fs.ok()) return WrapNodeStatus(node, fs, step.sql);
-    if (app.dispatch_latency_seconds_ > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(app.dispatch_latency_seconds_));
-    }
     double t0 = NowSeconds();
     auto rows = pdw::ExecutePlan(
         *runs->plan, EngineOf(node),
-        runs->profiles.empty() ? nullptr : &runs->profiles[i], exec);
+        runs->profiles.empty() ? nullptr : &runs->profiles[i]);
     runs->seconds[i] = NowSeconds() - t0;
     if (!rows.ok()) return WrapNodeStatus(node, rows.status(), step.sql);
     return rows;
@@ -536,7 +525,6 @@ struct Appliance::StepRunner {
     }
     DmsExecOptions dms_options;
     dms_options.cancel = cancel;
-    dms_options.max_workers = max_parallel_nodes;
     dms_options.progress = [this, idx = sp->index](double rows_delta,
                                                    double bytes_delta) {
       app.requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
@@ -574,8 +562,7 @@ struct Appliance::StepRunner {
                                    (*routed)[static_cast<size_t>(node)]);
           }
           target_status[static_cast<size_t>(i)] = std::move(ts);
-        },
-        max_parallel_nodes);
+        });
     sp->temp_insert_seconds = NowSeconds() - temp_start;
     for (Status& ts : target_status) {
       if (!ts.ok()) return std::move(ts);
@@ -588,25 +575,22 @@ struct Appliance::StepRunner {
   Status RunReturn(const DsqlStep& step, obs::StepProfile* sp) {
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", std::string("Return"));
-    // Every source node runs the plan simultaneously (capped at
-    // max_parallel_nodes; 1 = the serial node-by-node loop).
+    // Every source node runs the plan simultaneously.
     NodeRuns runs(app.SourceNodes(step), profile_operators);
     PDW_RETURN_NOT_OK(CompileStep(step, &runs, sp));
     std::vector<Result<RowVector>> per_node(
         runs.nodes.size(), Status::Internal("node not run"));
     ThreadPool::Global().ParallelFor(
-        static_cast<int>(runs.nodes.size()),
-        [&](int i) {
+        static_cast<int>(runs.nodes.size()), [&](int i) {
           per_node[static_cast<size_t>(i)] =
               RunNode(step, &runs, static_cast<size_t>(i));
-        },
-        max_parallel_nodes);
+        });
     for (const Result<RowVector>& rows : per_node) {
       if (!rows.ok()) return rows.status();
     }
     runs.FoldInto(sp);
-    // Assemble in node order, keeping the serial loop's deterministic
-    // stream order regardless of which node finished first.
+    // Assemble in node order, so the stream order is deterministic
+    // regardless of which node finished first.
     RowVector assembled;
     for (Result<RowVector>& rows : per_node) {
       assembled.insert(assembled.end(), std::make_move_iterator(rows->begin()),
@@ -645,8 +629,6 @@ struct Appliance::StepRunner {
 Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
                                                uint64_t query_id,
                                                bool profile_operators,
-                                               int max_parallel_nodes,
-                                               const ExecOptions& exec,
                                                const RetryPolicy& retry,
                                                const std::atomic<bool>* cancel) {
   ApplianceResult result;
@@ -680,8 +662,8 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   // other failure, cancellation included, aborts the plan through
   // cleanup_and_fail. The profile keeps the successful attempt's numbers
   // plus the retry count.
-  StepRunner runner{*this, dsql, query_id, profile_operators,
-                    max_parallel_nodes, exec, cancel, result};
+  StepRunner runner{*this, dsql, query_id, profile_operators, cancel,
+                    result};
   for (size_t i = 0; i < dsql.steps.size(); ++i) {
     const DsqlStep& step = dsql.steps[i];
     bool is_dms = step.kind == DsqlStepKind::kDms;
@@ -773,22 +755,22 @@ Result<ApplianceResult> Appliance::RunAs(uint64_t session_id,
                                          const std::string& sql,
                                          const QueryOptions& options) {
   // Trace export: a per-query path (ObserveOptions::trace_out) or the
-  // process-wide PDW_TRACE_OUT turns the global tracer on before the run
-  // and dumps a Chrome-trace JSON file after it.
+  // process-wide PDW_TRACE_OUT brackets the run in a capture of the global
+  // tracer and dumps a Chrome-trace JSON file after it; the capture then
+  // leaves the tracer as it found it.
   std::string trace_path = options.observe.trace_out;
   if (trace_path.empty()) {
     const char* env = std::getenv("PDW_TRACE_OUT");
     if (env != nullptr && *env != '\0') trace_path = env;
   }
-  if (!trace_path.empty()) obs::Tracer::Global().Enable();
+  if (!trace_path.empty()) obs::Tracer::Global().BeginCapture();
 
   // Register the request before any work happens, so even a parse failure
   // shows up in sys.dm_pdw_exec_requests; every exit path of RunImpl then
   // lands in exactly one terminal phase below.
   uint64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  requests_.Register(query_id, session_id, NormalizeSqlForPlanCache(sql),
-                     EngineLabel(options.execute.engine));
+  requests_.Register(query_id, session_id, NormalizeSqlForPlanCache(sql));
   std::shared_ptr<std::atomic<bool>> cancel = RegisterCancelFlag(query_id);
   double start = NowSeconds();
   Result<ApplianceResult> result = Status::Internal("query not executed");
@@ -813,20 +795,19 @@ Result<ApplianceResult> Appliance::RunAs(uint64_t session_id,
   if (!trace_path.empty()) {
     Status written = obs::Tracer::Global().WriteChromeTrace(trace_path);
     (void)written;
+    obs::Tracer::Global().EndCapture();
   }
   return result;
 }
 
 Result<ApplianceResult> Appliance::RunDmvQuery(uint64_t query_id,
-                                               const std::string& sql,
-                                               const QueryOptions& options) {
+                                               const std::string& sql) {
   obs::TraceSpan span("appliance.dmv_query");
   requests_.BeginCompile(query_id);
   requests_.EndCompile(query_id, /*cache_hit=*/false);
   requests_.BeginExecute(query_id, {});
   double start = NowSeconds();
-  PDW_ASSIGN_OR_RETURN(
-      SqlResult rows, control_.ExecuteSql(sql, nullptr, options.execute.engine));
+  PDW_ASSIGN_OR_RETURN(SqlResult rows, control_.ExecuteSql(sql));
   ApplianceResult result;
   result.column_names = std::move(rows.column_names);
   result.rows = std::move(rows.rows);
@@ -851,7 +832,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     auto parsed = sql::ParseStatement(sql);
     if (parsed.ok() && parsed->kind == sql::StatementKind::kSelect &&
         SelectReadsSystemViews(*parsed->select)) {
-      return RunDmvQuery(query_id, sql, options);
+      return RunDmvQuery(query_id, sql);
     }
   }
 
@@ -1016,8 +997,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
       ApplianceResult result,
       ExecuteDsql(plan.dsql, query_id,
                   options.observe.collect_operator_actuals,
-                  options.execute.max_parallel_nodes,
-                  options.execute.engine, options.execute.retry, cancel));
+                  options.execute.retry, cancel));
   result.modeled_cost = plan.modeled_cost;
   result.plan_text = plan.plan_text;
   result.cache_hit = cache_hit;
@@ -1051,11 +1031,10 @@ Result<ApplianceResult> Appliance::ExecutePlan(
   uint64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed);
   requests_.Register(query_id, kDefaultSessionId,
-                     "(precompiled parallel plan)", EngineLabel(ExecOptions{}));
+                     "(precompiled parallel plan)");
   UniquifyTempNames(&dsql, query_id);
   Result<ApplianceResult> result =
-      ExecuteDsql(dsql, query_id, /*profile_operators=*/false,
-                  /*max_parallel_nodes=*/0, ExecOptions{}, RetryPolicy{},
+      ExecuteDsql(dsql, query_id, /*profile_operators=*/false, RetryPolicy{},
                   /*cancel=*/nullptr);
   if (!result.ok()) {
     requests_.Fail(query_id, result.status().ToString());
@@ -1070,9 +1049,8 @@ Result<ApplianceResult> Appliance::ExecutePlan(
   return result;
 }
 
-Result<SqlResult> Appliance::ExecuteReference(const std::string& sql,
-                                              const ExecOptions& exec) {
-  return reference_.ExecuteSql(sql, nullptr, exec);
+Result<SqlResult> Appliance::ExecuteReference(const std::string& sql) {
+  return reference_.ExecuteSql(sql);
 }
 
 }  // namespace pdw

@@ -37,19 +37,11 @@ struct CompileOptions {
   bool explain_only = false;
 };
 
-/// Execution-tier knobs of one query: engine selection, workload
-/// management, caching, retries, and fault injection.
+/// Execution-tier knobs of one query: workload management, caching,
+/// retries, and fault injection. There is one way to execute: every DSQL
+/// step runs its one compiled plan on the batch engine, on all of its
+/// source nodes at once.
 struct ExecutionOptions {
-  /// Cap on how many compute nodes run one DSQL step's work at the same
-  /// time: 0 fans out across all nodes on the shared worker pool (the
-  /// appliance model of Fig. 1), 1 reproduces the serial node-by-node
-  /// loop (the bench_serial_vs_parallel baseline). It bounds both the
-  /// per-step node fan-out and the DMS senders.
-  int max_parallel_nodes = 0;
-  /// Which local execution engine every node-local plan runs on: the
-  /// vectorized batch engine (default) or the row-at-a-time reference
-  /// interpreter, which differential tests pick per query.
-  ExecOptions engine;
   /// Faults armed for this query only (on top of any process-wide
   /// PDW_FAULTS schedule). Specs with query# = 1 or '*' target this query.
   fault::FaultSchedule faults;
@@ -75,19 +67,21 @@ struct ObserveOptions {
   /// Collect per-operator actual row counts and timings inside every
   /// node-local plan (the EXPLAIN ANALYZE data; adds metering overhead).
   bool collect_operator_actuals = false;
-  /// When non-empty, the global tracer is enabled for this query and a
+  /// When non-empty, the global tracer records this query and a
   /// Chrome-trace JSON file (chrome://tracing / Perfetto "Open trace
-  /// file") is written here when the query finishes. The process-wide
+  /// file") is written here when the query finishes; it holds the spans
+  /// recorded since the tracer was turned on for it (Tracer::BeginCapture),
+  /// and the query then leaves the tracer as it found it. The process-wide
   /// PDW_TRACE_OUT environment variable is the same knob for every query.
   std::string trace_out;
 };
 
 /// Per-query knobs of a session Run, grouped by pipeline tier. Configure
-/// either directly (options.execute.max_parallel_nodes = 1) or through the
-/// fluent With* builders:
+/// either directly (options.execute.priority = 1) or through the fluent
+/// With* builders:
 ///   session.Run(sql, QueryOptions()
 ///                        .WithExplainOnly()
-///                        .WithMaxParallelNodes(1));
+///                        .WithPriority(1));
 struct QueryOptions {
   CompileOptions compile;
   ExecutionOptions execute;
@@ -103,14 +97,6 @@ struct QueryOptions {
   }
   QueryOptions& WithExplainOnly(bool on = true) {
     compile.explain_only = on;
-    return *this;
-  }
-  QueryOptions& WithMaxParallelNodes(int cap) {
-    execute.max_parallel_nodes = cap;
-    return *this;
-  }
-  QueryOptions& WithEngine(ExecOptions engine) {
-    execute.engine = engine;
     return *this;
   }
   QueryOptions& WithFaults(fault::FaultSchedule faults) {
@@ -260,19 +246,8 @@ class Appliance {
                                       std::vector<std::string> output_names);
 
   /// Runs the query on the single-node reference engine holding all data —
-  /// ground truth for validating distributed execution. `exec` selects the
-  /// local engine, so a caller can diff the two engines on the same data.
-  Result<SqlResult> ExecuteReference(const std::string& sql,
-                                     const ExecOptions& exec = {});
-
-  /// Models the control→compute RPC of dispatching one step's SQL to a
-  /// node (seconds; default 0). The pool overlaps these dispatches across
-  /// nodes; the serial loop pays them one after another — the §2.4
-  /// "steps run on all nodes simultaneously" effect made measurable.
-  void set_dispatch_latency_seconds(double seconds) {
-    dispatch_latency_seconds_ = seconds;
-  }
-  double dispatch_latency_seconds() const { return dispatch_latency_seconds_; }
+  /// ground truth for validating distributed execution.
+  Result<SqlResult> ExecuteReference(const std::string& sql);
 
   // Shared-state accessors. The const overloads are safe from concurrent
   // session threads; the mutable ones are not synchronized.
@@ -324,8 +299,7 @@ class Appliance {
   /// node's engine (DMVs are control-node state on the real appliance; the
   /// distributed pipeline never sees them).
   Result<ApplianceResult> RunDmvQuery(uint64_t query_id,
-                                      const std::string& sql,
-                                      const QueryOptions& options);
+                                      const std::string& sql);
   /// One plan execution's per-step runner (defined in appliance.cc).
   struct StepRunner;
   /// Runs the plan's steps in order, every attempt of a step through
@@ -333,8 +307,6 @@ class Appliance {
   Result<ApplianceResult> ExecuteDsql(const DsqlPlan& dsql,
                                       uint64_t query_id,
                                       bool profile_operators,
-                                      int max_parallel_nodes,
-                                      const ExecOptions& exec,
                                       const RetryPolicy& retry,
                                       const std::atomic<bool>* cancel);
   /// Registers (and on destruction unregisters) a query's cancellation
@@ -367,7 +339,6 @@ class Appliance {
   /// Cancellation tokens of in-flight queries, keyed by query id.
   mutable std::mutex cancel_mu_;
   std::map<uint64_t, std::shared_ptr<std::atomic<bool>>> cancel_flags_;
-  double dispatch_latency_seconds_ = 0;
 };
 
 /// A client connection to the appliance (PDW's session concept): carries

@@ -34,7 +34,6 @@ Status InstallExecRequests(LocalEngine* engine,
                           {"session_id", TypeId::kInt, false},
                           {"status", TypeId::kVarchar, false},
                           {"sql_text", TypeId::kVarchar, false},
-                          {"engine", TypeId::kVarchar, true},
                           {"resource_class", TypeId::kVarchar, true},
                           {"cache_hit", TypeId::kBool, false},
                           {"result_cache_hit", TypeId::kBool, false},
@@ -77,8 +76,6 @@ Status InstallExecRequests(LocalEngine* engine,
           row.push_back(Datum::Int(static_cast<int64_t>(r.session_id)));
           row.push_back(Datum::Varchar(obs::RequestPhaseName(r.phase)));
           row.push_back(Datum::Varchar(r.sql));
-          row.push_back(r.engine.empty() ? Datum::Null()
-                                         : Datum::Varchar(r.engine));
           row.push_back(r.resource_class.empty()
                             ? Datum::Null()
                             : Datum::Varchar(r.resource_class));

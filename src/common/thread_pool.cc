@@ -98,12 +98,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
-                             int max_parallelism) {
+void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  int cap = max_parallelism > 0 ? max_parallelism : size() + 1;
-  if (n == 1 || cap <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
+  if (n == 1) {
+    fn(0);
     return;
   }
 
@@ -111,10 +109,9 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
   batch->n = n;
   batch->fn = &fn;
 
-  // One helper per index beyond the caller, bounded by the cap and the
-  // pool size. Helpers that wake up after the batch is drained exit
-  // immediately.
-  int helpers = std::min({n, cap, size() + 1}) - 1;
+  // One helper per index beyond the caller, bounded by the pool size.
+  // Helpers that wake up after the batch is drained exit immediately.
+  int helpers = std::min(n - 1, size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (int i = 0; i < helpers; ++i) {

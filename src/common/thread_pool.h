@@ -37,10 +37,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Process-wide pool of max(hardware_concurrency, 16) workers: per-node
-  /// work is frequently dominated by the modeled dispatch latency (a
-  /// blocked thread, not a busy core), so the pool oversubscribes cores to
-  /// overlap every node of a typical appliance.
+  /// Process-wide pool of max(hardware_concurrency, 16) workers: enough
+  /// for one task per compute node of a 16-node step at once. The size has
+  /// not been measured since node tasks became the pool's only work, and
+  /// a node task keeps its core busy (ROADMAP item 6).
   static ThreadPool& Global();
 
   int size() const { return static_cast<int>(workers_.size()); }
@@ -58,13 +58,9 @@ class ThreadPool {
   void SetMetricsHook(std::function<void(int, int)> hook);
 
   /// Runs fn(0) .. fn(n-1) and returns when all calls have finished.
-  /// Indices are claimed by up to `max_parallelism` threads (0 = no extra
-  /// cap beyond pool size); the caller always participates. With
-  /// max_parallelism == 1 no helpers are enqueued and the loop runs
-  /// serially on the caller — the serial-loop baseline of
-  /// bench_serial_vs_parallel.
-  void ParallelFor(int n, const std::function<void(int)>& fn,
-                   int max_parallelism = 0);
+  /// Indices are claimed by the caller, which always participates, and by
+  /// up to n - 1 pool workers.
+  void ParallelFor(int n, const std::function<void(int)>& fn);
 
  private:
   struct Batch;

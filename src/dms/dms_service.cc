@@ -281,9 +281,7 @@ Result<std::vector<RowVector>> DmsService::ExecutePipelined(
   };
   int num_sources = static_cast<int>(sources.size());
   if (pool != nullptr) {
-    // max_workers is the per-query thread budget; the caller participates,
-    // so any cap still makes progress.
-    pool->ParallelFor(num_sources, run_source, options.max_workers);
+    pool->ParallelFor(num_sources, run_source);
   } else {
     for (int i = 0; i < num_sources; ++i) run_source(i);
   }

@@ -63,10 +63,6 @@ struct DmsExecOptions {
   /// destination; when it flips, the movement aborts with
   /// StatusCode::kCancelled and the other senders stop at their next batch.
   const std::atomic<bool>* cancel = nullptr;
-  /// Cap on how many senders (one pool task per source) this movement may
-  /// run concurrently on the shared pool. 0 = no cap beyond pool size. The
-  /// calling thread still participates, so 1 is the serial schedule.
-  int max_workers = 0;
 };
 
 /// Produces one source node's rows for a pipelined movement — typically by
@@ -113,7 +109,7 @@ class DmsService {
   /// Returns the rows landing on each node (same indexing).
   /// `hash_ordinals` drive Shuffle/Trim routing. A non-null `pool` runs the
   /// per-node work in parallel across nodes (component seconds then sum
-  /// per-node durations, as in the serial loop); null keeps the
+  /// per-node durations, as in the serial schedule); null keeps the
   /// deterministic serial schedule.
   Result<std::vector<RowVector>> Execute(DmsOpKind kind,
                                          std::vector<RowVector> source_rows,

@@ -7,6 +7,7 @@
 #include "engine/executor.h"
 #include "engine/expr_program.h"
 #include "engine/hash_table.h"
+#include "obs/metrics.h"
 
 /// The vectorized batch execution engine. Plans execute operator-at-a-time
 /// over ColumnBatches instead of row-at-a-time over Datums:
@@ -877,12 +878,17 @@ Result<BatchResult> ExecBatchNode(const PlanNode& plan, const BatchExecCtx& ctx,
 
 }  // namespace
 
-Result<RowVector> ExecuteBatchPlan(const PlanNode& plan,
-                                   const TableProvider& tables,
-                                   ExecProfile* profile) {
+Result<RowVector> ExecutePlan(const PlanNode& plan,
+                              const TableProvider& tables,
+                              ExecProfile* profile) {
   BatchExecCtx ctx{tables, profile};
   PDW_ASSIGN_OR_RETURN(BatchResult result, ExecBatchNode(plan, ctx, 0));
-  return RowsFromResult(result);
+  RowVector rows = RowsFromResult(result);
+  if (profile != nullptr) {
+    obs::MetricsRegistry::Global().Count("executor.rows_out",
+                                         static_cast<double>(rows.size()));
+  }
+  return rows;
 }
 
 }  // namespace pdw

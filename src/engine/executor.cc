@@ -8,7 +8,6 @@
 #include "algebra/scalar_eval.h"
 #include "common/string_util.h"
 #include "engine/batch.h"
-#include "obs/metrics.h"
 
 namespace pdw {
 
@@ -482,19 +481,10 @@ Result<RowVector> ExecuteNode(const PlanNode& plan, const TableProvider& tables,
 
 }  // namespace
 
-Result<RowVector> ExecutePlan(const PlanNode& plan,
-                              const TableProvider& tables,
-                              ExecProfile* profile,
-                              const ExecOptions& options) {
-  Result<RowVector> rows =
-      options.engine == EngineKind::kBatch
-          ? ExecuteBatchPlan(plan, tables, profile)
-          : ExecuteNode(plan, tables, profile, 0);
-  if (profile != nullptr && rows.ok()) {
-    obs::MetricsRegistry::Global().Count("executor.rows_out",
-                                         static_cast<double>(rows->size()));
-  }
-  return rows;
+Result<RowVector> ExecuteRowPlan(const PlanNode& plan,
+                                 const TableProvider& tables,
+                                 ExecProfile* profile) {
+  return ExecuteNode(plan, tables, profile, 0);
 }
 
 }  // namespace pdw

@@ -154,8 +154,7 @@ Result<TableStats> LocalEngine::ComputeLocalStats(const std::string& name,
 }
 
 Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
-                                          ExecProfile* profile,
-                                          const ExecOptions& exec) {
+                                          ExecProfile* profile) {
   PDW_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
   SqlResult result;
   switch (stmt.kind) {
@@ -249,8 +248,7 @@ Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
   }
   const TableProvider& provider =
       has_virtual ? static_cast<const TableProvider&>(overlay) : *this;
-  PDW_ASSIGN_OR_RETURN(result.rows,
-                       ExecutePlan(*plan, provider, profile, exec));
+  PDW_ASSIGN_OR_RETURN(result.rows, ExecutePlan(*plan, provider, profile));
   result.column_names = comp.output_names;
   for (const auto& b : plan->output) result.column_types.push_back(b.type);
   // Trim hidden ORDER BY carrier columns.

@@ -36,7 +36,7 @@ using VirtualTableFn = std::function<Result<RowVector>()>;
 /// feeds it the *generated SQL text*, so DSQL SQL generation is exercised
 /// on the real execution path. Each table — user table or DMS temp table —
 /// is stored as one ColumnBatch and nothing else: the batch engine's scans
-/// share its columns, the row engine's scans and GetRows convert it to
+/// share its columns, the row oracle's scans and GetRows convert it to
 /// rows, and ComputeLocalStats reads it.
 ///
 /// Thread safety: concurrent ExecuteSql calls are safe, as is DDL on
@@ -78,13 +78,12 @@ class LocalEngine : public TableProvider {
   Result<TableStats> ComputeLocalStats(const std::string& name,
                                        int histogram_buckets = 32);
 
-  /// Executes a SELECT (or CREATE TABLE / DROP TABLE / INSERT) statement.
-  /// A non-null `profile` collects per-operator actual row counts and
-  /// timings of the SELECT's plan (EXPLAIN ANALYZE support). `exec` picks
-  /// the execution engine (row reference vs vectorized batch).
+  /// Executes a SELECT (or CREATE TABLE / DROP TABLE / INSERT) statement;
+  /// a SELECT's plan runs on the batch engine (ExecutePlan). A non-null
+  /// `profile` collects per-operator actual row counts and timings of the
+  /// SELECT's plan (EXPLAIN ANALYZE support).
   Result<SqlResult> ExecuteSql(const std::string& sql,
-                               ExecProfile* profile = nullptr,
-                               const ExecOptions& exec = {});
+                               ExecProfile* profile = nullptr);
 
   // TableProvider:
   Result<TableData> GetTableData(const std::string& name) const override;

@@ -65,14 +65,13 @@ RequestRegistry::RequestRegistry(size_t ring_capacity)
 double RequestRegistry::NowSeconds() const { return SteadySeconds() - epoch_; }
 
 void RequestRegistry::Register(uint64_t query_id, uint64_t session_id,
-                               std::string sql, std::string engine) {
+                               std::string sql) {
   double now = NowSeconds();
   std::lock_guard<std::mutex> lock(mu_);
   RequestState& r = active_[query_id];
   r.query_id = query_id;
   r.session_id = session_id;
   r.sql = std::move(sql);
-  r.engine = std::move(engine);
   r.phase = RequestPhase::kQueued;
   r.submit_seconds = now;
 }

@@ -54,7 +54,6 @@ struct RequestState {
   /// implicit default session behind bare Appliance::Run).
   uint64_t session_id = 0;
   std::string sql;        ///< Normalized SQL text.
-  std::string engine;     ///< Local execution engine label ("row"/"batch").
   RequestPhase phase = RequestPhase::kQueued;
   /// Workload-manager resource class ("small"/"medium"/"large"), set when
   /// the request enters admission; empty for DMV/explain-only requests
@@ -107,8 +106,7 @@ class RequestRegistry {
   double NowSeconds() const;
 
   /// Admits a request in phase queued.
-  void Register(uint64_t query_id, uint64_t session_id, std::string sql,
-                std::string engine);
+  void Register(uint64_t query_id, uint64_t session_id, std::string sql);
 
   void BeginCompile(uint64_t query_id);
   void EndCompile(uint64_t query_id, bool cache_hit);

@@ -39,9 +39,28 @@ Tracer& Tracer::Global() {
 
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  cleared_ += static_cast<int>(records_.size());
   records_.clear();
   open_.clear();
   epoch_ = WallSeconds();
+}
+
+void Tracer::BeginCapture() {
+  std::lock_guard<std::mutex> lock(capture_mu_);
+  if (captures_++ == 0 && !enabled()) {
+    Clear();
+    Enable();
+    capture_enabled_ = true;
+  }
+}
+
+void Tracer::EndCapture() {
+  std::lock_guard<std::mutex> lock(capture_mu_);
+  if (--captures_ == 0 && capture_enabled_) {
+    Disable();
+    Clear();
+    capture_enabled_ = false;
+  }
 }
 
 size_t Tracer::size() const {
@@ -70,22 +89,25 @@ int Tracer::BeginSpan(std::string name) {
   rec.start_seconds = WallSeconds() - epoch_;
   stack.push_back(rec.id);
   records_.push_back(std::move(rec));
-  return records_.back().id;
+  return cleared_ + records_.back().id;
 }
 
 void Tracer::EndSpan(int id, double wall_seconds, double cpu_seconds) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id < 0 || id >= static_cast<int>(records_.size())) return;
-  records_[static_cast<size_t>(id)].wall_seconds = wall_seconds;
-  records_[static_cast<size_t>(id)].cpu_seconds = cpu_seconds;
+  int index = id - cleared_;
+  if (index < 0 || index >= static_cast<int>(records_.size())) return;
+  records_[static_cast<size_t>(index)].wall_seconds = wall_seconds;
+  records_[static_cast<size_t>(index)].cpu_seconds = cpu_seconds;
   std::vector<int>& stack = open_[std::this_thread::get_id()];
-  while (!stack.empty() && stack.back() >= id) stack.pop_back();
+  while (!stack.empty() && stack.back() >= index) stack.pop_back();
 }
 
 void Tracer::Annotate(int id, const std::string& key, std::string value) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id < 0 || id >= static_cast<int>(records_.size())) return;
-  records_[static_cast<size_t>(id)].attrs.emplace_back(key, std::move(value));
+  int index = id - cleared_;
+  if (index < 0 || index >= static_cast<int>(records_.size())) return;
+  records_[static_cast<size_t>(index)].attrs.emplace_back(key,
+                                                          std::move(value));
 }
 
 std::string Tracer::ToText() const {

@@ -52,6 +52,15 @@ class Tracer {
   /// close harmlessly — their EndSpan is ignored).
   void Clear();
 
+  /// Brackets one traced query (a Run with a trace file). A capture that
+  /// finds the tracer disabled drops the recorded spans and enables it, so
+  /// its file holds only spans recorded since; overlapping captures share
+  /// that recording. When the last capture ends, a tracer the captures
+  /// enabled is disabled and its spans dropped: a traced query leaves the
+  /// tracer as it found it. A tracer its owner enabled stays enabled.
+  void BeginCapture();
+  void EndCapture();
+
   size_t size() const;
   std::vector<TraceRecord> Snapshot() const;
 
@@ -70,7 +79,7 @@ class Tracer {
  private:
   friend class TraceSpan;
 
-  /// Returns the new span's id, or -1 when disabled.
+  /// Returns the new span's id (cleared_ + its record index).
   int BeginSpan(std::string name);
   void EndSpan(int id, double wall_seconds, double cpu_seconds);
   void Annotate(int id, const std::string& key, std::string value);
@@ -79,11 +88,19 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   double epoch_ = 0;
   std::vector<TraceRecord> records_;
+  /// Spans dropped by Clear so far: span ids keep counting across a Clear,
+  /// so a span opened before it never ends or annotates a later record.
+  int cleared_ = 0;
   /// Stack of open span ids per thread — gives each thread its own
   /// nesting chain while all spans land in one shared record vector.
   std::map<std::thread::id, std::vector<int>> open_;
   /// Dense per-thread index for TraceRecord::tid.
   std::map<std::thread::id, int> thread_index_;
+
+  /// Guards the capture count and whether the captures enabled the tracer.
+  std::mutex capture_mu_;
+  int captures_ = 0;
+  bool capture_enabled_ = false;
 };
 
 /// RAII span: records wall and thread-CPU time between construction and

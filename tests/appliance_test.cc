@@ -3,8 +3,10 @@
 #include <memory>
 
 #include "appliance/appliance.h"
+#include "common/fault.h"
 #include "obs/trace.h"
 #include "pdw/baseline.h"
+#include "test_util.h"
 #include "tpch/tpch.h"
 
 namespace pdw {
@@ -376,6 +378,92 @@ TEST_F(TpchApplianceTest, EachDsqlStepCompilesOnce) {
     if (span.name == "compile.memo") ++compiles;
   }
   EXPECT_EQ(compiles, r->dsql.steps.size());
+}
+
+// The delay fault at step dispatch is how a caller stretches a query: it
+// delays every source node's dispatch of every step once.
+TEST_F(TpchApplianceTest, DispatchDelayFaultDelaysEveryNodeOnce) {
+  auto slow =
+      fault::ParseFaultSchedule("appliance.step.dispatch:*:*:delay@0.002");
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  fault::FaultRegistry& faults = fault::FaultRegistry::Global();
+  uint64_t before = faults.InjectedCount("appliance.step.dispatch");
+  auto r = session_->Run(
+      "SELECT c_name, o_totalprice FROM customer, orders "
+      "WHERE c_custkey = o_custkey",
+      QueryOptions().WithFaults(*slow));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_GE(r->profile.steps.size(), 2u);
+  uint64_t dispatches = 0;
+  for (const obs::StepProfile& step : r->profile.steps) {
+    dispatches += step.node_seconds.size();
+    EXPECT_GE(step.measured_seconds, 0.002) << "step " << step.index;
+  }
+  EXPECT_EQ(faults.InjectedCount("appliance.step.dispatch") - before,
+            dispatches);
+}
+
+// --- the row oracle on TPC-H shapes ---
+
+/// Loads TPC-H at scale 0.2, where every suite query and every step
+/// checked below returns rows, onto a fresh `nodes`-node appliance.
+std::unique_ptr<Appliance> MakeTpchAppliance(int nodes) {
+  auto appliance = std::make_unique<Appliance>(Topology{nodes});
+  EXPECT_TRUE(tpch::CreateTpchTables(appliance.get()).ok());
+  tpch::TpchConfig cfg;
+  cfg.scale = 0.2;
+  EXPECT_TRUE(tpch::LoadTpch(appliance.get(), cfg).ok());
+  return appliance;
+}
+
+/// `sql`, compiled once against `node`'s catalog, returns equal, non-empty
+/// row sets on the batch engine and on the row oracle over `node`'s tables.
+void ExpectEnginesAgreeOn(const LocalEngine& node, const std::string& sql) {
+  testing::EngineRows got = testing::RunBothEngines(node, sql);
+  ASSERT_TRUE(got.batch.ok()) << sql << "\n" << got.batch.status().ToString();
+  ASSERT_TRUE(got.row.ok()) << sql << "\n" << got.row.status().ToString();
+  EXPECT_FALSE(got.row->empty()) << sql;
+  EXPECT_TRUE(RowSetsEqual(*got.batch, *got.row))
+      << sql << "\nbatch: " << got.batch->size()
+      << " rows, row oracle: " << got.row->size() << " rows";
+}
+
+// The only node of a one-node appliance holds every row, so each suite
+// query runs there whole.
+TEST(RowOracleTest, SuiteQueriesAgreeOnOneNode) {
+  auto appliance = MakeTpchAppliance(1);
+  for (const tpch::TpchQuery& q : tpch::Queries()) {
+    SCOPED_TRACE(q.name);
+    ExpectEnginesAgreeOn(appliance->compute_node(0), q.sql);
+  }
+}
+
+// Node 0 of an 8-node appliance runs every DSQL step of the suite that
+// reads only base tables, the local partial aggregates of pre-aggregated
+// moves included.
+TEST(RowOracleTest, BaseTableStepsAgreeOnOneNodeOfEight) {
+  auto appliance = MakeTpchAppliance(8);
+  int steps = 0, preagg_steps = 0;
+  for (bool preagg : {false, true}) {
+    PdwCompilerOptions options;
+    options.pdw.enable_preagg = preagg;
+    for (const tpch::TpchQuery& q : tpch::Queries()) {
+      SCOPED_TRACE(q.name + (preagg ? " preagg on" : " preagg off"));
+      auto comp = CompilePdwQuery(appliance->shell(), q.sql, options);
+      ASSERT_TRUE(comp.ok()) << comp.status().ToString();
+      auto dsql = GenerateDsql(*comp->parallel.plan, comp->output_names);
+      ASSERT_TRUE(dsql.ok()) << dsql.status().ToString();
+      for (const DsqlStep& step : dsql->steps) {
+        // Earlier steps' results are TEMP_ID_<k> tables.
+        if (step.sql.find("TEMP_ID_") != std::string::npos) continue;
+        ExpectEnginesAgreeOn(appliance->compute_node(0), step.sql);
+        ++steps;
+        if (step.preagg) ++preagg_steps;
+      }
+    }
+  }
+  EXPECT_GT(steps, 0);
+  EXPECT_GT(preagg_steps, 0) << "no local partial aggregate was checked";
 }
 
 // --- the full query suite as a parameterized sweep ---

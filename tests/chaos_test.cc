@@ -1,6 +1,7 @@
-// Seeded chaos differential suite. Each run derives a query, an engine, and
-// a randomized fault schedule from one seed, executes it against the full
-// appliance, and requires one of exactly two outcomes:
+// Seeded chaos differential suite. Each run derives a query, its compile
+// and cache choices, and a randomized fault schedule from one seed,
+// executes it against the full appliance, and requires one of exactly two
+// outcomes:
 // the result matches the fault-free run of the same configuration, or the
 // query fails with a clean Status — never a crash, a hang, or a wrong
 // answer. After every run, zero TEMP_ID temp tables may survive anywhere
@@ -257,8 +258,10 @@ TEST_F(ChaosTest, SeededDifferentialSweep) {
                           ? tpch_queries[rng() % tpch_queries.size()].sql
                           : BuildRandomQuery(seed);
     QueryOptions options;
-    options.execute.engine.engine =
-        rng() % 2 == 0 ? EngineKind::kRow : EngineKind::kBatch;
+    // Discarded: this draw once picked the local engine. Keeping it keeps
+    // every later draw, so each seed runs the query, cache choice, preagg
+    // choice and fault schedule it always ran.
+    (void)rng();
     options.compile.use_plan_cache = rng() % 4 == 0;
     options.compile.compiler.pdw.enable_preagg = rng() % 2 == 0 ? 1 : 0;
     options.execute.retry.max_attempts = 3;
@@ -266,9 +269,7 @@ TEST_F(ChaosTest, SeededDifferentialSweep) {
 
     FaultSchedule schedule = BuildRandomSchedule(seed);
     SCOPED_TRACE("chaos seed=" + std::to_string(seed) + " schedule=" +
-                 fault::FaultScheduleToString(schedule) + " engine=" +
-                 (options.execute.engine.engine == EngineKind::kRow ? "row" : "batch") +
-                 " preagg=" +
+                 fault::FaultScheduleToString(schedule) + " preagg=" +
                  std::to_string(options.compile.compiler.pdw.enable_preagg) +
                  "\nsql: " + sql);
 
@@ -366,8 +367,7 @@ TEST_F(ChaosTest, PreaggPlansSurviveChaos) {
     const char* sql = kQueries[rng() % 3];
     QueryOptions options;
     options.compile.compiler = compiler;
-    options.execute.engine.engine =
-        rng() % 2 == 0 ? EngineKind::kRow : EngineKind::kBatch;
+    (void)rng();  // the retired engine draw, as in SeededDifferentialSweep
     options.execute.retry.max_attempts = 3;
     options.execute.retry.sleep_fn = [](double) {};
     FaultSchedule schedule = BuildRandomSchedule(seed);

@@ -1,7 +1,6 @@
 // Concurrent-session and plan-cache behavior of the unified Run API: many
 // threads firing distributed queries at one appliance must all match the
-// single-node reference, with and without the plan cache, and pooled
-// execution must return exactly what the serial node-by-node loop returns.
+// single-node reference, with and without the plan cache.
 
 #include <gtest/gtest.h>
 
@@ -40,24 +39,7 @@ const char* kQueries[] = {
     "GROUP BY l_returnflag",
 };
 
-// --- parallel (pooled) execution equals the serial loop ---
-
-TEST(ParallelExecutionTest, PooledMatchesSerialLoop) {
-  auto appliance = MakeLoadedAppliance(4, 0.05);
-  Session session = appliance->Connect();
-  for (const char* sql : kQueries) {
-    QueryOptions serial;
-    serial.execute.max_parallel_nodes = 1;
-    auto s = session.Run(sql, serial);
-    ASSERT_TRUE(s.ok()) << sql << "\n" << s.status().ToString();
-    auto p = session.Run(sql);  // default: full fan-out
-    ASSERT_TRUE(p.ok()) << sql << "\n" << p.status().ToString();
-    EXPECT_TRUE(RowSetsEqual(s->rows, p->rows)) << sql;
-    auto ref = appliance->ExecuteReference(sql);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_TRUE(RowSetsEqual(p->rows, ref->rows)) << sql;
-  }
-}
+// --- per-node step profile ---
 
 TEST(ParallelExecutionTest, StepProfileRecordsPerNodeTimings) {
   auto appliance = MakeLoadedAppliance(4, 0.05);
@@ -298,16 +280,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     pool.ParallelFor(4, [&](int) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 16);
-}
-
-TEST(ThreadPoolTest, MaxParallelismOneIsSerial) {
-  ThreadPool pool(4);
-  std::vector<int> order;
-  pool.ParallelFor(
-      10, [&](int i) { order.push_back(i); },  // no lock: must be serial
-      /*max_parallelism=*/1);
-  ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The live-introspection subsystem end to end: sys.dm_pdw_* system views
 // queried through ordinary SQL must observe requests *while they run* (from
 // a second session thread, during a concurrent storm), aggregate like any
-// other table on either execution engine, expose latency quantiles and
-// both control-node caches, and export Chrome-trace JSON of a whole query.
+// other table, expose latency quantiles and both control-node caches, and
+// export Chrome-trace JSON of a whole query.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "appliance/appliance.h"
+#include "common/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tpch/tpch.h"
@@ -34,9 +35,8 @@ std::unique_ptr<Appliance> MakeLoadedAppliance(int nodes, double scale) {
 }
 
 /// Runs a DMV query and returns its rows, failing the test on error.
-RowVector Dmv(Appliance* appliance, const std::string& sql,
-              const QueryOptions& options = {}) {
-  auto r = appliance->Run(sql, options);
+RowVector Dmv(Appliance* appliance, const std::string& sql) {
+  auto r = appliance->Run(sql);
   EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
   return r.ok() ? std::move(r->rows) : RowVector{};
 }
@@ -228,10 +228,13 @@ TEST(DmvTest, QueryIdsAreMonotonicallyUnique) {
 
 TEST(DmvTest, StormObservedExecutingWithAdvancingSteps) {
   auto appliance = MakeLoadedAppliance(3, 0.02);
-  Session session = appliance->Connect();
-  // Per-step dispatch latency keeps every storm query in flight for a
-  // deterministic, observable window without growing the dataset.
-  appliance->set_dispatch_latency_seconds(0.005);
+  // A 5 ms delay fault on every node dispatch keeps every storm query in
+  // flight for a deterministic, observable window without growing the
+  // dataset.
+  auto slow =
+      fault::ParseFaultSchedule("appliance.step.dispatch:*:*:delay@0.005");
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  Session session = appliance->Connect(QueryOptions().WithFaults(*slow));
 
   std::atomic<bool> stop{false};
   std::atomic<int> completed{0};
@@ -288,7 +291,7 @@ TEST(DmvTest, StormObservedExecutingWithAdvancingSteps) {
   EXPECT_EQ(still[0][0].int_value(), 0);
 }
 
-// --- DMV-on-DMV aggregation, on both engines ------------------------------
+// --- DMV-on-DMV aggregation ------------------------------------------------
 
 TEST(DmvTest, AggregationOverViewsMatchesAcrossEngines) {
   auto appliance = MakeLoadedAppliance(2, 0.01);
@@ -301,19 +304,15 @@ TEST(DmvTest, AggregationOverViewsMatchesAcrossEngines) {
       "SELECT status, COUNT(*) AS c, SUM(total_steps) AS s "
       "FROM sys.dm_pdw_exec_requests "
       "WHERE total_steps > 0 GROUP BY status ORDER BY status";
-  QueryOptions row_engine;
-  row_engine.execute.engine.engine = EngineKind::kRow;
-  QueryOptions batch_engine;
-  batch_engine.execute.engine.engine = EngineKind::kBatch;
-  RowVector on_rows = Dmv(appliance.get(), agg, row_engine);
-  RowVector on_batches = Dmv(appliance.get(), agg, batch_engine);
+  RowVector first = Dmv(appliance.get(), agg);
+  RowVector again = Dmv(appliance.get(), agg);
   // DMV requests themselves have zero steps, so the total_steps > 0 filter
   // makes the aggregate identical across the two runs: exactly the four
-  // distributed region queries, on either engine.
-  ASSERT_EQ(on_rows.size(), 1u);
-  EXPECT_EQ(on_rows[0][0].string_value(), "complete");
-  EXPECT_EQ(on_rows[0][1].int_value(), 4);
-  EXPECT_TRUE(RowSetsEqual(on_rows, on_batches));
+  // distributed region queries.
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0][0].string_value(), "complete");
+  EXPECT_EQ(first[0][1].int_value(), 4);
+  EXPECT_TRUE(RowSetsEqual(first, again));
 
   // A DMV joined against itself through a derived table also works — the
   // views are ordinary leaves to the optimizer.
@@ -463,8 +462,6 @@ TEST(DmvTest, TraceOutWritesLoadableChromeTraceJson) {
   options.observe.trace_out = path;
   auto r = session.Run(kJoinSql, options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  obs::Tracer::Global().Disable();
-  obs::Tracer::Global().Clear();
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "trace file not written: " << path;
@@ -481,6 +478,45 @@ TEST(DmvTest, TraceOutWritesLoadableChromeTraceJson) {
   EXPECT_EQ(json.find("appliance.run"), json.rfind("appliance.run"))
       << "expected exactly one root query span";
   std::remove(path.c_str());
+}
+
+/// Occurrences of `needle` in the file at `path`.
+size_t CountInFile(const std::string& path, const std::string& needle) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// A traced query turns the global tracer on for itself only: each traced
+// query's file holds its own run, and once it ends the tracer is off and
+// empty again, so an untraced query records nothing.
+TEST(DmvTest, TracedQueriesLeaveTheTracerAsTheyFoundIt) {
+  auto appliance = MakeLoadedAppliance(2, 0.01);
+  Session session = appliance->Connect();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  ASSERT_FALSE(tracer.enabled());
+  for (int i = 0; i < 2; ++i) {
+    std::string path = ::testing::TempDir() + "pdw_dmv_trace_" +
+                       std::to_string(i) + ".json";
+    std::remove(path.c_str());
+    auto r = session.Run(kJoinSql, QueryOptions().WithTraceOut(path));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(CountInFile(path, "\"name\":\"appliance.run\""), 1u)
+        << "traced query " << i << " wrote other queries' spans";
+    EXPECT_FALSE(tracer.enabled()) << "traced query " << i;
+    std::remove(path.c_str());
+  }
+  size_t before = tracer.size();
+  auto untraced = session.Run(kJoinSql);
+  ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
+  EXPECT_EQ(tracer.size(), before) << "an untraced query recorded spans";
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/local_engine.h"
+#include "test_util.h"
 
 namespace pdw {
 namespace {
@@ -224,19 +225,17 @@ class EngineDiffTest : public ::testing::TestWithParam<uint32_t> {
 
   static void ExpectEnginesAgree(const std::string& sql) {
     SCOPED_TRACE(sql);
-    ExecOptions row_opts;
-    row_opts.engine = EngineKind::kRow;
-    auto row = engine_->ExecuteSql(sql, nullptr, row_opts);
-    auto batch = engine_->ExecuteSql(sql);
+    testing::EngineRows got = testing::RunBothEngines(*engine_, sql);
     // Runtime errors (e.g. a generated division by zero) must surface from
     // both engines or neither.
-    ASSERT_EQ(row.ok(), batch.ok())
+    ASSERT_EQ(got.row.ok(), got.batch.ok())
         << "engines disagree on error status\nrow:   "
-        << row.status().ToString() << "\nbatch: " << batch.status().ToString();
-    if (!row.ok()) return;
-    EXPECT_TRUE(RowSetsEqual(row->rows, batch->rows))
-        << "row engine: " << row->rows.size()
-        << " rows, batch engine: " << batch->rows.size() << " rows";
+        << got.row.status().ToString()
+        << "\nbatch: " << got.batch.status().ToString();
+    if (!got.row.ok()) return;
+    EXPECT_TRUE(RowSetsEqual(*got.row, *got.batch))
+        << "row engine: " << got.row->size()
+        << " rows, batch engine: " << got.batch->size() << " rows";
   }
 
   static LocalEngine* engine_;

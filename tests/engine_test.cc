@@ -370,15 +370,12 @@ TEST_F(EngineTest, StorageRoundTripsInsertedRows) {
     ASSERT_TRUE(stored.ok()) << stored.status().ToString();
     ExpectSameRows(**stored, inserted, "GetRows");
 
-    for (EngineKind kind : {EngineKind::kRow, EngineKind::kBatch}) {
-      ExecOptions exec;
-      exec.engine = kind;
-      auto scanned =
-          engine_.ExecuteSql("SELECT * FROM " + table, nullptr, exec);
-      ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
-      ExpectSameRows(scanned->rows, inserted,
-                     kind == EngineKind::kRow ? "row scan" : "batch scan");
-    }
+    testing::EngineRows scanned =
+        testing::RunBothEngines(engine_, "SELECT * FROM " + table);
+    ASSERT_TRUE(scanned.row.ok()) << scanned.row.status().ToString();
+    ASSERT_TRUE(scanned.batch.ok()) << scanned.batch.status().ToString();
+    ExpectSameRows(*scanned.row, inserted, "row scan");
+    ExpectSameRows(*scanned.batch, inserted, "batch scan");
 
     auto stats = engine_.ComputeLocalStats(table);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
@@ -397,8 +394,8 @@ TEST_F(EngineTest, StorageRoundTripsInsertedRows) {
 }
 
 // A node's plan is one node task: the batch engine runs every operator on
-// the calling thread, so a grouped join matches the row engine and starts
-// no pool task.
+// the calling thread, so a grouped join matches the row oracle on the same
+// plan and starts no pool task (nor does the compile or the oracle).
 TEST_F(EngineTest, NodeLocalPlanRunsOnCallingThread) {
   ASSERT_TRUE(
       engine_.ExecuteSql("CREATE TABLE fact (fk INT, qty INT, price DOUBLE)")
@@ -419,17 +416,13 @@ TEST_F(EngineTest, NodeLocalPlanRunsOnCallingThread) {
       "SELECT label, COUNT(*) AS c, SUM(qty) AS q, SUM(price) AS p "
       "FROM fact, dim WHERE fk = dk AND qty > 0 GROUP BY label";
 
-  ExecOptions row;
-  row.engine = EngineKind::kRow;
-  auto want = engine_.ExecuteSql(sql, nullptr, row);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ASSERT_EQ(want->rows.size(), 7u);
-
   uint64_t before = testing::IdlePoolTasksExecuted();
-  auto got = engine_.ExecuteSql(sql);
+  testing::EngineRows got = testing::RunBothEngines(engine_, sql);
   uint64_t after = testing::IdlePoolTasksExecuted();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSameRows(got->rows, want->rows, "batch vs row");
+  ASSERT_TRUE(got.row.ok()) << got.row.status().ToString();
+  ASSERT_EQ(got.row->size(), 7u);
+  ASSERT_TRUE(got.batch.ok()) << got.batch.status().ToString();
+  ExpectSameRows(*got.batch, *got.row, "batch vs row");
   EXPECT_EQ(after, before) << "the node-local plan started pool tasks";
 }
 

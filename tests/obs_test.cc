@@ -254,6 +254,52 @@ TEST(TracerTest, EndIsIdempotentAndClearWorks) {
   EXPECT_TRUE(IsValidJson(tracer.ToJson()));
 }
 
+// Span ids keep counting across a Clear: a span opened before it neither
+// annotates nor ends the record that reuses its slot.
+TEST(TracerTest, SpanOpenedBeforeClearLeavesLaterRecordsAlone) {
+  Tracer tracer;
+  tracer.Enable();
+  TraceSpan stale("stale", &tracer);
+  tracer.Clear();
+  { TraceSpan fresh("fresh", &tracer); }
+  const double fresh_wall = tracer.Snapshot()[0].wall_seconds;
+  stale.AddAttr("k", 1.0);
+  stale.End();
+  std::vector<TraceRecord> recs = tracer.Snapshot();
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].name, "fresh");
+  EXPECT_TRUE(recs[0].attrs.empty());
+  EXPECT_EQ(recs[0].wall_seconds, fresh_wall);
+}
+
+// Overlapping captures share one recording that starts empty; the last to
+// end turns the tracer off and drops it. A tracer its owner enabled stays
+// on with its spans.
+TEST(TracerTest, CapturesLeaveTheTracerAsTheyFoundIt) {
+  Tracer tracer;
+  tracer.Enable();
+  { TraceSpan before("before", &tracer); }
+  tracer.Disable();
+  tracer.BeginCapture();
+  tracer.BeginCapture();
+  EXPECT_TRUE(tracer.enabled());
+  EXPECT_EQ(tracer.size(), 0u);
+  { TraceSpan span("captured", &tracer); }
+  tracer.EndCapture();
+  EXPECT_TRUE(tracer.enabled());
+  EXPECT_EQ(tracer.size(), 1u);
+  tracer.EndCapture();
+  EXPECT_FALSE(tracer.enabled());
+  EXPECT_EQ(tracer.size(), 0u);
+
+  tracer.Enable();
+  { TraceSpan owned("owned", &tracer); }
+  tracer.BeginCapture();
+  tracer.EndCapture();
+  EXPECT_TRUE(tracer.enabled());
+  EXPECT_EQ(tracer.size(), 1u);
+}
+
 TEST(TracerTest, ThreadSafetySmoke) {
   Tracer tracer;
   tracer.Enable();

@@ -1,7 +1,7 @@
 // Partial-aggregate pushdown (PR 9): plan-shape expectations, cost-based
 // decline, duplicate-sensitivity gates, AVG oracle regression, the
-// preagg on/off x engine differential sweep, DMS byte
-// savings, observability surfaces, and plan-cache fingerprinting.
+// preagg on/off differential sweep, DMS byte savings, observability
+// surfaces, and plan-cache fingerprinting.
 //
 // The fixture is a purpose-built dim/fact schema rather than TPC-H: at
 // the small scales the tests load, TPC-H dimension tables are so small
@@ -166,7 +166,7 @@ TEST_F(PreaggTest, ScalarAggregateRefusesPushdown) {
 TEST_F(PreaggTest, AvgMatchesRowOracleOverBothPlanShapes) {
   // AVG is pre-split into SUM/COUNT by the binder, so pushdown applies;
   // both the pushed and the classic two-phase plan must agree with the
-  // single-node row oracle on both engines.
+  // single-node reference.
   auto on = CompilePdwQuery(appliance_->shell(), kAvgQuery, Opts(1));
   ASSERT_TRUE(on.ok()) << on.status().message();
   EXPECT_TRUE(on->parallel.preagg_chosen);
@@ -174,39 +174,27 @@ TEST_F(PreaggTest, AvgMatchesRowOracleOverBothPlanShapes) {
   RowVector ref = Reference(kAvgQuery);
   Session session = appliance_->Connect();
   for (int preagg : {0, 1}) {
-    for (EngineKind engine : {EngineKind::kRow, EngineKind::kBatch}) {
-      ExecOptions exec;
-      exec.engine = engine;
-      auto got = session.Run(kAvgQuery, QueryOptions()
-                                            .WithCompilerOptions(Opts(preagg))
-                                            .WithEngine(exec));
-      ASSERT_TRUE(got.ok()) << got.status().message();
-      EXPECT_TRUE(RowSetsEqual(got->rows, ref))
-          << "preagg=" << preagg << " engine=" << static_cast<int>(engine);
-    }
+    auto got = session.Run(
+        kAvgQuery, QueryOptions().WithCompilerOptions(Opts(preagg)));
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_TRUE(RowSetsEqual(got->rows, ref)) << "preagg=" << preagg;
   }
 }
 
 TEST_F(PreaggTest, PushdownSweepIsByteIdentical) {
-  // Every query x preagg on/off x engine must agree with the reference
-  // oracle — including the shapes that refuse pushdown.
+  // Every query x preagg on/off must agree with the reference oracle —
+  // including the shapes that refuse pushdown.
   const char* queries[] = {kHighReduction, kNearUnique, kAvgQuery,
                            kDistinctAgg, kScalarAgg};
   Session session = appliance_->Connect();
   for (const char* sql : queries) {
     RowVector ref = Reference(sql);
     for (int preagg : {0, 1}) {
-      for (EngineKind engine : {EngineKind::kRow, EngineKind::kBatch}) {
-        ExecOptions exec;
-        exec.engine = engine;
-        auto got = session.Run(sql, QueryOptions()
-                                        .WithCompilerOptions(Opts(preagg))
-                                        .WithEngine(exec));
-        ASSERT_TRUE(got.ok()) << got.status().message();
-        EXPECT_TRUE(RowSetsEqual(got->rows, ref))
-            << sql << "\npreagg=" << preagg
-            << " engine=" << static_cast<int>(engine);
-      }
+      auto got =
+          session.Run(sql, QueryOptions().WithCompilerOptions(Opts(preagg)));
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      EXPECT_TRUE(RowSetsEqual(got->rows, ref))
+          << sql << "\npreagg=" << preagg;
     }
   }
 }

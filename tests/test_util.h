@@ -9,8 +9,30 @@
 
 #include "catalog/catalog.h"
 #include "common/thread_pool.h"
+#include "engine/executor.h"
+#include "engine/local_engine.h"
+#include "optimizer/serial_optimizer.h"
 
 namespace pdw::testing {
+
+/// One SELECT's rows from both local engines over the same plan.
+struct EngineRows {
+  Result<RowVector> batch;  ///< ExecutePlan, the production engine.
+  Result<RowVector> row;    ///< ExecuteRowPlan, the reference oracle.
+};
+
+/// Compiles `sql` once against `engine`'s catalog and runs that one plan
+/// on the batch engine and on the row oracle over `engine`'s tables. A
+/// compile error is reported by both. Hidden ORDER BY carrier columns are
+/// kept, identically in both.
+inline EngineRows RunBothEngines(const LocalEngine& engine,
+                                 const std::string& sql) {
+  auto comp = CompileQuery(engine.catalog(), sql);
+  if (!comp.ok()) return {comp.status(), comp.status()};
+  auto plan = ExtractBestSerialPlan(comp->memo.get());
+  if (!plan.ok()) return {plan.status(), plan.status()};
+  return {ExecutePlan(**plan, engine), ExecuteRowPlan(**plan, engine)};
+}
 
 /// ThreadPool::Global().tasks_executed(), read once the pool is idle: no
 /// queued task, no active worker, and the count steady across a short

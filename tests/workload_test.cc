@@ -551,7 +551,6 @@ TEST(SessionTest, FluentBuilderComposes) {
   QueryOptions options = QueryOptions()
                              .WithPlanCache(false)
                              .WithExplainOnly()
-                             .WithMaxParallelNodes(3)
                              .WithResourceClass(ResourceClass::kLarge)
                              .WithPriority(7)
                              .WithResultCache()
@@ -559,7 +558,6 @@ TEST(SessionTest, FluentBuilderComposes) {
                              .WithTraceOut("/tmp/t.json");
   EXPECT_FALSE(options.compile.use_plan_cache);
   EXPECT_TRUE(options.compile.explain_only);
-  EXPECT_EQ(options.execute.max_parallel_nodes, 3);
   EXPECT_EQ(options.execute.resource_class, ResourceClass::kLarge);
   EXPECT_EQ(options.execute.priority, 7);
   EXPECT_TRUE(options.execute.use_result_cache);
